@@ -58,8 +58,6 @@ class RunManifest:
                 overrides["dt"] = self.dt
             if self.horizon is not None:
                 overrides["horizon"] = self.horizon
-            if self.seed is not None and self.preset == "bs-adaptive-paper":
-                overrides["seed"] = self.seed
             cfg = preset(self.preset, **overrides)
         else:
             cfg = load_config(self.config_path)
@@ -67,7 +65,11 @@ class RunManifest:
                 cfg = dataclasses.replace(cfg, dt=self.dt)
             if self.horizon is not None:
                 cfg = dataclasses.replace(cfg, horizon=self.horizon)
-        if self.seed is not None and cfg.disturbance is not None:
+        if self.seed is not None:
+            if cfg.disturbance is None:
+                raise ConfigError(
+                    f"--seed applies only to scenarios with a disturbance; {self.name!r} has none"
+                )
             cfg = dataclasses.replace(
                 cfg, disturbance=dataclasses.replace(cfg.disturbance, seed=self.seed)
             )

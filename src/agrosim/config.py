@@ -53,6 +53,12 @@ def _number(value: Any, key: str, allow_inf: bool = False) -> float:
     return v
 
 
+def _torque_limit(value: Any) -> float:
+    """``u_max``: null means unlimited; the legacy token ``Infinity`` is
+    still read."""
+    return math.inf if value is None else _number(value, "u_max", allow_inf=True)
+
+
 def _integer(value: Any, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
@@ -231,7 +237,7 @@ def parse_config(text: str) -> ScenarioConfig:
         reference=reference,
         controller=controller,
         gains=_parse_gains(doc, controller),
-        u_max=_number(_get(doc, "u_max", ""), "u_max", allow_inf=True),
+        u_max=_torque_limit(_get(doc, "u_max", "")),
         dt=_number(_get(doc, "dt", "", 1e-3), "dt"),
         horizon=_number(_get(doc, "horizon", "", 1.5), "horizon"),
         disturbance=_parse_disturbance(doc, scale),
@@ -245,8 +251,9 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    """Serialize a scenario losslessly (angle_units is 'rad' on purpose:
-    parse_config(serialize_config(c)) reconstructs c exactly)."""
+    """Serialize a scenario losslessly as standard JSON (angle_units is 'rad'
+    on purpose: parse_config(serialize_config(c)) reconstructs c exactly;
+    unlimited torque is written as ``"u_max": null``)."""
     gains: dict[str, Any] = {"k1": list(config.gains.k1), "k2": list(config.gains.k2)}
     if isinstance(config.gains, BsGains):
         gains["gamma"] = list(config.gains.gamma)
@@ -290,10 +297,10 @@ def serialize_config(config: ScenarioConfig) -> str:
             "xd_ddot": list(config.reference.xd_ddot),
             "rho": config.reference.rho,
         },
-        "u_max": config.u_max,
+        "u_max": None if math.isinf(config.u_max) else config.u_max,
         "dt": config.dt,
         "horizon": config.horizon,
         "adaptation_enabled": config.adaptation_enabled,
         "disturbance": disturbance,
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)

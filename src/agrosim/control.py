@@ -19,7 +19,9 @@ while the disturbance estimate follows the adaptation law
 stored as 3-vectors; a scalar gain means "that scalar on every axis".
 
 Controllers are pure functions; the only state is the explicit
-:class:`AdaptState` threaded by the caller.
+:class:`AdaptState` threaded by the caller.  The laws themselves are written
+once, on floats, in :mod:`agrosim.kernel`, which the simulator runs on; the
+functions here are typed views over them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .dynamics import (
     BodyState,
     BodyTorque,
@@ -167,45 +170,17 @@ class LyapunovSample(_ArrayEqMixin):
 
 
 # ---------------------------------------------------------------------------
-# Array-level control laws.  These are the hot path shared with the
-# simulation loop; the typed wrappers below add the domain objects.
+# Typed operations: views over the float laws of :mod:`agrosim.kernel`
 # ---------------------------------------------------------------------------
 
-def _fl_torque(att, rate, x_d, xd_dot, xd_ddot, k1, k2, j1, j2):
-    e = x_d - att
-    e_dot = xd_dot - rate
-    v = xd_ddot + k1 * e_dot + k2 * e
-    f = np.array([
-        j2[0] / j1[0] * rate[1] * rate[2],
-        j2[1] / j1[1] * rate[0] * rate[2],
-        j2[2] / j1[2] * rate[0] * rate[1],
-    ])
-    return j1 * (v - f)
+def _aug(state: BodyState, l_hat=kernel.ZERO) -> kernel.State:
+    return kernel.floats(state.attitude) + kernel.floats(state.rate) + kernel.floats(l_hat)
 
 
-def _bs_velocity_error(att, rate, x_d, xd_dot, k1):
-    return xd_dot - rate + k1 * (x_d - att)
+def _evaluate(law: kernel.Law, state: BodyState, eff: EffectiveInertias,
+              l_hat=kernel.ZERO) -> BodyTorque:
+    return BodyTorque(np.array(kernel.command(law, eff.j1, eff.j2)(_aug(state, l_hat))))
 
-
-def _bs_torque(att, rate, x_d, xd_dot, xd_ddot, l_hat, k1, k2, gamma, lam, j1, j2):
-    e1 = x_d - att
-    e1_dot = xd_dot - rate
-    e2 = e1_dot + k1 * e1
-    f = np.array([
-        j2[0] / j1[0] * rate[1] * rate[2],
-        j2[1] / j1[1] * rate[0] * rate[2],
-        j2[2] / j1[2] * rate[0] * rate[1],
-    ])
-    return j1 * (gamma / lam * e1 - f - l_hat + xd_ddot + k1 * e1_dot + k2 * e2)
-
-
-def _adaptation_rate(e2, lam, sigma):
-    return -lam / sigma * e2
-
-
-# ---------------------------------------------------------------------------
-# Typed operations
-# ---------------------------------------------------------------------------
 
 def fl_control(
     state: BodyState, ref: Reference, gains: FlGains, eff: EffectiveInertias
@@ -214,11 +189,8 @@ def fl_control(
 
     The returned torque is unsaturated; clamping belongs to the plant side.
     """
-    tau = _fl_torque(
-        state.attitude, state.rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
-        gains.k1, gains.k2, eff.j1, eff.j2,
-    )
-    return BodyTorque(tau)
+    law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
+    return _evaluate(law, state, eff)
 
 
 def bs_virtual_control(ref: Reference, e1: np.ndarray, gains: BsGains) -> np.ndarray:
@@ -229,7 +201,8 @@ def bs_virtual_control(ref: Reference, e1: np.ndarray, gains: BsGains) -> np.nda
 
 def bs_velocity_error(state: BodyState, ref: Reference, gains: BsGains) -> np.ndarray:
     """Deviation of the rate from its virtual control, e2 = U_v - xd."""
-    return _bs_velocity_error(state.attitude, state.rate, ref.x_d, ref.xd_dot, gains.k1)
+    e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
+    return np.array(e2(_aug(state)))
 
 
 def bs_control(
@@ -244,16 +217,14 @@ def bs_control(
         U_B = g^-1 (Lam^-1 Gam e1 - f - L_hat + xd_dd + K1 e1_d + K2 e2)
 
     with e1_d = xd_d - xd taken from the measured rate.  Unsaturated."""
-    tau = _bs_torque(
-        state.attitude, state.rate, ref.x_d, ref.xd_dot, ref.xd_ddot, adapt.l_hat,
-        gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1, eff.j2,
-    )
-    return BodyTorque(tau)
+    law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
+                        ref.x_d, ref.xd_dot, ref.xd_ddot)
+    return _evaluate(law, state, eff, adapt.l_hat)
 
 
 def adaptation_rate(e2: np.ndarray, gains: BsGains) -> np.ndarray:
     """Estimate derivative L_hat_dot = -Sig^-1 Lam e2."""
-    return _adaptation_rate(np.asarray(e2, dtype=float), gains.lam, gains.sigma)
+    return np.array(kernel.adaptation(gains.lam, gains.sigma)(kernel.floats(e2)))
 
 
 def adapt_update(adapt: AdaptState, e2: np.ndarray, gains: BsGains, dt: float) -> AdaptState:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import kernel
 from .errors import (
     AllocationSingularityError,
     DegenerateInertiaError,
@@ -319,13 +320,7 @@ class WheelTorque:
 def coriolis_acceleration(rate: np.ndarray, eff: EffectiveInertias) -> np.ndarray:
     """Drift term f(x, xd) of the attitude dynamics: the gyroscopic
     accelerations present with zero applied torque."""
-    r = np.asarray(rate, dtype=float)
-    j1, j2 = eff.j1, eff.j2
-    return np.array([
-        j2[0] / j1[0] * r[1] * r[2],
-        j2[1] / j1[1] * r[0] * r[2],
-        j2[2] / j1[2] * r[0] * r[1],
-    ])
+    return np.array(kernel.drift(eff.j1, eff.j2)(*kernel.floats(rate)))
 
 
 def input_gain(eff: EffectiveInertias) -> np.ndarray:

@@ -1,0 +1,231 @@
+"""Closed-loop stage kernel on plain Python floats.
+
+This module is the one place where the gyroscopic drift term ``f``, the
+feedback-linearization and backstepping control laws, the adaptation law,
+the torque clamp and the classical RK4 step are written.  The simulator in
+:mod:`agrosim.sim` runs on it, and the typed functions of
+:mod:`agrosim.dynamics` and :mod:`agrosim.control` are views over it.
+
+Layout: a 3-vector is a tuple of three floats and the augmented state
+``[attitude, rate, L_hat]`` a tuple of nine.  Every constant (gains,
+inertias, reference, disturbance) is converted to ``float`` once, when a law
+or a loop is built, together with the ratios the laws use (``j2/j1``,
+``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``, ``dt/6``).  On 3-vectors
+a numpy call costs far more than the arithmetic it does, so this layout
+runs a closed-loop step about five times faster than numpy arrays did (see
+the README's Performance section).
+
+Bit-identity: every expression evaluates the formula in its docstring in
+the order numpy evaluates the vectorised form, left to right (e.g.
+``(xd_dd + k1 e_d) + k2 e``), and IEEE-754 double arithmetic on Python
+floats is that of numpy float64, so results are bit-for-bit those of the
+vectorised formulas.  The one transcendental function, the disturbance sine,
+is :func:`math.sin`.
+
+Python float arithmetic raises no warning when it overflows: a diverging
+loop yields ``inf``/``nan`` quietly and the caller decides what to report.
+
+Nothing here holds mutable state; everything built is safe to share.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple, Optional
+
+#: Three floats, one per body axis.
+Vec = tuple[float, float, float]
+#: Nine floats: attitude, rate, disturbance estimate L_hat.
+State = tuple[float, ...]
+#: A control law: (state, drift f at that state) -> unclamped torque.
+Law = Callable[[State, Vec], Vec]
+
+ZERO: Vec = (0.0, 0.0, 0.0)
+
+
+def floats(v) -> Vec:
+    """A 3-vector (array, list or tuple) as three Python floats."""
+    a, b, c = v
+    return float(a), float(b), float(c)
+
+
+def drift(j1, j2) -> Callable[[float, float, float], Vec]:
+    """Gyroscopic drift term f(xd) of the attitude dynamics: per axis,
+    ``f_i = j2_i / j1_i * (product of the other two rates)``."""
+    c0, c1, c2 = (float(b) / float(a) for a, b in zip(j1, j2))
+
+    def f(r0: float, r1: float, r2: float) -> Vec:
+        return c0 * r1 * r2, c1 * r0 * r2, c2 * r0 * r1
+
+    return f
+
+
+def fl_law(k1, k2, j1, x_d, xd_dot, xd_ddot) -> Law:
+    """PD + feedback linearization ``u = j1 * (v - f)`` with the pseudo-input
+    ``v = xd_dd + k1 e_d + k2 e``, ``e = x_d - x``, ``e_d = xd_d - xd``."""
+    p0, p1, p2 = floats(k1)
+    q0, q1, q2 = floats(k2)
+    m0, m1, m2 = floats(j1)
+    x0, x1, x2 = floats(x_d)
+    v0, v1, v2 = floats(xd_dot)
+    w0, w1, w2 = floats(xd_ddot)
+
+    def law(y: State, f: Vec) -> Vec:
+        a0, a1, a2, r0, r1, r2 = y[:6]
+        f0, f1, f2 = f
+        return (
+            m0 * (((w0 + p0 * (v0 - r0)) + q0 * (x0 - a0)) - f0),
+            m1 * (((w1 + p1 * (v1 - r1)) + q1 * (x1 - a1)) - f1),
+            m2 * (((w2 + p2 * (v2 - r2)) + q2 * (x2 - a2)) - f2),
+        )
+
+    return law
+
+
+def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
+    """Backstepping velocity error ``e2 = (xd_d - xd) + K1 (x_d - x)``: the
+    deviation of the rate from the virtual control."""
+    k0, k1_, k2_ = floats(k1)
+    x0, x1, x2 = floats(x_d)
+    v0, v1, v2 = floats(xd_dot)
+
+    def e2(y: State) -> Vec:
+        a0, a1, a2, r0, r1, r2 = y[:6]
+        return (v0 - r0) + k0 * (x0 - a0), (v1 - r1) + k1_ * (x1 - a1), (v2 - r2) + k2_ * (x2 - a2)
+
+    return e2
+
+
+def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
+    """Adaptive backstepping
+    ``u = j1 * (gamma/lam e1 - f - L_hat + xd_dd + K1 e1_d + K2 e2)`` with
+    ``e1 = x_d - x``, ``e1_d = xd_d - xd`` and e2 from :func:`velocity_error`,
+    summed left to right."""
+    e2 = velocity_error(k1, x_d, xd_dot)
+    k0, k1_, k2_ = floats(k1)
+    s0, s1, s2 = floats(k2)
+    c0, c1, c2 = (float(g) / float(m) for g, m in zip(gamma, lam))
+    m0, m1, m2 = floats(j1)
+    x0, x1, x2 = floats(x_d)
+    v0, v1, v2 = floats(xd_dot)
+    w0, w1, w2 = floats(xd_ddot)
+
+    def law(y: State, f: Vec) -> Vec:
+        a0, a1, a2, r0, r1, r2, l0, l1, l2 = y
+        f0, f1, f2 = f
+        z0, z1, z2 = e2(y)
+        return (
+            m0 * (((((c0 * (x0 - a0) - f0) - l0) + w0) + k0 * (v0 - r0)) + s0 * z0),
+            m1 * (((((c1 * (x1 - a1) - f1) - l1) + w1) + k1_ * (v1 - r1)) + s1 * z1),
+            m2 * (((((c2 * (x2 - a2) - f2) - l2) + w2) + k2_ * (v2 - r2)) + s2 * z2),
+        )
+
+    return law
+
+
+def adaptation(lam, sigma) -> Callable[[Vec], Vec]:
+    """Adaptation law ``L_hat_dot = -lam/sigma * e2``, per axis."""
+    c0, c1, c2 = (-float(m) / float(s) for m, s in zip(lam, sigma))
+
+    def rate(e: Vec) -> Vec:
+        e0, e1, e2 = e
+        return c0 * e0, c1 * e1, c2 * e2
+
+    return rate
+
+
+def disturbance(offset, sine_amp, sine_freq, sine_phase) -> Callable[[float], Vec]:
+    """Deterministic disturbance torque ``offset + amp * sin(freq t + phase)``."""
+    o0, o1, o2 = floats(offset)
+    b0, b1, b2 = floats(sine_amp)
+    p0, p1, p2 = floats(sine_phase)
+    w = float(sine_freq)
+    sin = math.sin
+
+    def torque(t: float) -> Vec:
+        s = w * t
+        return o0 + b0 * sin(s + p0), o1 + b1 * sin(s + p1), o2 + b2 * sin(s + p2)
+
+    return torque
+
+
+def command(law: Law, j1, j2) -> Callable[[State], Vec]:
+    """The unclamped torque ``law`` commands at a state."""
+    f = drift(j1, j2)
+
+    def u(y: State) -> Vec:
+        return law(y, f(y[3], y[4], y[5]))
+
+    return u
+
+
+class Loop(NamedTuple):
+    """A closed loop built for one scenario.
+
+    ``step(t, y, noise)`` advances ``y`` one RK4 step and also returns the
+    unclamped command at ``y`` (its first stage evaluates it); ``command(y)``
+    is that command alone.  ``g`` is the input gain ``1/j1`` and
+    ``disturbance`` the deterministic disturbance, or None.
+    """
+
+    command: Callable[[State], Vec]
+    step: Callable[[float, State, Vec], tuple[State, Vec]]
+    g: Vec
+    disturbance: Optional[Callable[[float], Vec]]
+
+
+def closed_loop(
+    law: Law,
+    j1,
+    j2,
+    u_max: float,
+    dt: float,
+    dist: Optional[Callable[[float], Vec]] = None,
+    adapt: Optional[tuple[Callable[[State], Vec], Callable[[Vec], Vec]]] = None,
+) -> Loop:
+    """Build the stage derivative and RK4 step of the augmented state.
+
+    At every stage the command is clamped to ``[-u_max, u_max]`` (NaN passes
+    through, as with ``np.clip``), the deterministic disturbance ``dist(t)``
+    and the held noise are added, and the rates follow ``f + g * tau``.
+    ``adapt`` is the pair (velocity error, adaptation law) that drives
+    L_hat; without it L_hat has zero derivative.
+    """
+    f = drift(j1, j2)
+    g0, g1, g2 = (1.0 / float(a) for a in j1)
+    hi = float(u_max)
+    lo = -hi
+    dt = float(dt)
+    h = dt / 2.0
+    s6 = dt / 6.0
+    e2, l_rate = adapt if adapt is not None else (None, None)
+
+    def stage(t: float, y: State, n: Vec) -> tuple[State, Vec]:
+        r0, r1, r2 = y[3:6]
+        f0, f1, f2 = fy = f(r0, r1, r2)
+        u = law(y, fy)
+        u0, u1, u2 = u
+        u0 = hi if u0 > hi else lo if u0 < lo else u0
+        u1 = hi if u1 > hi else lo if u1 < lo else u1
+        u2 = hi if u2 > hi else lo if u2 < lo else u2
+        n0, n1, n2 = n
+        if dist is None:
+            t0, t1, t2 = u0 + n0, u1 + n1, u2 + n2
+        else:
+            d0, d1, d2 = dist(t)
+            t0, t1, t2 = (u0 + d0) + n0, (u1 + d1) + n1, (u2 + d2) + n2
+        p0, p1, p2 = ZERO if e2 is None else l_rate(e2(y))
+        return (r0, r1, r2, f0 + g0 * t0, f1 + g1 * t1, f2 + g2 * t2, p0, p1, p2), u
+
+    def step(t: float, y: State, n: Vec) -> tuple[State, Vec]:
+        # y + h * k per component, then y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
+        k1, u = stage(t, y, n)
+        k2, _ = stage(t + h, tuple([a + h * b for a, b in zip(y, k1)]), n)
+        k3, _ = stage(t + h, tuple([a + h * b for a, b in zip(y, k2)]), n)
+        k4, _ = stage(t + dt, tuple([a + dt * b for a, b in zip(y, k3)]), n)
+        return tuple([
+            a + s6 * (((b + 2.0 * c) + 2.0 * d) + e)
+            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+        ]), u
+
+    return Loop(command(law, j1, j2), step, (g0, g1, g2), dist)

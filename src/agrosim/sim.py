@@ -8,6 +8,14 @@ convergence against the continuous closed loop; the Gaussian noise component
 is sampled once per step and held across stages to keep runs reproducible
 and refinement studies meaningful.
 
+The loop runs on the stage kernel of :mod:`agrosim.kernel`, which holds the
+state, the command and the disturbance as plain Python floats.  A step makes
+four control evaluations, one per RK4 stage; the first stage's command at
+the step's start is the one recorded.  Each sample's row (state, command and
+L_true: 15 floats) is appended to one flat ``array('d')``, which becomes the
+record's arrays after the loop; wheel allocation, V1/V2 and the metrics are
+then computed vectorised over all rows.
+
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
 scenario-local, so independent scenarios can execute in parallel.
@@ -16,20 +24,14 @@ scenario-local, so independent scenarios can execute in parallel.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, IO, Optional, Union
 
 import numpy as np
 
-from .control import (
-    BsGains,
-    FlGains,
-    Reference,
-    _adaptation_rate,
-    _bs_torque,
-    _bs_velocity_error,
-    _fl_torque,
-)
+from . import kernel
+from .control import BsGains, FlGains, Reference
 from .dynamics import (
     BodyState,
     BodyTorque,
@@ -96,7 +98,10 @@ class DisturbanceSpec(_ArrayEqMixin):
 
     def deterministic(self, t: float) -> np.ndarray:
         """Offset plus sinusoid at time ``t`` (no noise)."""
-        return self.offset + self.sine_amp * np.sin(self.sine_freq * t + self.sine_phase)
+        return np.array(self._kernel()(t))
+
+    def _kernel(self) -> Callable[[float], kernel.Vec]:
+        return kernel.disturbance(self.offset, self.sine_amp, self.sine_freq, self.sine_phase)
 
 
 def check_disturbance_budget(spec: DisturbanceSpec, u_max: float) -> None:
@@ -222,61 +227,26 @@ class ScenarioConfig(_ArrayEqMixin):
 TorqueLaw = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-class _ClosedLoop:
-    """Precomputed arrays + stage derivative for one scenario."""
-
-    def __init__(self, config: ScenarioConfig, torque_law: Optional[TorqueLaw] = None):
-        self.config = config
-        self.eff = effective_inertias(config.inertias, config.steering)
-        self.j1 = self.eff.j1
-        self.j2 = self.eff.j2
-        self.g = 1.0 / self.j1
-        ref = config.reference
-        self.x_d, self.xd_dot, self.xd_ddot = ref.x_d, ref.xd_dot, ref.xd_ddot
-        self.u_max = config.u_max
-        self.adapt = config.adaptation_enabled
-        gains = config.gains
-        if torque_law is not None:
-            self.torque = torque_law
-        elif config.controller == CONTROLLER_FL:
-            self.torque = lambda att, rate, l_hat: _fl_torque(
-                att, rate, self.x_d, self.xd_dot, self.xd_ddot,
-                gains.k1, gains.k2, self.j1, self.j2)
-        else:
-            self.torque = lambda att, rate, l_hat: _bs_torque(
-                att, rate, self.x_d, self.xd_dot, self.xd_ddot, l_hat,
-                gains.k1, gains.k2, gains.gamma, gains.lam, self.j1, self.j2)
-        if self.adapt:
-            self._lam, self._sigma, self._k1 = gains.lam, gains.sigma, gains.k1
-        dist = config.disturbance
-        self.dist_torque = dist.deterministic if dist is not None else None
-
-    def command(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.torque(y[0:3], y[3:6], y[6:9]), dtype=float)
-
-    def derivative(self, t: float, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        att, rate, l_hat = y[0:3], y[3:6], y[6:9]
-        u = np.clip(self.torque(att, rate, l_hat), -self.u_max, self.u_max)
-        tau = u + noise if self.dist_torque is None else u + self.dist_torque(t) + noise
-        dy = np.empty(9)
-        dy[0:3] = rate
-        dy[3] = self.j2[0] / self.j1[0] * rate[1] * rate[2] + self.g[0] * tau[0]
-        dy[4] = self.j2[1] / self.j1[1] * rate[0] * rate[2] + self.g[1] * tau[1]
-        dy[5] = self.j2[2] / self.j1[2] * rate[0] * rate[1] + self.g[2] * tau[2]
-        if self.adapt:
-            e2 = _bs_velocity_error(att, rate, self.x_d, self.xd_dot, self._k1)
-            dy[6:9] = _adaptation_rate(e2, self._lam, self._sigma)
-        else:
-            dy[6:9] = 0.0
-        return dy
-
-    def rk4_step(self, t: float, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        dt = self.config.dt
-        k1 = self.derivative(t, y, noise)
-        k2 = self.derivative(t + dt / 2.0, y + dt / 2.0 * k1, noise)
-        k3 = self.derivative(t + dt / 2.0, y + dt / 2.0 * k2, noise)
-        k4 = self.derivative(t + dt, y + dt * k3, noise)
-        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _loop(config: ScenarioConfig, torque_law: Optional[TorqueLaw] = None) -> kernel.Loop:
+    """The stage kernel of one scenario, or of ``torque_law`` in place of its
+    controller."""
+    eff = effective_inertias(config.inertias, config.steering)
+    ref, gains = config.reference, config.gains
+    if torque_law is not None:
+        def law(y, f):
+            return kernel.floats(torque_law(np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9])))
+    elif config.controller == CONTROLLER_FL:
+        law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
+    else:
+        law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
+                            ref.x_d, ref.xd_dot, ref.xd_ddot)
+    adapt = None
+    if config.adaptation_enabled:
+        adapt = (kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot),
+                 kernel.adaptation(gains.lam, gains.sigma))
+    dist = config.disturbance
+    return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt,
+                              None if dist is None else dist._kernel(), adapt)
 
 
 def step_rk4(
@@ -297,9 +267,9 @@ def step_rk4(
     y = np.asarray(aug_state, dtype=float)
     if y.shape != (9,):
         raise InvalidParameterError(f"augmented state must have shape (9,), got {y.shape}")
-    loop = _ClosedLoop(config, torque_law)
-    noise_vec = np.zeros(3) if noise is None else np.asarray(noise, dtype=float)
-    return loop.rk4_step(t, y, noise_vec)
+    held = kernel.ZERO if noise is None else kernel.floats(noise)
+    y_next, _ = _loop(config, torque_law).step(float(t), tuple(y.tolist()), held)
+    return np.array(y_next)
 
 
 _CSV_COLUMNS = (
@@ -489,10 +459,11 @@ def run_scenario(
 ) -> tuple[TrajectoryRecord, Metrics]:
     """Roll out a scenario and summarize it.
 
-    Per step: evaluate + clamp the control, sample the disturbance, advance
-    the augmented state one RK4 step (stage-evaluated control and
-    deterministic disturbance, held noise), and record everything.  Wheel
-    torques realizing the applied body torque are logged for diagnostics.
+    Per step: sample the disturbance, advance the augmented state one RK4
+    step (stage-evaluated and clamped control, stage-evaluated deterministic
+    disturbance, held noise), and record the state, the unclamped command of
+    the first stage and the disturbance.  Wheel torques realizing the applied
+    body torque are logged for diagnostics.
 
     Raises
     ------
@@ -501,7 +472,7 @@ def run_scenario(
     DivergenceError
         If the state leaves the finite range, naming the failing step.
     """
-    loop = _ClosedLoop(config)
+    loop = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
     allocate_wheel_torques(BodyTorque.zero(), config.steering)
 
@@ -509,32 +480,34 @@ def run_scenario(
     dt = config.dt
     dist = config.disturbance
     streams = NoiseStreams(dist.seed) if dist is not None else None
+    if dist is not None:
+        s0, s1, s2 = kernel.floats(dist.noise_sigma)
+        g0, g1, g2 = loop.g
+    step, isfinite = loop.step, math.isfinite
+
+    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd, l_true
+    rows = array("d")
+    noise = l_true = kernel.ZERO
+    y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
+    for k in range(n + 1):
+        t = k * dt
+        if streams is not None:
+            z0, z1, z2 = streams.draw().tolist()
+            noise = n0, n1, n2 = s0 * z0, s1 * z1, s2 * z2
+            d0, d1, d2 = loop.disturbance(t)
+            l_true = g0 * (d0 + n0), g1 * (d1 + n1), g2 * (d2 + n2)
+        if k < n:
+            y_next, u_k = step(t, y, noise)
+        else:
+            y_next, u_k = y, loop.command(y)
+        rows.extend(y + u_k + l_true)
+        if not all(map(isfinite, y_next)):
+            raise DivergenceError(step=k + 1, t=t + dt)
+        y = y_next
 
     t_grid = np.arange(n + 1) * dt
-    att = np.empty((n + 1, 3))
-    rate = np.empty((n + 1, 3))
-    u_cmd = np.empty((n + 1, 3))
-    u_sat = np.empty((n + 1, 3))
-    l_true = np.zeros((n + 1, 3))
-    l_hat = np.zeros((n + 1, 3))
-
-    y = np.concatenate([config.initial.attitude, config.initial.rate, np.zeros(3)])
-    for k in range(n + 1):
-        t = t_grid[k]
-        att[k] = y[0:3]
-        rate[k] = y[3:6]
-        l_hat[k] = y[6:9]
-        cmd = loop.command(y)
-        u_cmd[k] = cmd
-        u_sat[k] = np.clip(cmd, -config.u_max, config.u_max)
-        noise = np.zeros(3)
-        if dist is not None:
-            noise = dist.noise_sigma * streams.draw()
-            l_true[k] = loop.g * (dist.deterministic(t) + noise)
-        if k < n:
-            y = loop.rk4_step(t, y, noise)
-            if not np.isfinite(y).all():
-                raise DivergenceError(step=k + 1, t=t + dt)
+    att, rate, l_hat, u_cmd, l_true = np.frombuffer(rows).reshape(n + 1, 5, 3).transpose(1, 0, 2)
+    u_sat = saturate(u_cmd, config.u_max)
 
     # wheel torques realizing the applied body torque, vectorized over rows
     jac = torque_jacobian(config.steering)

@@ -87,6 +87,13 @@ def test_seed_override(tmp_path):
     assert a != b
 
 
+def test_seed_rejected_without_disturbance(tmp_path, capsys):
+    rc = main(["run", "--preset", "fl-paper", "--out", str(tmp_path), "--seed", "3"])
+    assert rc == 1
+    assert "--seed applies only to scenarios with a disturbance" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_compare_presets(tmp_path):
     rc = main(["compare", "--preset", "fl-paper", "--preset", "bs-paper",
                "--out", str(tmp_path), "--horizon", "0.2"])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_round_trip_with_geometry():
     rate=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(3)]),
     k1=st.floats(0.1, 100.0),
     k2=st.floats(0.1, 1000.0),
-    u_max=st.floats(0.5, 100.0),
+    u_max=st.one_of(st.floats(0.5, 100.0), st.just(math.inf)),
     dt=st.floats(1e-4, 1e-2),
 )
 @settings(max_examples=60)
@@ -247,4 +248,18 @@ def test_round_trip_random_fl_configs(att, rate, k1, k2, u_max, dt):
         dt=dt,
         horizon=max(dt, 0.5),
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    doc = json.loads(text, parse_constant=_reject_non_standard)
+    assert doc["u_max"] == (None if math.isinf(u_max) else u_max)
+
+
+def _reject_non_standard(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_legacy_infinity_token_still_parses():
+    text = serialize_config(preset("fl-paper"))
+    legacy = text.replace('"u_max": 32.1521', '"u_max": Infinity')
+    assert legacy != text
+    assert parse_config(legacy).u_max == math.inf

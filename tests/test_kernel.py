@@ -1,0 +1,315 @@
+"""The float stage kernel against a numpy reference of the same formulas.
+
+The reference below is the vectorised closed loop the kernel replaced: its
+control laws, stage derivative, RK4 step and rollout loop, kept as they were
+written for numpy 3-vectors.  Every array the kernel produces must equal the
+reference bit for bit.  The reference evaluates the disturbance sine with
+``math.sin``, as the kernel does, so the comparison does not depend on how
+this host's numpy implements ``np.sin``.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from agrosim import (
+    AdaptState,
+    BodyState,
+    BsGains,
+    DisturbanceSpec,
+    DivergenceError,
+    FlGains,
+    NoiseStreams,
+    Reference,
+    ScenarioConfig,
+    SteeringConfig,
+    adaptation_rate,
+    bs_control,
+    bs_velocity_error,
+    coriolis_acceleration,
+    effective_inertias,
+    fl_control,
+    run_scenario,
+    step_rk4,
+    torque_jacobian,
+)
+from agrosim.presets import PAPER_U_MAX, paper_inertias
+
+# ---------------------------------------------------------------------------
+# numpy reference
+# ---------------------------------------------------------------------------
+
+
+def _coriolis_acceleration(rate, eff):
+    r = np.asarray(rate, dtype=float)
+    j1, j2 = eff.j1, eff.j2
+    return np.array([
+        j2[0] / j1[0] * r[1] * r[2],
+        j2[1] / j1[1] * r[0] * r[2],
+        j2[2] / j1[2] * r[0] * r[1],
+    ])
+
+
+def _fl_torque(att, rate, x_d, xd_dot, xd_ddot, k1, k2, j1, j2):
+    e = x_d - att
+    e_dot = xd_dot - rate
+    v = xd_ddot + k1 * e_dot + k2 * e
+    f = np.array([
+        j2[0] / j1[0] * rate[1] * rate[2],
+        j2[1] / j1[1] * rate[0] * rate[2],
+        j2[2] / j1[2] * rate[0] * rate[1],
+    ])
+    return j1 * (v - f)
+
+
+def _bs_velocity_error(att, rate, x_d, xd_dot, k1):
+    return xd_dot - rate + k1 * (x_d - att)
+
+
+def _bs_torque(att, rate, x_d, xd_dot, xd_ddot, l_hat, k1, k2, gamma, lam, j1, j2):
+    e1 = x_d - att
+    e1_dot = xd_dot - rate
+    e2 = e1_dot + k1 * e1
+    f = np.array([
+        j2[0] / j1[0] * rate[1] * rate[2],
+        j2[1] / j1[1] * rate[0] * rate[2],
+        j2[2] / j1[2] * rate[0] * rate[1],
+    ])
+    return j1 * (gamma / lam * e1 - f - l_hat + xd_ddot + k1 * e1_dot + k2 * e2)
+
+
+def _adaptation_rate(e2, lam, sigma):
+    return -lam / sigma * e2
+
+
+def _deterministic(spec, t):
+    phase = spec.sine_freq * t + spec.sine_phase
+    return spec.offset + spec.sine_amp * np.array([math.sin(x) for x in phase])
+
+
+class _ReferenceLoop:
+    """Precomputed arrays + stage derivative for one scenario."""
+
+    def __init__(self, config, torque_law=None):
+        self.config = config
+        self.eff = effective_inertias(config.inertias, config.steering)
+        self.j1 = self.eff.j1
+        self.j2 = self.eff.j2
+        self.g = 1.0 / self.j1
+        ref = config.reference
+        self.x_d, self.xd_dot, self.xd_ddot = ref.x_d, ref.xd_dot, ref.xd_ddot
+        self.u_max = config.u_max
+        self.adapt = config.adaptation_enabled
+        gains = config.gains
+        if torque_law is not None:
+            self.torque = torque_law
+        elif config.controller == "fl":
+            self.torque = lambda att, rate, l_hat: _fl_torque(
+                att, rate, self.x_d, self.xd_dot, self.xd_ddot,
+                gains.k1, gains.k2, self.j1, self.j2)
+        else:
+            self.torque = lambda att, rate, l_hat: _bs_torque(
+                att, rate, self.x_d, self.xd_dot, self.xd_ddot, l_hat,
+                gains.k1, gains.k2, gains.gamma, gains.lam, self.j1, self.j2)
+        if self.adapt:
+            self._lam, self._sigma, self._k1 = gains.lam, gains.sigma, gains.k1
+        dist = config.disturbance
+        self.dist_torque = (lambda t: _deterministic(dist, t)) if dist is not None else None
+
+    def command(self, y):
+        return np.asarray(self.torque(y[0:3], y[3:6], y[6:9]), dtype=float)
+
+    def derivative(self, t, y, noise):
+        att, rate, l_hat = y[0:3], y[3:6], y[6:9]
+        u = np.clip(self.torque(att, rate, l_hat), -self.u_max, self.u_max)
+        tau = u + noise if self.dist_torque is None else u + self.dist_torque(t) + noise
+        dy = np.empty(9)
+        dy[0:3] = rate
+        dy[3] = self.j2[0] / self.j1[0] * rate[1] * rate[2] + self.g[0] * tau[0]
+        dy[4] = self.j2[1] / self.j1[1] * rate[0] * rate[2] + self.g[1] * tau[1]
+        dy[5] = self.j2[2] / self.j1[2] * rate[0] * rate[1] + self.g[2] * tau[2]
+        if self.adapt:
+            e2 = _bs_velocity_error(att, rate, self.x_d, self.xd_dot, self._k1)
+            dy[6:9] = _adaptation_rate(e2, self._lam, self._sigma)
+        else:
+            dy[6:9] = 0.0
+        return dy
+
+    def rk4_step(self, t, y, noise):
+        dt = self.config.dt
+        k1 = self.derivative(t, y, noise)
+        k2 = self.derivative(t + dt / 2.0, y + dt / 2.0 * k1, noise)
+        k3 = self.derivative(t + dt / 2.0, y + dt / 2.0 * k2, noise)
+        k4 = self.derivative(t + dt, y + dt * k3, noise)
+        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rollout(config):
+    """Record arrays of one run, in TrajectoryRecord field order."""
+    loop = _ReferenceLoop(config)
+    n = config.n_steps
+    dt = config.dt
+    dist = config.disturbance
+    streams = NoiseStreams(dist.seed) if dist is not None else None
+
+    t_grid = np.arange(n + 1) * dt
+    att = np.empty((n + 1, 3))
+    rate = np.empty((n + 1, 3))
+    u_cmd = np.empty((n + 1, 3))
+    u_sat = np.empty((n + 1, 3))
+    l_true = np.zeros((n + 1, 3))
+    l_hat = np.zeros((n + 1, 3))
+
+    y = np.concatenate([config.initial.attitude, config.initial.rate, np.zeros(3)])
+    for k in range(n + 1):
+        t = t_grid[k]
+        att[k] = y[0:3]
+        rate[k] = y[3:6]
+        l_hat[k] = y[6:9]
+        cmd = loop.command(y)
+        u_cmd[k] = cmd
+        u_sat[k] = np.clip(cmd, -config.u_max, config.u_max)
+        noise = np.zeros(3)
+        if dist is not None:
+            noise = dist.noise_sigma * streams.draw()
+            l_true[k] = loop.g * (_deterministic(dist, t) + noise)
+        if k < n:
+            y = loop.rk4_step(t, y, noise)
+            if not np.isfinite(y).all():
+                raise DivergenceError(step=k + 1, t=t + dt)
+
+    jac = torque_jacobian(config.steering)
+    wheel = np.empty((n + 1, 3))
+    wheel[:, :2] = np.linalg.solve(jac[:2, :2], u_sat[:, :2].T).T
+    wheel[:, 2] = u_sat[:, 2] / 4.0
+
+    e1 = config.reference.x_d[None, :] - att
+    v1 = 0.5 * np.sum(e1 * e1, axis=1)
+    if config.controller == "backstepping":
+        g = config.gains
+        e2 = (config.reference.xd_dot[None, :] - rate) + g.k1[None, :] * e1
+        l_err = l_true - l_hat
+        v2 = 0.5 * (
+            np.sum(e1 * (g.gamma[None, :] * e1), axis=1)
+            + np.sum(e2 * (g.lam[None, :] * e2), axis=1)
+            + np.sum(l_err * (g.sigma[None, :] * l_err), axis=1)
+        )
+    else:
+        v2 = np.full(n + 1, np.nan)
+    return {"t": t_grid, "attitude": att, "rate": rate, "u_cmd": u_cmd, "u_sat": u_sat,
+            "wheel": wheel, "l_true": l_true, "l_hat": l_hat, "v1": v1, "v2": v2}
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+
+def _vec(lo, hi):
+    return st.tuples(*[st.floats(lo, hi) for _ in range(3)]).map(np.array)
+
+
+_STEERINGS = [SteeringConfig.isotropic(), SteeringConfig(0.3, -1.1), SteeringConfig(1.2, 0.1)]
+
+
+@st.composite
+def scenarios(draw):
+    u_max = draw(st.one_of(st.floats(1.0, 60.0), st.just(math.inf)))
+    controller = draw(st.sampled_from(["fl", "backstepping"]))
+    if controller == "fl":
+        gains = FlGains(draw(_vec(0.5, 60.0)), draw(_vec(0.5, 500.0)))
+        adapt = False
+    else:
+        gains = BsGains(draw(_vec(0.5, 40.0)), draw(_vec(0.5, 2000.0)), draw(_vec(0.1, 10.0)),
+                        draw(_vec(0.1, 10.0)), draw(_vec(1e-4, 10.0)))
+        adapt = draw(st.booleans())
+    disturbance = None
+    if draw(st.booleans()):
+        budget = PAPER_U_MAX if math.isinf(u_max) else u_max
+        disturbance = DisturbanceSpec(
+            offset=draw(_vec(-0.2 * budget, 0.2 * budget)),
+            sine_amp=draw(_vec(-0.2 * budget, 0.2 * budget)),
+            sine_freq=draw(st.floats(0.0, 20.0)),
+            sine_phase=draw(_vec(-math.pi, math.pi)),
+            noise_sigma=draw(_vec(0.0, 0.05 * budget / 3.0)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        )
+    dt = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
+    return ScenarioConfig(
+        inertias=paper_inertias(),
+        steering=draw(st.sampled_from(_STEERINGS)),
+        initial=BodyState(draw(_vec(-0.8, 0.8)), draw(_vec(-3.0, 3.0))),
+        reference=Reference(draw(_vec(-0.3, 0.3)), draw(_vec(-0.5, 0.5)), draw(_vec(-1.0, 1.0))),
+        controller=controller,
+        gains=gains,
+        u_max=u_max,
+        dt=dt,
+        horizon=draw(st.integers(1, 50)) * dt,
+        disturbance=disturbance,
+        adaptation_enabled=adapt,
+    )
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+# No explain phase: on a failure it reruns the example once per drawn value
+# (about forty here) and took minutes and hundreds of MB before reporting.
+_PROPERTY = settings(max_examples=150, deadline=None,
+                     phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+
+
+@given(cfg=scenarios())
+@_PROPERTY
+def test_run_scenario_matches_numpy_reference_exactly(cfg):
+    with np.errstate(all="ignore"):
+        try:
+            want = _reference_rollout(cfg)
+        except DivergenceError as exc:
+            want = exc.step
+    try:
+        record, _ = run_scenario(cfg)
+    except DivergenceError as exc:
+        assert exc.step == want
+        return
+    assert isinstance(want, dict), f"reference diverged at step {want}"
+    for name, expected in want.items():
+        assert np.array_equal(getattr(record, name), expected, equal_nan=True), name
+
+
+@given(cfg=scenarios(), y=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(9)]),
+       t=st.floats(0.0, 5.0), noise=_vec(-1.0, 1.0))
+@_PROPERTY
+def test_step_and_typed_laws_match_numpy_reference_exactly(cfg, y, t, noise):
+    y = np.array(y)
+    loop = _ReferenceLoop(cfg)
+    assert np.array_equal(step_rk4(y, cfg, t, noise), loop.rk4_step(t, y, noise))
+
+    def law(att, rate, l_hat):
+        return np.array([att[0] * rate[1], rate[2] - l_hat[0], 3.0 * att[2]])
+
+    assert np.array_equal(step_rk4(y, cfg, t, torque_law=law),
+                          _ReferenceLoop(cfg, law).rk4_step(t, y, np.zeros(3)))
+
+    state, l_hat = BodyState(y[0:3], y[3:6]), y[6:9]
+    ref, gains, eff = cfg.reference, cfg.gains, loop.eff
+    assert np.array_equal(coriolis_acceleration(state.rate, eff),
+                          _coriolis_acceleration(state.rate, eff))
+    if cfg.controller == "fl":
+        assert np.array_equal(
+            fl_control(state, ref, gains, eff).tau,
+            _fl_torque(y[0:3], y[3:6], ref.x_d, ref.xd_dot, ref.xd_ddot,
+                       gains.k1, gains.k2, eff.j1, eff.j2))
+    else:
+        assert np.array_equal(
+            bs_control(state, ref, gains, eff, AdaptState(l_hat)).tau,
+            _bs_torque(y[0:3], y[3:6], ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
+                       gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1, eff.j2))
+        e2 = bs_velocity_error(state, ref, gains)
+        assert np.array_equal(e2, _bs_velocity_error(y[0:3], y[3:6], ref.x_d, ref.xd_dot,
+                                                     gains.k1))
+        assert np.array_equal(adaptation_rate(e2, gains),
+                              _adaptation_rate(e2, gains.lam, gains.sigma))

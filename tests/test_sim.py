@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,18 @@ def test_divergence_raises_with_step_index():
             run_scenario(cfg)
     assert err.value.step > 0
     assert "step" in str(err.value)
+
+
+def test_divergence_raises_without_numpy_warnings():
+    cfg = _plain_config(gains=FlGains.from_scalars(1.0, 1e12), u_max=np.inf,
+                        initial=BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3)),
+                        horizon=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run_scenario(cfg)
+    assert err.value.step == 5
+    assert err.value.t == pytest.approx(0.005)
 
 
 def test_singular_steering_fails_fast():
