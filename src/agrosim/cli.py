@@ -9,7 +9,8 @@ Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given.  The output directory defaults to ``$AGROSIM_OUT``,
 then the current directory.  Exit status is 0 exactly when every requested
-artifact was written.
+artifact was written; each artifact replaces its target only once it is
+complete (:func:`agrosim.atomic.atomic_write`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import load_config
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
 from .presets import preset, preset_names
@@ -133,7 +135,7 @@ def _write_outputs(manifest: RunManifest, records: dict[str, TrajectoryRecord],
     if manifest.emit_metrics:
         path = base + ".metrics.json"
         doc = {name: m.to_dict() for name, m in metrics.items()}
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(doc if len(metrics) > 1 else next(iter(doc.values())), fh, indent=2)
             fh.write("\n")
         written.append(path)
@@ -218,7 +220,7 @@ def cmd_sweep(manifest: RunManifest, param: str, values: list[float]) -> int:
         rows.append({"value": value, **m.to_dict()})
     os.makedirs(manifest.out_dir, exist_ok=True)
     path = os.path.join(manifest.out_dir, f"{manifest.name}.sweep.{param}.metrics.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump({"parameter": param, "runs": rows}, fh, indent=2)
         fh.write("\n")
     print(_metrics_table(metrics))

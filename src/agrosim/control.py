@@ -26,6 +26,7 @@ functions here are typed views over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,7 +116,10 @@ class Reference(_ArrayEqMixin):
         object.__setattr__(self, "x_d", _vec3(self.x_d, "x_d"))
         object.__setattr__(self, "xd_dot", _vec3(self.xd_dot, "xd_dot"))
         object.__setattr__(self, "xd_ddot", _vec3(self.xd_ddot, "xd_ddot"))
-        object.__setattr__(self, "rho", float(self.rho))
+        rho = float(self.rho)
+        if not math.isfinite(rho):
+            raise InvalidParameterError(f"reference bound rho must be finite, got {rho}")
+        object.__setattr__(self, "rho", rho)
         total = (
             float(self.x_d @ self.x_d)
             + float(self.xd_dot @ self.xd_dot)
@@ -178,8 +182,8 @@ def _aug(state: BodyState, l_hat=kernel.ZERO) -> kernel.State:
 
 
 def _evaluate(law: kernel.Law, state: BodyState, eff: EffectiveInertias,
-              l_hat=kernel.ZERO) -> BodyTorque:
-    return BodyTorque(np.array(kernel.command(law, eff.j1, eff.j2)(_aug(state, l_hat))))
+              l_hat=kernel.ZERO, e2=None) -> BodyTorque:
+    return BodyTorque(np.array(kernel.command(law, eff.j1, eff.j2, e2)(_aug(state, l_hat))))
 
 
 def fl_control(
@@ -219,7 +223,8 @@ def bs_control(
     with e1_d = xd_d - xd taken from the measured rate.  Unsaturated."""
     law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
                         ref.x_d, ref.xd_dot, ref.xd_ddot)
-    return _evaluate(law, state, eff, adapt.l_hat)
+    return _evaluate(law, state, eff, adapt.l_hat,
+                     kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot))
 
 
 def adaptation_rate(e2: np.ndarray, gains: BsGains) -> np.ndarray:

@@ -37,8 +37,9 @@ from typing import Callable, NamedTuple, Optional
 Vec = tuple[float, float, float]
 #: Nine floats: attitude, rate, disturbance estimate L_hat.
 State = tuple[float, ...]
-#: A control law: (state, drift f at that state) -> unclamped torque.
-Law = Callable[[State, Vec], Vec]
+#: A control law: (state, drift f at that state, velocity error e2 at that
+#: state or None) -> unclamped torque.
+Law = Callable[[State, Vec, Optional[Vec]], Vec]
 
 ZERO: Vec = (0.0, 0.0, 0.0)
 
@@ -70,8 +71,8 @@ def fl_law(k1, k2, j1, x_d, xd_dot, xd_ddot) -> Law:
     v0, v1, v2 = floats(xd_dot)
     w0, w1, w2 = floats(xd_ddot)
 
-    def law(y: State, f: Vec) -> Vec:
-        a0, a1, a2, r0, r1, r2 = y[:6]
+    def law(y: State, f: Vec, e: Optional[Vec]) -> Vec:
+        a0, a1, a2, r0, r1, r2, _, _, _ = y
         f0, f1, f2 = f
         return (
             m0 * (((w0 + p0 * (v0 - r0)) + q0 * (x0 - a0)) - f0),
@@ -90,7 +91,7 @@ def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
     v0, v1, v2 = floats(xd_dot)
 
     def e2(y: State) -> Vec:
-        a0, a1, a2, r0, r1, r2 = y[:6]
+        a0, a1, a2, r0, r1, r2, _, _, _ = y
         return (v0 - r0) + k0 * (x0 - a0), (v1 - r1) + k1_ * (x1 - a1), (v2 - r2) + k2_ * (x2 - a2)
 
     return e2
@@ -100,8 +101,8 @@ def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
     """Adaptive backstepping
     ``u = j1 * (gamma/lam e1 - f - L_hat + xd_dd + K1 e1_d + K2 e2)`` with
     ``e1 = x_d - x``, ``e1_d = xd_d - xd`` and e2 from :func:`velocity_error`,
-    summed left to right."""
-    e2 = velocity_error(k1, x_d, xd_dot)
+    summed left to right.  The law takes e2 as its third argument, so that a
+    stage which also feeds e2 to the adaptation law computes it once."""
     k0, k1_, k2_ = floats(k1)
     s0, s1, s2 = floats(k2)
     c0, c1, c2 = (float(g) / float(m) for g, m in zip(gamma, lam))
@@ -110,10 +111,10 @@ def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
     v0, v1, v2 = floats(xd_dot)
     w0, w1, w2 = floats(xd_ddot)
 
-    def law(y: State, f: Vec) -> Vec:
+    def law(y: State, f: Vec, e: Vec) -> Vec:
         a0, a1, a2, r0, r1, r2, l0, l1, l2 = y
         f0, f1, f2 = f
-        z0, z1, z2 = e2(y)
+        z0, z1, z2 = e
         return (
             m0 * (((((c0 * (x0 - a0) - f0) - l0) + w0) + k0 * (v0 - r0)) + s0 * z0),
             m1 * (((((c1 * (x1 - a1) - f1) - l1) + w1) + k1_ * (v1 - r1)) + s1 * z1),
@@ -149,12 +150,14 @@ def disturbance(offset, sine_amp, sine_freq, sine_phase) -> Callable[[float], Ve
     return torque
 
 
-def command(law: Law, j1, j2) -> Callable[[State], Vec]:
-    """The unclamped torque ``law`` commands at a state."""
+def command(law: Law, j1, j2,
+            e2: Optional[Callable[[State], Vec]] = None) -> Callable[[State], Vec]:
+    """The unclamped torque ``law`` commands at a state; ``e2`` is the
+    velocity error the law reads, if it reads one."""
     f = drift(j1, j2)
 
     def u(y: State) -> Vec:
-        return law(y, f(y[3], y[4], y[5]))
+        return law(y, f(y[3], y[4], y[5]), None if e2 is None else e2(y))
 
     return u
 
@@ -163,13 +166,14 @@ class Loop(NamedTuple):
     """A closed loop built for one scenario.
 
     ``step(t, y, noise)`` advances ``y`` one RK4 step and also returns the
-    unclamped command at ``y`` (its first stage evaluates it); ``command(y)``
-    is that command alone.  ``g`` is the input gain ``1/j1`` and
+    unclamped command at ``y`` (its first stage evaluates it) and the
+    deterministic disturbance at ``t`` (ZERO without one); ``command(y)`` is
+    that command alone.  ``g`` is the input gain ``1/j1`` and
     ``disturbance`` the deterministic disturbance, or None.
     """
 
     command: Callable[[State], Vec]
-    step: Callable[[float, State, Vec], tuple[State, Vec]]
+    step: Callable[[float, State, Vec], tuple[State, Vec, Vec]]
     g: Vec
     disturbance: Optional[Callable[[float], Vec]]
 
@@ -181,15 +185,18 @@ def closed_loop(
     u_max: float,
     dt: float,
     dist: Optional[Callable[[float], Vec]] = None,
-    adapt: Optional[tuple[Callable[[State], Vec], Callable[[Vec], Vec]]] = None,
+    e2: Optional[Callable[[State], Vec]] = None,
+    l_rate: Optional[Callable[[Vec], Vec]] = None,
 ) -> Loop:
     """Build the stage derivative and RK4 step of the augmented state.
 
-    At every stage the command is clamped to ``[-u_max, u_max]`` (NaN passes
-    through, as with ``np.clip``), the deterministic disturbance ``dist(t)``
-    and the held noise are added, and the rates follow ``f + g * tau``.
-    ``adapt`` is the pair (velocity error, adaptation law) that drives
-    L_hat; without it L_hat has zero derivative.
+    At every stage the velocity error ``e2`` (if given) is computed once and
+    fed to the law and, when ``l_rate`` (the adaptation law) is given, to
+    the L_hat derivative; without ``l_rate`` L_hat has zero derivative.  The
+    command is clamped to ``[-u_max, u_max]`` (NaN passes through, as with
+    ``np.clip``), the deterministic disturbance and the held noise are
+    added, and the rates follow ``f + g * tau``.  A step evaluates
+    ``dist`` once at each of ``t``, ``t + dt/2`` and ``t + dt``.
     """
     f = drift(j1, j2)
     g0, g1, g2 = (1.0 / float(a) for a in j1)
@@ -198,12 +205,12 @@ def closed_loop(
     dt = float(dt)
     h = dt / 2.0
     s6 = dt / 6.0
-    e2, l_rate = adapt if adapt is not None else (None, None)
 
-    def stage(t: float, y: State, n: Vec) -> tuple[State, Vec]:
-        r0, r1, r2 = y[3:6]
+    def stage(y: State, d: Vec, n: Vec) -> tuple[State, Vec]:
+        r0, r1, r2 = y[3], y[4], y[5]
         f0, f1, f2 = fy = f(r0, r1, r2)
-        u = law(y, fy)
+        e = None if e2 is None else e2(y)
+        u = law(y, fy, e)
         u0, u1, u2 = u
         u0 = hi if u0 > hi else lo if u0 < lo else u0
         u1 = hi if u1 > hi else lo if u1 < lo else u1
@@ -212,20 +219,24 @@ def closed_loop(
         if dist is None:
             t0, t1, t2 = u0 + n0, u1 + n1, u2 + n2
         else:
-            d0, d1, d2 = dist(t)
+            d0, d1, d2 = d
             t0, t1, t2 = (u0 + d0) + n0, (u1 + d1) + n1, (u2 + d2) + n2
-        p0, p1, p2 = ZERO if e2 is None else l_rate(e2(y))
+        p0, p1, p2 = ZERO if l_rate is None else l_rate(e)
         return (r0, r1, r2, f0 + g0 * t0, f1 + g1 * t1, f2 + g2 * t2, p0, p1, p2), u
 
-    def step(t: float, y: State, n: Vec) -> tuple[State, Vec]:
+    def step(t: float, y: State, n: Vec) -> tuple[State, Vec, Vec]:
         # y + h * k per component, then y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
-        k1, u = stage(t, y, n)
-        k2, _ = stage(t + h, tuple([a + h * b for a, b in zip(y, k1)]), n)
-        k3, _ = stage(t + h, tuple([a + h * b for a, b in zip(y, k2)]), n)
-        k4, _ = stage(t + dt, tuple([a + dt * b for a, b in zip(y, k3)]), n)
+        if dist is None:
+            da = dh = db = ZERO
+        else:
+            da, dh, db = dist(t), dist(t + h), dist(t + dt)
+        k1, u = stage(y, da, n)
+        k2, _ = stage(tuple([a + h * b for a, b in zip(y, k1)]), dh, n)
+        k3, _ = stage(tuple([a + h * b for a, b in zip(y, k2)]), dh, n)
+        k4, _ = stage(tuple([a + dt * b for a, b in zip(y, k3)]), db, n)
         return tuple([
             a + s6 * (((b + 2.0 * c) + 2.0 * d) + e)
             for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        ]), u
+        ]), u, da
 
-    return Loop(command(law, j1, j2), step, (g0, g1, g2), dist)
+    return Loop(command(law, j1, j2, e2), step, (g0, g1, g2), dist)

@@ -11,10 +11,20 @@ and refinement studies meaningful.
 The loop runs on the stage kernel of :mod:`agrosim.kernel`, which holds the
 state, the command and the disturbance as plain Python floats.  A step makes
 four control evaluations, one per RK4 stage; the first stage's command at
-the step's start is the one recorded.  Each sample's row (state, command and
-L_true: 15 floats) is appended to one flat ``array('d')``, which becomes the
-record's arrays after the loop; wheel allocation, V1/V2 and the metrics are
-then computed vectorised over all rows.
+the step's start is the one recorded.  The deterministic disturbance is
+evaluated once at each of ``t``, ``t + dt/2`` and ``t + dt`` per step (the
+two middle stages share one value), and the value at ``t`` is also the one
+recorded.  The noise of a whole run is drawn before the loop, one
+``standard_normal`` call per axis stream, which gives the same numbers as
+one draw per step.  Each sample's row (state, command and deterministic
+disturbance: 15 floats) is appended to one flat ``array('d')``, which
+becomes the record's arrays after the loop; L_true, wheel allocation, V1/V2
+and the metrics are then computed vectorised over all rows.
+
+:meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
+and writes each block as it is made, so the whole text never sits in
+memory; a file target is written to a temporary file that replaces the
+target only once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
@@ -25,12 +35,14 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, IO, Optional, Union
+from typing import Callable, IO, Iterator, Optional, Union
 
 import numpy as np
 
 from . import kernel
+from .atomic import atomic_write
 from .control import BsGains, FlGains, Reference
 from .dynamics import (
     BodyState,
@@ -132,9 +144,16 @@ class NoiseStreams:
     def __init__(self, seed: int):
         self._gens = [np.random.default_rng(s) for s in np.random.SeedSequence(int(seed)).spawn(3)]
 
-    def draw(self) -> np.ndarray:
-        """One standard-normal sample per axis (scale by sigma at the caller)."""
-        return np.array([g.standard_normal() for g in self._gens])
+    def draw(self, size: Optional[int] = None) -> np.ndarray:
+        """One standard-normal sample per axis (scale by sigma at the caller).
+
+        With ``size``, an ``(size, 3)`` array: one ``standard_normal(size)``
+        call per axis stream, which yields bit for bit the samples of
+        ``size`` calls without it, stacked row by row.
+        """
+        if size is None:
+            return np.array([g.standard_normal() for g in self._gens])
+        return np.stack([g.standard_normal(size) for g in self._gens], axis=1)
 
 
 def disturbance_torque(
@@ -233,20 +252,21 @@ def _loop(config: ScenarioConfig, torque_law: Optional[TorqueLaw] = None) -> ker
     eff = effective_inertias(config.inertias, config.steering)
     ref, gains = config.reference, config.gains
     if torque_law is not None:
-        def law(y, f):
+        def law(y, f, e):
             return kernel.floats(torque_law(np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9])))
     elif config.controller == CONTROLLER_FL:
         law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
     else:
         law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
                             ref.x_d, ref.xd_dot, ref.xd_ddot)
-    adapt = None
+    e2 = l_rate = None
+    if config.controller == CONTROLLER_BS:
+        e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
     if config.adaptation_enabled:
-        adapt = (kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot),
-                 kernel.adaptation(gains.lam, gains.sigma))
+        l_rate = kernel.adaptation(gains.lam, gains.sigma)
     dist = config.disturbance
     return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt,
-                              None if dist is None else dist._kernel(), adapt)
+                              None if dist is None else dist._kernel(), e2, l_rate)
 
 
 def step_rk4(
@@ -268,9 +288,12 @@ def step_rk4(
     if y.shape != (9,):
         raise InvalidParameterError(f"augmented state must have shape (9,), got {y.shape}")
     held = kernel.ZERO if noise is None else kernel.floats(noise)
-    y_next, _ = _loop(config, torque_law).step(float(t), tuple(y.tolist()), held)
+    y_next, _, _ = _loop(config, torque_law).step(float(t), tuple(y.tolist()), held)
     return np.array(y_next)
 
+
+#: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
+_CSV_BLOCK = 256
 
 _CSV_COLUMNS = (
     "t,phi,theta,psi,phi_dot,theta_dot,psi_dot,"
@@ -340,6 +363,12 @@ class TrajectoryRecord(_ArrayEqMixin):
 
         Column units: t [s]; phi..psi [deg]; phi_dot..psi_dot [deg/s];
         torque columns [N m]; L/Lhat [rad/s^2]; V1, V2 dimensionless.
+        Every value is written as ``%.17g``, which reads back as the same
+        double.  Rows are formatted in blocks of :data:`_CSV_BLOCK`, one
+        ``%`` call each, and each block is written as soon as it is made.
+        ``target`` is a path or a text stream; a path is written through a
+        temporary file beside it, so on failure any previous file there is
+        left intact.
         """
         data = np.column_stack([
             self.t,
@@ -353,14 +382,25 @@ class TrajectoryRecord(_ArrayEqMixin):
             self.v1,
             self.v2,
         ])
-        lines = [_CSV_COLUMNS]
-        lines.extend(",".join(f"{x:.17g}" for x in row) for row in data)
-        text = "\n".join(lines) + "\n"
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            target.write(text)
+        opened = atomic_write(target) if isinstance(target, str) else nullcontext(target)
+        with opened as fh:
+            fh.write(_CSV_COLUMNS + "\n")
+            fh.writelines(_csv_blocks(data))
+
+
+def _csv_blocks(data: np.ndarray) -> Iterator[str]:
+    """CSV lines of the rows of ``data``, :data:`_CSV_BLOCK` rows per string.
+
+    Each block is one ``%`` call on a ``"%.17g,...,%.17g\\n"`` template;
+    ``"%.17g" % x`` gives the bytes of ``f"{x:.17g}"`` (nan, inf and -0
+    included), the shortest text that reads back as the same double.
+    """
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    full = row * _CSV_BLOCK
+    for start in range(0, len(data), _CSV_BLOCK):
+        block = data[start:start + _CSV_BLOCK]
+        template = full if len(block) == _CSV_BLOCK else row * len(block)
+        yield template % tuple(block.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,11 +499,12 @@ def run_scenario(
 ) -> tuple[TrajectoryRecord, Metrics]:
     """Roll out a scenario and summarize it.
 
-    Per step: sample the disturbance, advance the augmented state one RK4
-    step (stage-evaluated and clamped control, stage-evaluated deterministic
-    disturbance, held noise), and record the state, the unclamped command of
-    the first stage and the disturbance.  Wheel torques realizing the applied
-    body torque are logged for diagnostics.
+    The noise of every step is drawn up front.  Per step: advance the
+    augmented state one RK4 step (stage-evaluated and clamped control,
+    deterministic disturbance at ``t``, ``t + dt/2`` and ``t + dt``, held
+    noise), and record the state, the unclamped command of the first stage
+    and the disturbance.  Wheel torques realizing the applied body torque
+    are logged for diagnostics.
 
     Raises
     ------
@@ -479,34 +520,33 @@ def run_scenario(
     n = config.n_steps
     dt = config.dt
     dist = config.disturbance
-    streams = NoiseStreams(dist.seed) if dist is not None else None
-    if dist is not None:
-        s0, s1, s2 = kernel.floats(dist.noise_sigma)
-        g0, g1, g2 = loop.g
+    # the held noise of every sample, drawn in one call per axis stream
+    if dist is None:
+        noise = np.zeros((n + 1, 3))
+        held = [kernel.ZERO] * (n + 1)
+    else:
+        noise = dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)
+        held = noise.tolist()
     step, isfinite = loop.step, math.isfinite
 
-    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd, l_true
+    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd and the
+    # deterministic disturbance at the sample's time
     rows = array("d")
-    noise = l_true = kernel.ZERO
     y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
-    for k in range(n + 1):
+    for k in range(n):
         t = k * dt
-        if streams is not None:
-            z0, z1, z2 = streams.draw().tolist()
-            noise = n0, n1, n2 = s0 * z0, s1 * z1, s2 * z2
-            d0, d1, d2 = loop.disturbance(t)
-            l_true = g0 * (d0 + n0), g1 * (d1 + n1), g2 * (d2 + n2)
-        if k < n:
-            y_next, u_k = step(t, y, noise)
-        else:
-            y_next, u_k = y, loop.command(y)
-        rows.extend(y + u_k + l_true)
+        y_next, u_k, d_k = step(t, y, held[k])
+        rows.extend(y + u_k + d_k)
         if not all(map(isfinite, y_next)):
             raise DivergenceError(step=k + 1, t=t + dt)
         y = y_next
+    d_n = kernel.ZERO if dist is None else loop.disturbance(n * dt)
+    rows.extend(y + loop.command(y) + d_n)
 
     t_grid = np.arange(n + 1) * dt
-    att, rate, l_hat, u_cmd, l_true = np.frombuffer(rows).reshape(n + 1, 5, 3).transpose(1, 0, 2)
+    att, rate, l_hat, u_cmd, d = np.frombuffer(rows).reshape(n + 1, 5, 3).transpose(1, 0, 2)
+    # acceleration-domain image of the injected torque, g * (d + noise)
+    l_true = np.array(loop.g) * (d + noise)
     u_sat = saturate(u_cmd, config.u_max)
 
     # wheel torques realizing the applied body torque, vectorized over rows

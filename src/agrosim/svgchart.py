@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .atomic import atomic_write
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 44.0
@@ -164,5 +166,5 @@ def render_svg(charts: Sequence[LineChart]) -> str:
 
 
 def save_svg(charts: Sequence[LineChart], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(render_svg(charts))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ def test_reference_bound():
         Reference(np.array([11.0, 0.0, 0.0]), np.zeros(3), np.zeros(3))
     # configurable bound
     Reference(np.array([11.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), rho=200.0)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_reference_rejects_non_finite_rho(rho):
+    with pytest.raises(InvalidParameterError, match="rho"):
+        Reference(np.zeros(3), np.zeros(3), np.zeros(3), rho=rho)
 
 
 # ---------------------------------------------------------------------------

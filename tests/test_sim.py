@@ -1,5 +1,8 @@
 import dataclasses
 import io
+import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -32,6 +35,7 @@ from agrosim import (
     step_rk4,
     torque_jacobian,
 )
+from agrosim import sim
 from agrosim.presets import (
     PAPER_U_MAX,
     bs_adaptive_paper,
@@ -113,6 +117,16 @@ def test_noise_streams_are_per_axis_independent():
     np.testing.assert_array_equal(seq1, seq2)
     # distinct axis streams: columns differ
     assert not np.array_equal(seq1[:, 0], seq1[:, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 123, 1016164991])
+@pytest.mark.parametrize("n", [1, 2, 257, 4001])
+def test_noise_block_draw_equals_sequential_draws(seed, n):
+    block = NoiseStreams(seed).draw(n)
+    streams = NoiseStreams(seed)
+    stacked = np.array([streams.draw() for _ in range(n)])
+    assert block.shape == (n, 3)
+    assert np.array_equal(block.view(np.int64), stacked.view(np.int64))
 
 
 def test_budget_boundaries():
@@ -456,6 +470,88 @@ def test_csv_format_and_precision():
     np.testing.assert_array_equal(data[:, 4:7], np.rad2deg(rec.rate))
     np.testing.assert_array_equal(data[:, 16:19], rec.l_true)
     np.testing.assert_array_equal(data[:, 22], rec.v1)
+
+
+_CSV_HEADER = (
+    "t,phi,theta,psi,phi_dot,theta_dot,psi_dot,"
+    "u1_cmd,u2_cmd,u3_cmd,u1_sat,u2_sat,u3_sat,"
+    "tau1,tau2,tau_delta,L1,L2,L3,Lhat1,Lhat2,Lhat3,V1,V2"
+)
+
+
+def _csv_reference(rec: TrajectoryRecord) -> str:
+    """The CSV text as the writer first formatted it: one f-string per
+    value, one join per row, one string for the whole file."""
+    data = np.column_stack([
+        rec.t, np.rad2deg(rec.attitude), np.rad2deg(rec.rate), rec.u_cmd, rec.u_sat,
+        rec.wheel, rec.l_true, rec.l_hat, rec.v1, rec.v2,
+    ])
+    lines = [_CSV_HEADER]
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in data)
+    return "\n".join(lines) + "\n"
+
+
+_B = sim._CSV_BLOCK
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(),
+)
+
+
+@given(n=st.sampled_from([2, _B - 1, _B, _B + 1, 2 * _B + 1]),
+       pool=st.lists(_CSV_VALUES, min_size=1, max_size=24),
+       dt=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_csv_blocks_match_per_value_formatting(n, pool, dt, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(pool)
+
+    def pick(*shape):
+        return rng.choice(values, size=shape)
+
+    rec = TrajectoryRecord(
+        t=np.arange(n) * dt, attitude=pick(n, 3), rate=pick(n, 3), u_cmd=pick(n, 3),
+        u_sat=pick(n, 3), wheel=pick(n, 3), l_true=pick(n, 3), l_hat=pick(n, 3),
+        v1=pick(n), v2=pick(n), reference=Reference.zero(),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _csv_reference(rec)
+        buf = io.StringIO()
+        rec.to_csv(buf)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rec.csv")
+            rec.to_csv(path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                on_disk = fh.read()
+    assert buf.getvalue() == want
+    assert on_disk == want
+
+
+def test_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    rec, _ = run_scenario(bs_adaptive_paper(horizon=0.6))
+    assert len(rec) > sim._CSV_BLOCK
+    path = tmp_path / "run.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    blocks = sim._csv_blocks
+
+    def first_block_then_fail(data):
+        gen = blocks(data)
+        yield next(gen)
+        raise RuntimeError("formatter failed")
+
+    monkeypatch.setattr(sim, "_csv_blocks", first_block_then_fail)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        rec.to_csv(str(path))
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["run.csv"]
+
+    monkeypatch.setattr(sim, "_csv_blocks", blocks)
+    rec.to_csv(str(path))
+    buf = io.StringIO()
+    rec.to_csv(buf)
+    assert path.read_text(encoding="utf-8") == buf.getvalue()
+    assert os.listdir(tmp_path) == ["run.csv"]
 
 
 def test_metrics_to_dict_converts_nan():

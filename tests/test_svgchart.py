@@ -1,8 +1,10 @@
 import math
+import os
 
 import pytest
 
-from agrosim.svgchart import LineChart, render_svg
+from agrosim import svgchart
+from agrosim.svgchart import LineChart, render_svg, save_svg
 
 
 def _chart():
@@ -47,3 +49,18 @@ def test_mismatched_series_lengths_rejected():
 def test_empty_document_rejected():
     with pytest.raises(ValueError):
         render_svg([])
+
+
+def test_save_svg_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "plot.svg"
+    save_svg([_chart()], str(path))
+    assert path.read_text(encoding="utf-8") == render_svg([_chart()])
+
+    def broken(charts):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(svgchart, "render_svg", broken)
+    with pytest.raises(RuntimeError, match="render failed"):
+        save_svg([_chart(), _chart()], str(path))
+    assert path.read_text(encoding="utf-8") == render_svg([_chart()])
+    assert os.listdir(tmp_path) == ["plot.svg"]
