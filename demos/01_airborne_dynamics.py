@@ -54,17 +54,17 @@ jac = torque_jacobian(steering)
 print("\ntorque Jacobian:\n", jac)
 print("roll/pitch authority (det of the 2x2 block):", np.linalg.det(jac[:2, :2]))
 
-# Allocation inverts that map.  A pure yaw torque splits evenly over the
-# four steering joints:
-wheel = allocate_wheel_torques(BodyTorque(np.array([0.0, 0.0, 4.0])), steering)
-print(f"\nbody torque [0, 0, 4] N m -> tau1 = {wheel.tau1:.3f}, "
-      f"tau2 = {wheel.tau2:.3f}, tau_delta = {wheel.tau_delta:.3f} N m")
+# Allocation inverts that map: it returns [tau1, tau2, tau_delta].  A pure
+# yaw torque splits evenly over the four steering joints:
+tau1, tau2, tau_delta = allocate_wheel_torques(np.array([0.0, 0.0, 4.0]), steering)
+print(f"\nbody torque [0, 0, 4] N m -> tau1 = {tau1:.3f}, "
+      f"tau2 = {tau2:.3f}, tau_delta = {tau_delta:.3f} N m")
 
 # Equal roll and pitch demand excites only the 2/4 wheel pair here:
-body = BodyTorque(np.array([np.sqrt(2.0), np.sqrt(2.0), 0.0]))
-wheel = allocate_wheel_torques(body, steering)
-print(f"body torque [sqrt2, sqrt2, 0] -> tau1 = {wheel.tau1:.3f}, "
-      f"tau2 = {wheel.tau2:.3f} N m")
+body = np.array([np.sqrt(2.0), np.sqrt(2.0), 0.0])
+tau1, tau2, _ = allocate_wheel_torques(body, steering)
+print(f"body torque [sqrt2, sqrt2, 0] -> tau1 = {tau1:.3f}, "
+      f"tau2 = {tau2:.3f} N m")
 
 # When both steering angles coincide the 2x2 block is singular and roll and
 # pitch cannot be commanded independently; allocation refuses:

@@ -3,32 +3,34 @@ and a deterministic closed-loop simulator.
 
 The package splits along the problem structure:
 
+- :mod:`agrosim.kernel` -- the closed-loop stage kernel on plain floats:
+  drift term, both control laws, adaptation law, clamp and RK4 step,
+  each written once.
 - :mod:`agrosim.dynamics` -- rigid-body attitude equations, inertia
-  bookkeeping, and the wheel-torque Jacobian maps.
-- :mod:`agrosim.control` -- PD + feedback-linearization and adaptive
-  backstepping control laws, Lyapunov diagnostics, double-integrator LQR.
-- :mod:`agrosim.sim` -- fixed-step RK4 closed loop with torque saturation,
-  disturbance injection, trajectory recording, and metrics.
+  bookkeeping, the wheel-torque Jacobian and its inverse (wheel
+  allocation, vectorised over rows).
+- :mod:`agrosim.control` -- gain and reference types, typed views of the
+  PD + feedback-linearization and adaptive backstepping laws, the
+  Lyapunov function V2 and the double-integrator LQR.
+- :mod:`agrosim.sim` -- the scenario type, the fixed-step RK4 rollout with
+  torque saturation and disturbance injection, trajectory recording,
+  CSV output and metrics.
 - :mod:`agrosim.presets` / :mod:`agrosim.config` -- named reference
   scenarios and the JSON configuration schema.
 - :mod:`agrosim.cli` -- the ``agrosim`` command (run / compare / sweep).
 """
 
 from .control import (
-    AdaptState,
     BsGains,
     FlGains,
     LqrGains,
-    LyapunovSample,
     Reference,
-    adapt_update,
     adaptation_rate,
     bs_control,
     bs_velocity_error,
-    bs_virtual_control,
     fl_control,
     lqr_double_integrator,
-    lyapunov_sample,
+    lyapunov,
 )
 from .dynamics import (
     SINGULARITY_TOL,
@@ -38,7 +40,6 @@ from .dynamics import (
     InertiaSet,
     SteeringConfig,
     WheelGeometry,
-    WheelTorque,
     allocate_wheel_torques,
     angular_acceleration,
     coriolis_acceleration,
@@ -69,12 +70,10 @@ from .sim import (
     TrajectoryRecord,
     check_disturbance_budget,
     compute_metrics,
-    disturbance_torque,
     estimate_error_metrics,
     run_scenario,
     saturate,
     settle_time,
-    step_rk4,
 )
 
 __version__ = "0.1.0"

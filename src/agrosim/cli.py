@@ -36,15 +36,14 @@ from .svgchart import LineChart, save_svg
 
 @dataclass
 class RunManifest:
-    """One requested scenario execution: source, output dir, emit flags."""
+    """One requested scenario execution: source, output dir, SVG flag and
+    overrides."""
 
     name: str
     preset: Optional[str] = None
     config_path: Optional[str] = None
     out_dir: str = "."
-    emit_csv: bool = True
     emit_svg: bool = True
-    emit_metrics: bool = True
     seed: Optional[int] = None
     dt: Optional[float] = None
     horizon: Optional[float] = None
@@ -127,18 +126,16 @@ def _write_outputs(manifest: RunManifest, records: dict[str, TrajectoryRecord],
     os.makedirs(manifest.out_dir, exist_ok=True)
     written = []
     base = os.path.join(manifest.out_dir, manifest.name)
-    if manifest.emit_csv:
-        for label, rec in records.items():
-            path = base + (f".{label}.csv" if len(records) > 1 else ".csv")
-            rec.to_csv(path)
-            written.append(path)
-    if manifest.emit_metrics:
-        path = base + ".metrics.json"
-        doc = {name: m.to_dict() for name, m in metrics.items()}
-        with atomic_write(path) as fh:
-            json.dump(doc if len(metrics) > 1 else next(iter(doc.values())), fh, indent=2)
-            fh.write("\n")
+    for label, rec in records.items():
+        path = base + (f".{label}.csv" if len(records) > 1 else ".csv")
+        rec.to_csv(path)
         written.append(path)
+    path = base + ".metrics.json"
+    doc = {name: m.to_dict() for name, m in metrics.items()}
+    with atomic_write(path) as fh:
+        json.dump(doc if len(metrics) > 1 else next(iter(doc.values())), fh, indent=2)
+        fh.write("\n")
+    written.append(path)
     if manifest.emit_svg:
         path = base + ".svg"
         save_svg(charts, path)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -79,13 +79,13 @@ def _obj(value: Any, key: str) -> dict:
     return value
 
 
-class _AngleScale:
-    """Converts schema angle values to radians according to angle_units."""
-
-    def __init__(self, units: str):
-        if units not in ("deg", "rad"):
-            raise ConfigError(f"'angle_units' must be 'deg' or 'rad', got {units!r}")
-        self.to_rad = (lambda x: np.deg2rad(x)) if units == "deg" else (lambda x: x)
+def _angle_scale(units: Any) -> Callable[[Any], Any]:
+    """The conversion of schema angle values to radians for ``angle_units``."""
+    if units == "deg":
+        return np.deg2rad
+    if units == "rad":
+        return lambda x: x
+    raise ConfigError(f"'angle_units' must be 'deg' or 'rad', got {units!r}")
 
 
 def _parse_gains(doc: dict, controller: str) -> Union[FlGains, BsGains]:
@@ -127,7 +127,7 @@ def _parse_inertias(doc: dict) -> InertiaSet:
     )
 
 
-def _parse_disturbance(doc: dict, scale: _AngleScale) -> Optional[DisturbanceSpec]:
+def _parse_disturbance(doc: dict, to_rad: Callable[[Any], Any]) -> Optional[DisturbanceSpec]:
     if doc.get("disturbance") is None:
         return None
     obj = _obj(doc["disturbance"], "disturbance")
@@ -140,7 +140,7 @@ def _parse_disturbance(doc: dict, scale: _AngleScale) -> Optional[DisturbanceSpe
         offset=_vec3(_get(obj, "offset", "disturbance.", 0.0), "disturbance.offset"),
         sine_amp=_vec3(_get(obj, "sine_amp", "disturbance.", 0.0), "disturbance.sine_amp"),
         sine_freq=_number(_get(obj, "sine_freq", "disturbance.", 0.0), "disturbance.sine_freq"),
-        sine_phase=scale.to_rad(
+        sine_phase=to_rad(
             _vec3(_get(obj, "sine_phase", "disturbance.", 0.0), "disturbance.sine_phase")
         ),
         noise_sigma=_vec3(
@@ -195,7 +195,7 @@ def parse_config(text: str) -> ScenarioConfig:
             ) from None
 
     _check_keys(doc, _TOP_KEYS, "")
-    scale = _AngleScale(_get(doc, "angle_units", "", "deg"))
+    to_rad = _angle_scale(_get(doc, "angle_units", "", "deg"))
 
     controller = _get(doc, "controller", "")
     if controller not in (CONTROLLER_FL, CONTROLLER_BS):
@@ -206,23 +206,23 @@ def parse_config(text: str) -> ScenarioConfig:
     steering_obj = _obj(_get(doc, "steering", "", {"delta1": 45.0, "delta2": -45.0}), "steering")
     _check_keys(steering_obj, {"delta1", "delta2"}, "steering.")
     steering = SteeringConfig(
-        scale.to_rad(_number(_get(steering_obj, "delta1", "steering."), "steering.delta1")),
-        scale.to_rad(_number(_get(steering_obj, "delta2", "steering."), "steering.delta2")),
+        to_rad(_number(_get(steering_obj, "delta1", "steering."), "steering.delta1")),
+        to_rad(_number(_get(steering_obj, "delta2", "steering."), "steering.delta2")),
     )
 
     initial_obj = _obj(_get(doc, "initial", "", {}), "initial")
     _check_keys(initial_obj, {"attitude", "rate"}, "initial.")
     initial = BodyState(
-        scale.to_rad(_vec3(_get(initial_obj, "attitude", "initial.", 0.0), "initial.attitude")),
-        scale.to_rad(_vec3(_get(initial_obj, "rate", "initial.", 0.0), "initial.rate")),
+        to_rad(_vec3(_get(initial_obj, "attitude", "initial.", 0.0), "initial.attitude")),
+        to_rad(_vec3(_get(initial_obj, "rate", "initial.", 0.0), "initial.rate")),
     )
 
     ref_obj = _obj(_get(doc, "reference", "", {}), "reference")
     _check_keys(ref_obj, {"x_d", "xd_dot", "xd_ddot", "rho"}, "reference.")
     reference = Reference(
-        scale.to_rad(_vec3(_get(ref_obj, "x_d", "reference.", 0.0), "reference.x_d")),
-        scale.to_rad(_vec3(_get(ref_obj, "xd_dot", "reference.", 0.0), "reference.xd_dot")),
-        scale.to_rad(_vec3(_get(ref_obj, "xd_ddot", "reference.", 0.0), "reference.xd_ddot")),
+        to_rad(_vec3(_get(ref_obj, "x_d", "reference.", 0.0), "reference.x_d")),
+        to_rad(_vec3(_get(ref_obj, "xd_dot", "reference.", 0.0), "reference.xd_dot")),
+        to_rad(_vec3(_get(ref_obj, "xd_ddot", "reference.", 0.0), "reference.xd_ddot")),
         rho=_number(_get(ref_obj, "rho", "reference.", 100.0), "reference.rho"),
     )
 
@@ -240,7 +240,7 @@ def parse_config(text: str) -> ScenarioConfig:
         u_max=_torque_limit(_get(doc, "u_max", "")),
         dt=_number(_get(doc, "dt", "", 1e-3), "dt"),
         horizon=_number(_get(doc, "horizon", "", 1.5), "horizon"),
-        disturbance=_parse_disturbance(doc, scale),
+        disturbance=_parse_disturbance(doc, to_rad),
         adaptation_enabled=adaptation,
     )
 

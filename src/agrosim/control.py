@@ -18,10 +18,12 @@ while the disturbance estimate follows the adaptation law
 ``L_hat_dot = -Sig^-1 Lam e2``.  All gain matrices are positive diagonal and
 stored as 3-vectors; a scalar gain means "that scalar on every axis".
 
-Controllers are pure functions; the only state is the explicit
-:class:`AdaptState` threaded by the caller.  The laws themselves are written
-once, on floats, in :mod:`agrosim.kernel`, which the simulator runs on; the
-functions here are typed views over them.
+Controllers are pure functions; the disturbance estimate L_hat is an
+argument, and the simulator integrates it with the state.  The laws
+themselves are written once, on floats, in :mod:`agrosim.kernel`, which the
+simulator runs on; the functions here are typed views over them.
+:func:`lyapunov` is the backstepping Lyapunov function V2, evaluated
+vectorised over the rows of a trajectory.
 """
 
 from __future__ import annotations
@@ -139,40 +141,6 @@ class Reference(_ArrayEqMixin):
         return cls(np.asarray(x_d, dtype=float), np.zeros(3), np.zeros(3), rho)
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptState(_ArrayEqMixin):
-    """Current disturbance estimate L_hat (rad/s^2, acceleration domain)."""
-
-    l_hat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "l_hat", _vec3(self.l_hat, "l_hat"))
-
-    @classmethod
-    def zero(cls) -> "AdaptState":
-        return cls(np.zeros(3))
-
-
-@dataclass(frozen=True, eq=False)
-class LyapunovSample(_ArrayEqMixin):
-    """Diagnostic Lyapunov values along a trajectory.
-
-    V1 = 1/2 e1' e1 and V2 = 1/2 e1' Gam e1 + 1/2 e2' Lam e2
-    + 1/2 Lt' Sig Lt with the estimation error Lt = L - L_hat.
-    """
-
-    v1: float
-    v2: float
-    e1: np.ndarray
-    e2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v1", "v2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "e1", _vec3(self.e1, "e1"))
-        object.__setattr__(self, "e2", _vec3(self.e2, "e2"))
-
-
 # ---------------------------------------------------------------------------
 # Typed operations: views over the float laws of :mod:`agrosim.kernel`
 # ---------------------------------------------------------------------------
@@ -197,12 +165,6 @@ def fl_control(
     return _evaluate(law, state, eff)
 
 
-def bs_virtual_control(ref: Reference, e1: np.ndarray, gains: BsGains) -> np.ndarray:
-    """Stabilizing function U_v = xd_d + K1 e1: the rate the backstepping
-    design asks the plant to track."""
-    return ref.xd_dot + gains.k1 * np.asarray(e1, dtype=float)
-
-
 def bs_velocity_error(state: BodyState, ref: Reference, gains: BsGains) -> np.ndarray:
     """Deviation of the rate from its virtual control, e2 = U_v - xd."""
     e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
@@ -214,16 +176,17 @@ def bs_control(
     ref: Reference,
     gains: BsGains,
     eff: EffectiveInertias,
-    adapt: AdaptState,
+    l_hat: np.ndarray,
 ) -> BodyTorque:
     """Backstepping torque
 
         U_B = g^-1 (Lam^-1 Gam e1 - f - L_hat + xd_dd + K1 e1_d + K2 e2)
 
-    with e1_d = xd_d - xd taken from the measured rate.  Unsaturated."""
+    with e1_d = xd_d - xd taken from the measured rate and the disturbance
+    estimate ``l_hat`` (rad/s^2).  Unsaturated."""
     law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
                         ref.x_d, ref.xd_dot, ref.xd_ddot)
-    return _evaluate(law, state, eff, adapt.l_hat,
+    return _evaluate(law, state, eff, l_hat,
                      kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot))
 
 
@@ -232,41 +195,20 @@ def adaptation_rate(e2: np.ndarray, gains: BsGains) -> np.ndarray:
     return np.array(kernel.adaptation(gains.lam, gains.sigma)(kernel.floats(e2)))
 
 
-def adapt_update(adapt: AdaptState, e2: np.ndarray, gains: BsGains, dt: float) -> AdaptState:
-    """Advance the disturbance estimate one step of size ``dt``.
+def lyapunov(e1: np.ndarray, e2: np.ndarray, l_err: np.ndarray, gains: BsGains) -> np.ndarray:
+    """Backstepping Lyapunov function
 
-    ``e2`` is treated as constant over the step, for which every Runge-Kutta
-    scheme reduces to the forward-Euler increment; inside a closed-loop
-    simulation the estimate is instead integrated as part of the augmented
-    state so it sees the same stage evaluations as the plant.
+        V2 = 1/2 e1' Gam e1 + 1/2 e2' Lam e2 + 1/2 Lt' Sig Lt
+
+    with the attitude error e1, the velocity error e2 and the estimation
+    error Lt = L - L_hat, each an array of shape (3,) or (n, 3); the sums
+    run over the last axis, so rows give one value each.
     """
-    if not dt > 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    return AdaptState(adapt.l_hat + dt * adaptation_rate(e2, gains))
-
-
-def lyapunov_sample(
-    state: BodyState,
-    ref: Reference,
-    gains: BsGains,
-    adapt: AdaptState,
-    l_true: np.ndarray,
-) -> LyapunovSample:
-    """Evaluate the two Lyapunov functions for diagnostics.
-
-    ``l_true`` is the actual acceleration-domain disturbance, known only to
-    the simulation; the estimation error enters V2 through the Sigma term.
-    """
-    e1 = ref.x_d - state.attitude
-    e2 = bs_velocity_error(state, ref, gains)
-    l_err = np.asarray(l_true, dtype=float) - adapt.l_hat
-    v1 = 0.5 * float(e1 @ e1)
-    v2 = (
-        0.5 * float(e1 @ (gains.gamma * e1))
-        + 0.5 * float(e2 @ (gains.lam * e2))
-        + 0.5 * float(l_err @ (gains.sigma * l_err))
+    return 0.5 * (
+        np.sum(e1 * (gains.gamma * e1), axis=-1)
+        + np.sum(e2 * (gains.lam * e2), axis=-1)
+        + np.sum(l_err * (gains.sigma * l_err), axis=-1)
     )
-    return LyapunovSample(v1, v2, e1, e2)
 
 
 class LqrGains(NamedTuple):

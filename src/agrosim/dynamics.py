@@ -293,30 +293,6 @@ class BodyTorque(_ArrayEqMixin):
         return cls(np.zeros(3))
 
 
-@dataclass(frozen=True)
-class WheelTorque:
-    """Wheel-pair drive torques and the common steering-joint torque, N m.
-
-    ``tau1`` drives the 1/3 wheel pair and ``tau2`` the 2/4 pair; the
-    opposite wheel of each pair receives the negated value (cross-symmetric
-    application).  ``tau_delta`` is applied at all four steering joints.
-    """
-
-    tau1: float
-    tau2: float
-    tau_delta: float
-
-    def __post_init__(self):
-        for name in ("tau1", "tau2", "tau_delta"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tau1, self.tau2, self.tau_delta])
-
-
 def coriolis_acceleration(rate: np.ndarray, eff: EffectiveInertias) -> np.ndarray:
     """Drift term f(x, xd) of the attitude dynamics: the gyroscopic
     accelerations present with zero applied torque."""
@@ -354,13 +330,19 @@ def torque_jacobian(steering: SteeringConfig) -> np.ndarray:
 
 
 def allocate_wheel_torques(
-    body: BodyTorque, steering: SteeringConfig, tol: float = SINGULARITY_TOL
-) -> WheelTorque:
-    """Invert :func:`torque_jacobian`: wheel and steering torques realizing a
-    requested body torque.
+    tau, steering: SteeringConfig, tol: float = SINGULARITY_TOL
+) -> np.ndarray:
+    """Invert :func:`torque_jacobian`: wheel and steering torques realizing
+    requested body torques.
 
-    Yaw decouples (tau_delta = tau_z / 4); roll and pitch come from the 2x2
-    solve, which requires |sin(d1 - d2)| >= ``tol``.
+    ``tau`` is one body torque [tau_x, tau_y, tau_z] (shape (3,)) or one per
+    row (shape (n, 3)); the result has the same shape and holds
+    [tau1, tau2, tau_delta] per row.  ``tau1`` drives the 1/3 wheel pair and
+    ``tau2`` the 2/4 pair, the opposite wheel of each pair receiving the
+    negated value (cross-symmetric application); ``tau_delta`` is applied at
+    all four steering joints.  Yaw decouples (tau_delta = tau_z / 4); roll
+    and pitch come from the 2x2 solve, which requires
+    |sin(d1 - d2)| >= ``tol``.
 
     Raises
     ------
@@ -369,6 +351,10 @@ def allocate_wheel_torques(
     """
     if steering.is_singular(tol):
         raise AllocationSingularityError(steering.delta1, steering.delta2, tol)
+    tau = np.asarray(tau, dtype=float)
+    rows = np.atleast_2d(tau)
     jac = torque_jacobian(steering)
-    tau12 = np.linalg.solve(jac[:2, :2], body.tau[:2])
-    return WheelTorque(tau12[0], tau12[1], body.tau[2] / 4.0)
+    wheel = np.empty(rows.shape)
+    wheel[:, :2] = np.linalg.solve(jac[:2, :2], rows[:, :2].T).T
+    wheel[:, 2] = rows[:, 2] / 4.0
+    return wheel.reshape(tau.shape)

@@ -18,8 +18,11 @@ recorded.  The noise of a whole run is drawn before the loop, one
 ``standard_normal`` call per axis stream, which gives the same numbers as
 one draw per step.  Each sample's row (state, command and deterministic
 disturbance: 15 floats) is appended to one flat ``array('d')``, which
-becomes the record's arrays after the loop; L_true, wheel allocation, V1/V2
-and the metrics are then computed vectorised over all rows.
+becomes the record's arrays after the loop; L_true, the clamp
+(:func:`saturate`), the wheel allocation
+(:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
+(:func:`agrosim.control.lyapunov`) and the metrics are then computed
+vectorised over all rows.  The horizon must be a whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and writes each block as it is made, so the whole text never sits in
@@ -43,17 +46,15 @@ import numpy as np
 
 from . import kernel
 from .atomic import atomic_write
-from .control import BsGains, FlGains, Reference
+from .control import BsGains, FlGains, Reference, lyapunov
 from .dynamics import (
     BodyState,
-    BodyTorque,
     InertiaSet,
     SteeringConfig,
     _ArrayEqMixin,
     _vec3,
     allocate_wheel_torques,
     effective_inertias,
-    torque_jacobian,
 )
 from .errors import (
     DisturbanceBudgetError,
@@ -156,31 +157,17 @@ class NoiseStreams:
         return np.stack([g.standard_normal(size) for g in self._gens], axis=1)
 
 
-def disturbance_torque(
-    spec: DisturbanceSpec, t: float, streams: Optional[NoiseStreams] = None
-) -> np.ndarray:
-    """Disturbance torque sample at time ``t``.
-
-    When ``streams`` is given, one Gaussian value per axis is drawn and
-    scaled by ``noise_sigma``; the caller is responsible for drawing exactly
-    once per integration step and holding the value across stages.
-    """
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be non-negative, got {t}")
-    tau = spec.deterministic(t)
-    if streams is not None:
-        tau = tau + spec.noise_sigma * streams.draw()
-    return tau
-
-
-def saturate(u: Union[BodyTorque, np.ndarray], u_max: float) -> Union[BodyTorque, np.ndarray]:
-    """Per-axis clamp of a body torque to [-u_max, +u_max]."""
+def saturate(u: np.ndarray, u_max: float) -> np.ndarray:
+    """Per-axis clamp of body torques (shape (3,) or (n, 3)) to
+    [-u_max, +u_max]."""
     if not u_max > 0.0:
         raise InvalidParameterError(f"u_max must be positive, got {u_max}")
-    if isinstance(u, BodyTorque):
-        return BodyTorque(np.clip(u.tau, -u_max, u_max))
     return np.clip(np.asarray(u, dtype=float), -u_max, u_max)
 
+
+#: Relative tolerance on ``horizon / dt`` being a whole number: absorbs the
+#: rounding of decimal inputs such as 1.5 / 0.001.
+_HORIZON_RTOL = 1e-9
 
 #: Controller identifiers accepted by :class:`ScenarioConfig`.
 CONTROLLER_FL = "fl"
@@ -193,7 +180,9 @@ class ScenarioConfig(_ArrayEqMixin):
 
     ``u_max = math.inf`` disables saturation.  ``adaptation_enabled`` only
     makes sense for the backstepping controller and requires BsGains; the
-    FL controller requires FlGains.
+    FL controller requires FlGains.  ``horizon`` must be a whole number of
+    ``dt`` steps (to a relative tolerance of :data:`_HORIZON_RTOL`), so a
+    run ends exactly at the horizon it was given.
     """
 
     inertias: InertiaSet
@@ -231,6 +220,12 @@ class ScenarioConfig(_ArrayEqMixin):
         horizon = float(self.horizon)
         if not (np.isfinite(horizon) and horizon >= dt):
             raise InvalidParameterError(f"horizon must be >= dt, got {horizon}")
+        steps = horizon / dt
+        if abs(steps - round(steps)) > _HORIZON_RTOL * steps:
+            raise InvalidParameterError(
+                f"horizon {horizon!r} s is not a whole number of dt = {dt!r} s steps "
+                f"(horizon / dt = {steps!r})"
+            )
         object.__setattr__(self, "u_max", u_max)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "horizon", horizon)
@@ -242,19 +237,11 @@ class ScenarioConfig(_ArrayEqMixin):
         return int(round(self.horizon / self.dt))
 
 
-#: Signature of a custom torque law: (attitude, rate, l_hat) -> torque (3,).
-TorqueLaw = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-def _loop(config: ScenarioConfig, torque_law: Optional[TorqueLaw] = None) -> kernel.Loop:
-    """The stage kernel of one scenario, or of ``torque_law`` in place of its
-    controller."""
+def _loop(config: ScenarioConfig) -> kernel.Loop:
+    """The stage kernel of one scenario."""
     eff = effective_inertias(config.inertias, config.steering)
     ref, gains = config.reference, config.gains
-    if torque_law is not None:
-        def law(y, f, e):
-            return kernel.floats(torque_law(np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9])))
-    elif config.controller == CONTROLLER_FL:
+    if config.controller == CONTROLLER_FL:
         law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
     else:
         law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
@@ -267,29 +254,6 @@ def _loop(config: ScenarioConfig, torque_law: Optional[TorqueLaw] = None) -> ker
     dist = config.disturbance
     return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt,
                               None if dist is None else dist._kernel(), e2, l_rate)
-
-
-def step_rk4(
-    aug_state: np.ndarray,
-    config: ScenarioConfig,
-    t: float,
-    noise: Optional[np.ndarray] = None,
-    torque_law: Optional[TorqueLaw] = None,
-) -> np.ndarray:
-    """One classical RK4 step of the augmented state [attitude, rate, L_hat].
-
-    The control law is evaluated (and clamped) at every stage; the Gaussian
-    disturbance contribution, if any, must be pre-sampled into ``noise`` and
-    is held across the four stages.  ``torque_law`` substitutes an arbitrary
-    torque function for the configured controller, which is handy for
-    open-loop and oracle tests.
-    """
-    y = np.asarray(aug_state, dtype=float)
-    if y.shape != (9,):
-        raise InvalidParameterError(f"augmented state must have shape (9,), got {y.shape}")
-    held = kernel.ZERO if noise is None else kernel.floats(noise)
-    y_next, _, _ = _loop(config, torque_law).step(float(t), tuple(y.tolist()), held)
-    return np.array(y_next)
 
 
 #: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
@@ -515,7 +479,7 @@ def run_scenario(
     """
     loop = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
-    allocate_wheel_torques(BodyTorque.zero(), config.steering)
+    allocate_wheel_torques(np.zeros(3), config.steering)
 
     n = config.n_steps
     dt = config.dt
@@ -549,23 +513,14 @@ def run_scenario(
     l_true = np.array(loop.g) * (d + noise)
     u_sat = saturate(u_cmd, config.u_max)
 
-    # wheel torques realizing the applied body torque, vectorized over rows
-    jac = torque_jacobian(config.steering)
-    wheel = np.empty((n + 1, 3))
-    wheel[:, :2] = np.linalg.solve(jac[:2, :2], u_sat[:, :2].T).T
-    wheel[:, 2] = u_sat[:, 2] / 4.0
+    wheel = allocate_wheel_torques(u_sat, config.steering)
 
     e1 = config.reference.x_d[None, :] - att
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
     if config.controller == CONTROLLER_BS:
         g = config.gains
         e2 = (config.reference.xd_dot[None, :] - rate) + g.k1[None, :] * e1
-        l_err = l_true - l_hat
-        v2 = 0.5 * (
-            np.sum(e1 * (g.gamma[None, :] * e1), axis=1)
-            + np.sum(e2 * (g.lam[None, :] * e2), axis=1)
-            + np.sum(l_err * (g.sigma[None, :] * l_err), axis=1)
-        )
+        v2 = lyapunov(e1, e2, l_true - l_hat, g)
     else:
         v2 = np.full(n + 1, np.nan)
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,25 @@ def test_run_invalid_horizon_fails_before_output(tmp_path, capsys):
     assert rc == 1
     assert not out_dir.exists() or not os.listdir(out_dir)
     assert "error" in capsys.readouterr().err
+    # 1.5 s is not a whole number of 0.7 ms steps
+    rc = main(["run", "--preset", "fl-paper", "--dt", "0.0007", "--out", str(out_dir)])
+    assert rc == 1
+    assert not out_dir.exists() or not os.listdir(out_dir)
+    assert "not a whole number of dt" in capsys.readouterr().err
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+
+
+def test_preset_outputs_match_pinned_digests(tmp_path):
+    # the same byte-identity gate the benchmark checks before it times anything
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    assert set(pinned) == {"fl-paper", "bs-paper", "bs-adaptive-paper"}
+    for name, want in pinned.items():
+        assert main(["run", "--preset", name, "--no-svg", "--out", str(tmp_path)]) == 0
+        got = {ext: hashlib.sha256((tmp_path / (name + ext)).read_bytes()).hexdigest()
+               for ext in want}
+        assert got == want, name
 
 
 def test_run_bad_preset_exits_nonzero(tmp_path, capsys):

@@ -227,26 +227,56 @@ def test_round_trip_with_geometry():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def _vec3(lo, hi):
+    return st.tuples(*[st.floats(lo, hi) for _ in range(3)]).map(np.array)
+
+
+@st.composite
+def _controllers(draw, u_max):
+    """Gains, adaptation flag and an in-budget disturbance (or none)."""
+    if draw(st.booleans()):
+        return "fl", FlGains.from_scalars(draw(st.floats(0.1, 100.0)),
+                                         draw(st.floats(0.1, 1000.0))), False, None
+    gains = BsGains(draw(_vec3(0.1, 100.0)), draw(_vec3(0.1, 2000.0)),
+                    draw(_vec3(0.1, 10.0)), draw(_vec3(0.1, 10.0)), draw(_vec3(1e-4, 10.0)))
+    disturbance = None
+    if draw(st.booleans()):
+        budget = 32.1521 if math.isinf(u_max) else u_max
+        disturbance = DisturbanceSpec(
+            offset=draw(_vec3(-0.2 * budget, 0.2 * budget)),
+            sine_amp=draw(_vec3(-0.2 * budget, 0.2 * budget)),
+            sine_freq=draw(st.floats(0.0, 20.0)),
+            sine_phase=draw(_vec3(-math.pi, math.pi)),
+            noise_sigma=draw(_vec3(0.0, 0.05 * budget / 3.0)),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        )
+    return "backstepping", gains, draw(st.booleans()), disturbance
+
+
 @given(
     att=st.tuples(*[st.floats(-0.7, 0.7) for _ in range(3)]),
     rate=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(3)]),
-    k1=st.floats(0.1, 100.0),
-    k2=st.floats(0.1, 1000.0),
     u_max=st.one_of(st.floats(0.5, 100.0), st.just(math.inf)),
     dt=st.floats(1e-4, 1e-2),
+    n_steps=st.integers(1, 5000),
+    data=st.data(),
 )
 @settings(max_examples=60)
-def test_round_trip_random_fl_configs(att, rate, k1, k2, u_max, dt):
+def test_round_trip_random_fl_configs(att, rate, u_max, dt, n_steps, data):
+    # FL and backstepping configs alike; the horizon is a whole number of steps
+    controller, gains, adapt, disturbance = data.draw(_controllers(u_max))
     cfg = ScenarioConfig(
         inertias=paper_inertias(),
         steering=SteeringConfig.isotropic(),
         initial=BodyState(np.array(att), np.array(rate)),
         reference=Reference.zero(),
-        controller="fl",
-        gains=FlGains.from_scalars(k1, k2),
+        controller=controller,
+        gains=gains,
         u_max=u_max,
         dt=dt,
-        horizon=max(dt, 0.5),
+        horizon=n_steps * dt,
+        disturbance=disturbance,
+        adaptation_enabled=adapt,
     )
     text = serialize_config(cfg)
     assert parse_config(text) == cfg

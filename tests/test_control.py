@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
 from agrosim import (
-    AdaptState,
     BodyState,
     BsGains,
     FlGains,
     InvalidParameterError,
     Reference,
     SteeringConfig,
-    adapt_update,
     adaptation_rate,
     bs_control,
     bs_velocity_error,
-    bs_virtual_control,
     fl_control,
     lqr_double_integrator,
-    lyapunov_sample,
+    lyapunov,
     effective_inertias,
 )
 from agrosim.presets import paper_inertias
@@ -115,26 +112,32 @@ def test_fl_termwise_general_point():
 # backstepping
 # ---------------------------------------------------------------------------
 
+def _virtual_control(ref, e1, gains):
+    # at zero rate the velocity error e2 = U_v - xd (kernel.velocity_error) is
+    # the virtual control U_v = xd_d + K1 e1 itself
+    return bs_velocity_error(BodyState(ref.x_d - e1, np.zeros(3)), ref, gains)
+
+
 def test_virtual_control_examples():
     gains = BsGains.from_scalars(20.0, 1800.0)
-    assert (bs_virtual_control(Reference.zero(), np.zeros(3), gains) == 0.0).all()
-    uv = bs_virtual_control(Reference.zero(), np.array([0.1, -0.1, 0.0]), gains)
+    assert (_virtual_control(Reference.zero(), np.zeros(3), gains) == 0.0).all()
+    uv = _virtual_control(Reference.zero(), np.array([0.1, -0.1, 0.0]), gains)
     np.testing.assert_allclose(uv, [2.0, -2.0, 0.0], rtol=1e-15)
     ref = Reference(np.zeros(3), np.array([0.5, 0.0, 0.0]), np.zeros(3))
-    uv = bs_virtual_control(ref, np.zeros(3), gains)
+    uv = _virtual_control(ref, np.zeros(3), gains)
     np.testing.assert_allclose(uv, [0.5, 0.0, 0.0], rtol=1e-15)
 
 
 def test_bs_zero_at_rest_at_reference():
     gains = BsGains.from_scalars(20.0, 1800.0)
-    u = bs_control(BodyState.zero(), Reference.zero(), gains, EFF, AdaptState.zero())
+    u = bs_control(BodyState.zero(), Reference.zero(), gains, EFF, np.zeros(3))
     assert (u.tau == 0.0).all()
 
 
 def test_bs_termwise_oracle_tilted_rest():
     # independent term-by-term evaluation at the throw-recovery initial state
     gains = BsGains.from_scalars(20.0, 1800.0)
-    u = bs_control(REST_TILTED, Reference.zero(), gains, EFF, AdaptState.zero())
+    u = bs_control(REST_TILTED, Reference.zero(), gains, EFF, np.zeros(3))
     e1 = -REST_TILTED.attitude
     expected = np.empty(3)
     for i in range(3):
@@ -151,7 +154,7 @@ def test_bs_termwise_oracle_tilted_rest():
 def test_bs_pure_disturbance_cancellation():
     gains = BsGains.from_scalars(20.0, 1800.0)
     l_hat = np.array([0.3, -0.2, 0.5])
-    u = bs_control(BodyState.zero(), Reference.zero(), gains, EFF, AdaptState(l_hat))
+    u = bs_control(BodyState.zero(), Reference.zero(), gains, EFF, l_hat)
     np.testing.assert_allclose(u.tau, -EFF.j1 * l_hat, rtol=1e-14)
 
 
@@ -170,55 +173,59 @@ def test_bs_velocity_error_definition():
 
 def test_adapt_zero_error_fixed_point():
     gains = BsGains.from_scalars(10.0, 200.0, sigma=0.0005)
-    adapt = AdaptState(np.array([1.0, 2.0, 3.0]))
-    out = adapt_update(adapt, np.zeros(3), gains, dt=1e-3)
-    np.testing.assert_array_equal(out.l_hat, adapt.l_hat)
+    l_hat = np.array([1.0, 2.0, 3.0])
+    out = l_hat + 1e-3 * adaptation_rate(np.zeros(3), gains)
+    np.testing.assert_array_equal(out, l_hat)
 
 
 def test_adapt_euler_increment():
     gains = BsGains.from_scalars(10.0, 200.0, lam=1.0, sigma=0.0005)
-    out = adapt_update(AdaptState.zero(), np.array([0.001, 0.0, 0.0]), gains, dt=0.001)
-    np.testing.assert_allclose(out.l_hat, [-0.002, 0.0, 0.0], rtol=1e-14)
+    out = np.zeros(3) + 0.001 * adaptation_rate(np.array([0.001, 0.0, 0.0]), gains)
+    np.testing.assert_allclose(out, [-0.002, 0.0, 0.0], rtol=1e-14)
     np.testing.assert_allclose(
         adaptation_rate(np.array([0.001, 0.0, 0.0]), gains), [-2.0, 0.0, 0.0], rtol=1e-14
     )
-
-
-def test_adapt_rejects_bad_dt():
-    gains = BsGains.from_scalars(1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        adapt_update(AdaptState.zero(), np.zeros(3), gains, dt=0.0)
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov diagnostics
 # ---------------------------------------------------------------------------
 
+def _lyapunov_at(state, ref, gains, l_hat, l_true):
+    """V1 = 1/2 e1' e1, V2 (:func:`lyapunov`), e1 and e2 at one state."""
+    e1 = ref.x_d - state.attitude
+    e2 = bs_velocity_error(state, ref, gains)
+    return 0.5 * float(e1 @ e1), lyapunov(e1, e2, l_true - l_hat, gains), e1, e2
+
+
 def test_lyapunov_zero_everything():
     gains = BsGains.from_scalars(20.0, 1800.0)
-    s = lyapunov_sample(BodyState.zero(), Reference.zero(), gains, AdaptState.zero(),
-                        np.zeros(3))
-    assert s.v1 == 0.0 and s.v2 == 0.0
+    v1, v2, _, _ = _lyapunov_at(BodyState.zero(), Reference.zero(), gains, np.zeros(3),
+                                np.zeros(3))
+    assert v1 == 0.0 and v2 == 0.0
 
 
 def test_lyapunov_single_quadratic_term():
     gains = BsGains.from_scalars(2.0, 1.0)
     # pick the state so e1 = [1,0,0] and e2 = 0 (rate = K1 e1)
     state = BodyState(np.array([-1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
-    s = lyapunov_sample(state, Reference.zero(), gains, AdaptState.zero(), np.zeros(3))
-    np.testing.assert_allclose(s.e1, [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(s.e2, 0.0, atol=1e-15)
-    assert s.v1 == pytest.approx(0.5)
-    assert s.v2 == pytest.approx(0.5)
+    v1, v2, e1, e2 = _lyapunov_at(state, Reference.zero(), gains, np.zeros(3), np.zeros(3))
+    np.testing.assert_allclose(e1, [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(e2, 0.0, atol=1e-15)
+    assert v1 == pytest.approx(0.5)
+    assert v2 == pytest.approx(0.5)
 
 
 def test_lyapunov_estimation_error_term():
     gains = BsGains.from_scalars(1.0, 1.0, sigma=2.0)
-    s = lyapunov_sample(BodyState.zero(), Reference.zero(), gains,
-                        AdaptState(np.array([1.0, 0.0, 0.0])),
-                        np.array([3.0, 0.0, 0.0]))
+    _, v2, _, _ = _lyapunov_at(BodyState.zero(), Reference.zero(), gains,
+                               np.array([1.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
     # Ltilde = [2,0,0]; V2 = 1/2 * 2 * 4 = 4
-    assert s.v2 == pytest.approx(4.0, rel=1e-14)
+    assert v2 == pytest.approx(4.0, rel=1e-14)
+    # rows are evaluated independently
+    rows = lyapunov(np.zeros((2, 3)), np.zeros((2, 3)),
+                    np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), gains)
+    np.testing.assert_array_equal(rows, [v2, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from agrosim import (
-    AdaptState,
     BodyState,
     BsGains,
     DisturbanceSpec,
@@ -32,9 +31,9 @@ from agrosim import (
     effective_inertias,
     fl_control,
     run_scenario,
-    step_rk4,
     torque_jacobian,
 )
+from agrosim import kernel, sim
 from agrosim.presets import PAPER_U_MAX, paper_inertias
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def _deterministic(spec, t):
 class _ReferenceLoop:
     """Precomputed arrays + stage derivative for one scenario."""
 
-    def __init__(self, config, torque_law=None):
+    def __init__(self, config):
         self.config = config
         self.eff = effective_inertias(config.inertias, config.steering)
         self.j1 = self.eff.j1
@@ -103,9 +102,7 @@ class _ReferenceLoop:
         self.u_max = config.u_max
         self.adapt = config.adaptation_enabled
         gains = config.gains
-        if torque_law is not None:
-            self.torque = torque_law
-        elif config.controller == "fl":
+        if config.controller == "fl":
             self.torque = lambda att, rate, l_hat: _fl_torque(
                 att, rate, self.x_d, self.xd_dot, self.xd_ddot,
                 gains.k1, gains.k2, self.j1, self.j2)
@@ -278,21 +275,20 @@ def test_run_scenario_matches_numpy_reference_exactly(cfg):
     assert isinstance(want, dict), f"reference diverged at step {want}"
     for name, expected in want.items():
         assert np.array_equal(getattr(record, name), expected, equal_nan=True), name
+    # the saturation bound holds on every row (a NaN command stays NaN)
+    assert not (np.abs(record.u_sat) > cfg.u_max).any()
+    assert np.array_equal(record.u_sat, np.clip(record.u_cmd, -cfg.u_max, cfg.u_max),
+                          equal_nan=True)
 
 
 @given(cfg=scenarios(), y=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(9)]),
        t=st.floats(0.0, 5.0), noise=_vec(-1.0, 1.0))
 @_PROPERTY
 def test_step_and_typed_laws_match_numpy_reference_exactly(cfg, y, t, noise):
-    y = np.array(y)
     loop = _ReferenceLoop(cfg)
-    assert np.array_equal(step_rk4(y, cfg, t, noise), loop.rk4_step(t, y, noise))
-
-    def law(att, rate, l_hat):
-        return np.array([att[0] * rate[1], rate[2] - l_hat[0], 3.0 * att[2]])
-
-    assert np.array_equal(step_rk4(y, cfg, t, torque_law=law),
-                          _ReferenceLoop(cfg, law).rk4_step(t, y, np.zeros(3)))
+    y_next, _, _ = sim._loop(cfg).step(t, y, kernel.floats(noise))
+    y = np.array(y)
+    assert np.array_equal(np.array(y_next), loop.rk4_step(t, y, noise))
 
     state, l_hat = BodyState(y[0:3], y[3:6]), y[6:9]
     ref, gains, eff = cfg.reference, cfg.gains, loop.eff
@@ -305,7 +301,7 @@ def test_step_and_typed_laws_match_numpy_reference_exactly(cfg, y, t, noise):
                        gains.k1, gains.k2, eff.j1, eff.j2))
     else:
         assert np.array_equal(
-            bs_control(state, ref, gains, eff, AdaptState(l_hat)).tau,
+            bs_control(state, ref, gains, eff, l_hat).tau,
             _bs_torque(y[0:3], y[3:6], ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
                        gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1, eff.j2))
         e2 = bs_velocity_error(state, ref, gains)

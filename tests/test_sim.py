@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from agrosim import (
     AllocationSingularityError,
     BodyState,
-    BodyTorque,
     BsGains,
     DisturbanceBudgetError,
     DisturbanceSpec,
@@ -27,15 +26,14 @@ from agrosim import (
     SteeringConfig,
     TrajectoryRecord,
     check_disturbance_budget,
-    disturbance_torque,
+    effective_inertias,
     estimate_error_metrics,
     run_scenario,
     saturate,
     settle_time,
-    step_rk4,
     torque_jacobian,
 )
-from agrosim import sim
+from agrosim import kernel, sim
 from agrosim.presets import (
     PAPER_U_MAX,
     bs_adaptive_paper,
@@ -83,31 +81,34 @@ def _record_from_error(t, err, reference=None):
 def test_disturbance_all_zero():
     spec = DisturbanceSpec.zero()
     for t in (0.0, 0.3, 2.0):
-        assert (disturbance_torque(spec, t) == 0.0).all()
+        assert (spec.deterministic(t) == 0.0).all()
 
 
 def test_disturbance_offset_only():
     spec = DisturbanceSpec(np.array([1.0, 0.0, 0.0]), np.zeros(3), 0.0,
                            np.zeros(3), np.zeros(3), seed=0)
-    np.testing.assert_array_equal(disturbance_torque(spec, 5.0), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(spec.deterministic(5.0), [1.0, 0.0, 0.0])
 
 
 def test_disturbance_sine_quarter_period():
     spec = DisturbanceSpec(np.zeros(3), np.array([0.0, 2.0, 0.0]), 2.0,
                            np.zeros(3), np.zeros(3), seed=0)
     np.testing.assert_allclose(
-        disturbance_torque(spec, np.pi / 4.0), [0.0, 2.0, 0.0], atol=1e-15
+        spec.deterministic(np.pi / 4.0), [0.0, 2.0, 0.0], atol=1e-15
     )
 
 
 def test_disturbance_noise_deterministic_per_seed():
     spec = DisturbanceSpec(np.zeros(3), np.zeros(3), 0.0, np.zeros(3),
                            np.ones(3), seed=123)
-    a = [disturbance_torque(spec, 0.0, NoiseStreams(123)) for _ in range(1)]
-    b = [disturbance_torque(spec, 0.0, NoiseStreams(123)) for _ in range(1)]
+
+    def sample(seed):
+        return spec.deterministic(0.0) + spec.noise_sigma * NoiseStreams(seed).draw()
+
+    a, b = sample(123), sample(123)
     np.testing.assert_array_equal(a, b)
-    other = disturbance_torque(spec, 0.0, NoiseStreams(124))
-    assert not np.array_equal(a[0], other)
+    other = sample(124)
+    assert not np.array_equal(a, other)
 
 
 def test_noise_streams_are_per_axis_independent():
@@ -157,9 +158,8 @@ def test_saturate_examples():
         saturate(np.array([100.0, 0.0, 0.0]), u_max), [u_max, 0.0, 0.0])
     np.testing.assert_array_equal(
         saturate(np.array([-40.0, 40.0, -40.0]), u_max), [-u_max, u_max, -u_max])
-    out = saturate(BodyTorque(np.array([100.0, 0.0, 0.0])), u_max)
-    assert isinstance(out, BodyTorque)
-    assert out.tau[0] == u_max
+    out = saturate(np.array([[100.0, 0.0, 0.0], [0.0, -100.0, 1.0]]), u_max)
+    np.testing.assert_array_equal(out, [[u_max, 0.0, 0.0], [0.0, -u_max, 1.0]])
 
 
 @given(u=st.tuples(*[st.floats(-1e6, 1e6) for _ in range(3)]),
@@ -188,6 +188,10 @@ def test_config_validation():
         _plain_config(dt=0.0)
     with pytest.raises(InvalidParameterError):
         _plain_config(horizon=1e-4)  # horizon < dt
+    with pytest.raises(InvalidParameterError, match="0.0015"):
+        fl_paper(horizon=0.0015)  # 1.5 steps
+    with pytest.raises(InvalidParameterError, match="0.0007"):
+        fl_paper(dt=0.0007)  # 1.5 s is 2142.86 steps
     with pytest.raises(InvalidParameterError):
         _plain_config(controller="pid")
     with pytest.raises(InvalidParameterError):
@@ -212,8 +216,8 @@ def test_config_allows_unlimited_torque():
 
 def test_step_zero_dynamics_is_identity():
     cfg = _plain_config()
-    y = np.zeros(9)
-    out = step_rk4(y, cfg, 0.0)
+    y = (0.0,) * 9
+    out, _, _ = sim._loop(cfg).step(0.0, y, kernel.ZERO)
     np.testing.assert_array_equal(out, y)
 
 
@@ -221,22 +225,19 @@ def test_step_constant_torque_matches_kinematics():
     # a constant roll torque with the other rates at zero is an exact double
     # integrator; RK4 integrates the quadratic exactly
     cfg = _plain_config(u_max=1e6)
+    eff = effective_inertias(cfg.inertias, cfg.steering)
     j1 = 0.662 + 0.3055 + 2.0 * 0.006565 * np.sqrt(2.0)
     tau = 3.7
-    y0 = np.zeros(9)
-    y0[0] = 0.25  # initial roll angle
-    out = step_rk4(y0, cfg, 0.0, torque_law=lambda att, rate, l_hat: np.array([tau, 0.0, 0.0]))
+    y0 = (0.25,) + (0.0,) * 8  # initial roll angle
+    loop = kernel.closed_loop(lambda y, f, e2: (tau, 0.0, 0.0), eff.j1, eff.j2,
+                              cfg.u_max, cfg.dt)
+    out = np.array(loop.step(0.0, y0, kernel.ZERO)[0])
     dt = cfg.dt
     acc = tau / j1
     assert out[0] == pytest.approx(0.25 + 0.5 * acc * dt * dt, rel=1e-14)
     assert out[3] == pytest.approx(acc * dt, rel=1e-14)
     assert (out[[1, 2, 4, 5]] == 0.0).all()
     assert (out[6:] == 0.0).all()
-
-
-def test_step_rejects_bad_state_shape():
-    with pytest.raises(InvalidParameterError):
-        step_rk4(np.zeros(6), _plain_config(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,6 @@ def test_recorded_disturbance_respects_budget():
     rec, _ = run_scenario(cfg)
     spec = cfg.disturbance
     # reconstruct torque samples from the acceleration-domain log
-    from agrosim import effective_inertias
     eff = effective_inertias(cfg.inertias, cfg.steering)
     tau = rec.l_true * eff.j1[None, :]
     det = spec.offset[None, :] + spec.sine_amp[None, :] * np.sin(
