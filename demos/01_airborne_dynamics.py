@@ -8,13 +8,11 @@ steering configuration.
 import numpy as np
 
 from agrosim import (
-    BodyState,
-    BodyTorque,
     SteeringConfig,
     WheelGeometry,
     allocate_wheel_torques,
-    angular_acceleration,
     effective_inertias,
+    kernel,
     reflected_inertia,
     torque_jacobian,
 )
@@ -43,9 +41,8 @@ print("effective inertia divisors  J1 =", eff.j1)
 print("Coriolis coefficients       J2 =", eff.j2)
 
 # Gyroscopic coupling: pitch and yaw rates together produce roll
-# acceleration even with zero applied torque.
-state = BodyState(np.zeros(3), np.array([0.0, 1.0, 1.0]))
-acc = angular_acceleration(state, BodyTorque.zero(), eff)
+# acceleration even with zero applied torque: that is the drift term f.
+acc = np.array(kernel.drift(eff.j1, eff.j2)(0.0, 1.0, 1.0))
 print(f"\nrates [0, 1, 1] rad/s, zero torque -> accelerations {acc} rad/s^2")
 
 # The torque Jacobian maps (wheel pair 1/3, wheel pair 2/4, steering joints)

@@ -4,12 +4,12 @@ and a deterministic closed-loop simulator.
 The package splits along the problem structure:
 
 - :mod:`agrosim.kernel` -- the closed-loop stage kernel on plain floats:
-  drift term, both control laws, adaptation law, clamp and RK4 step,
-  each written once.
-- :mod:`agrosim.dynamics` -- rigid-body attitude equations, inertia
-  bookkeeping, the wheel-torque Jacobian and its inverse (wheel
-  allocation, vectorised over rows).
-- :mod:`agrosim.control` -- gain and reference types, typed views of the
+  drift term, both control laws, velocity error, adaptation law,
+  disturbance torque, clamp and RK4 step, each written once.
+- :mod:`agrosim.dynamics` -- state and inertia types, the effective
+  inertias of the attitude equations, the wheel-torque Jacobian and its
+  inverse (wheel allocation, vectorised over rows).
+- :mod:`agrosim.control` -- gain and reference types for the
   PD + feedback-linearization and adaptive backstepping laws, the
   Lyapunov function V2 and the double-integrator LQR.
 - :mod:`agrosim.sim` -- the scenario type, the fixed-step RK4 rollout with
@@ -25,26 +25,18 @@ from .control import (
     FlGains,
     LqrGains,
     Reference,
-    adaptation_rate,
-    bs_control,
-    bs_velocity_error,
-    fl_control,
     lqr_double_integrator,
     lyapunov,
 )
 from .dynamics import (
     SINGULARITY_TOL,
     BodyState,
-    BodyTorque,
     EffectiveInertias,
     InertiaSet,
     SteeringConfig,
     WheelGeometry,
     allocate_wheel_torques,
-    angular_acceleration,
-    coriolis_acceleration,
     effective_inertias,
-    input_gain,
     reflected_inertia,
     torque_jacobian,
 )

@@ -53,28 +53,21 @@ class RunManifest:
             raise ConfigError("exactly one of preset or config_path must be given")
 
     def load(self) -> ScenarioConfig:
-        if self.preset is not None:
-            overrides = {}
-            if self.dt is not None:
-                overrides["dt"] = self.dt
-            if self.horizon is not None:
-                overrides["horizon"] = self.horizon
-            cfg = preset(self.preset, **overrides)
-        else:
-            cfg = load_config(self.config_path)
-            if self.dt is not None:
-                cfg = dataclasses.replace(cfg, dt=self.dt)
-            if self.horizon is not None:
-                cfg = dataclasses.replace(cfg, horizon=self.horizon)
+        """The scenario with the --dt, --horizon and --seed overrides applied
+        together, so a valid pair of dt and horizon is checked as a pair."""
+        cfg = preset(self.preset) if self.preset is not None else load_config(self.config_path)
+        overrides = {}
+        if self.dt is not None:
+            overrides["dt"] = self.dt
+        if self.horizon is not None:
+            overrides["horizon"] = self.horizon
         if self.seed is not None:
             if cfg.disturbance is None:
                 raise ConfigError(
                     f"--seed applies only to scenarios with a disturbance; {self.name!r} has none"
                 )
-            cfg = dataclasses.replace(
-                cfg, disturbance=dataclasses.replace(cfg.disturbance, seed=self.seed)
-            )
-        return cfg
+            overrides["disturbance"] = dataclasses.replace(cfg.disturbance, seed=self.seed)
+        return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def attitude_chart(records: dict[str, TrajectoryRecord]) -> LineChart:

@@ -18,12 +18,14 @@ while the disturbance estimate follows the adaptation law
 ``L_hat_dot = -Sig^-1 Lam e2``.  All gain matrices are positive diagonal and
 stored as 3-vectors; a scalar gain means "that scalar on every axis".
 
-Controllers are pure functions; the disturbance estimate L_hat is an
-argument, and the simulator integrates it with the state.  The laws
-themselves are written once, on floats, in :mod:`agrosim.kernel`, which the
-simulator runs on; the functions here are typed views over them.
+This module holds the gain and reference types the controllers are
+configured with.  The laws themselves, e2 and the adaptation law are written
+once, on floats, in :mod:`agrosim.kernel` (:func:`~agrosim.kernel.fl_law`,
+:func:`~agrosim.kernel.bs_law`, :func:`~agrosim.kernel.velocity_error`,
+:func:`~agrosim.kernel.adaptation`), which the simulator runs on.
 :func:`lyapunov` is the backstepping Lyapunov function V2, evaluated
-vectorised over the rows of a trajectory.
+vectorised over the rows of a trajectory, and :func:`lqr_double_integrator`
+a closed-form gain design for the FL error dynamics.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernel
-from .dynamics import (
-    BodyState,
-    BodyTorque,
-    EffectiveInertias,
-    _ArrayEqMixin,
-    _vec3,
-)
+from .dynamics import _ArrayEqMixin, _vec3
 from .errors import InvalidParameterError
 
 #: Default bound on ||x_d||^2 + ||xd_d||^2 + ||xd_dd||^2 for references.
@@ -139,60 +134,6 @@ class Reference(_ArrayEqMixin):
     @classmethod
     def constant(cls, x_d, rho: float = DEFAULT_REFERENCE_BOUND) -> "Reference":
         return cls(np.asarray(x_d, dtype=float), np.zeros(3), np.zeros(3), rho)
-
-
-# ---------------------------------------------------------------------------
-# Typed operations: views over the float laws of :mod:`agrosim.kernel`
-# ---------------------------------------------------------------------------
-
-def _aug(state: BodyState, l_hat=kernel.ZERO) -> kernel.State:
-    return kernel.floats(state.attitude) + kernel.floats(state.rate) + kernel.floats(l_hat)
-
-
-def _evaluate(law: kernel.Law, state: BodyState, eff: EffectiveInertias,
-              l_hat=kernel.ZERO, e2=None) -> BodyTorque:
-    return BodyTorque(np.array(kernel.command(law, eff.j1, eff.j2, e2)(_aug(state, l_hat))))
-
-
-def fl_control(
-    state: BodyState, ref: Reference, gains: FlGains, eff: EffectiveInertias
-) -> BodyTorque:
-    """Feedback-linearization torque u = g^-1 (-f + xd_dd + k1 ed + k2 e).
-
-    The returned torque is unsaturated; clamping belongs to the plant side.
-    """
-    law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-    return _evaluate(law, state, eff)
-
-
-def bs_velocity_error(state: BodyState, ref: Reference, gains: BsGains) -> np.ndarray:
-    """Deviation of the rate from its virtual control, e2 = U_v - xd."""
-    e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
-    return np.array(e2(_aug(state)))
-
-
-def bs_control(
-    state: BodyState,
-    ref: Reference,
-    gains: BsGains,
-    eff: EffectiveInertias,
-    l_hat: np.ndarray,
-) -> BodyTorque:
-    """Backstepping torque
-
-        U_B = g^-1 (Lam^-1 Gam e1 - f - L_hat + xd_dd + K1 e1_d + K2 e2)
-
-    with e1_d = xd_d - xd taken from the measured rate and the disturbance
-    estimate ``l_hat`` (rad/s^2).  Unsaturated."""
-    law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
-                        ref.x_d, ref.xd_dot, ref.xd_ddot)
-    return _evaluate(law, state, eff, l_hat,
-                     kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot))
-
-
-def adaptation_rate(e2: np.ndarray, gains: BsGains) -> np.ndarray:
-    """Estimate derivative L_hat_dot = -Sig^-1 Lam e2."""
-    return np.array(kernel.adaptation(gains.lam, gains.sigma)(kernel.floats(e2)))
 
 
 def lyapunov(e1: np.ndarray, e2: np.ndarray, l_err: np.ndarray, gains: BsGains) -> np.ndarray:

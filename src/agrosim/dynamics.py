@@ -9,9 +9,13 @@ reduce to three coupled second-order equations
     theta_dd = (J_theta2 * phi_d   * psi_d + tau_y) / J_theta1
     psi_dd   = (J_psi2   * phi_d   * theta_d + tau_z) / J_psi1
 
-or in vector form ``xdd = f(x, xd) + g(x) u`` with diagonal ``g``.  This
-module owns the inertia bookkeeping, the equations of motion, and the
-Jacobian maps between body torques and wheel/steering torques.
+or in vector form ``xdd = f(x, xd) + g(x) u`` with diagonal ``g = 1/J1``.
+This module owns the inertia bookkeeping that yields the constants J1 and
+J2 (:func:`effective_inertias`) and the Jacobian maps between body torques
+and wheel/steering torques.  The equations themselves are written once, on
+floats, in :mod:`agrosim.kernel`: the drift term f is
+:func:`agrosim.kernel.drift` and the input gain ``g`` is
+:attr:`agrosim.kernel.Loop.g`.
 
 Angles are radians throughout; the command-line layer converts from degrees.
 All values are immutable after construction and all functions are pure, so
@@ -24,7 +28,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kernel
 from .errors import (
     AllocationSingularityError,
     DegenerateInertiaError,
@@ -277,38 +280,6 @@ class BodyState(_ArrayEqMixin):
     @classmethod
     def zero(cls) -> "BodyState":
         return cls(np.zeros(3), np.zeros(3))
-
-
-@dataclass(frozen=True, eq=False)
-class BodyTorque(_ArrayEqMixin):
-    """Torque [tau_x, tau_y, tau_z] about the body axes, N m."""
-
-    tau: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _vec3(self.tau, "tau"))
-
-    @classmethod
-    def zero(cls) -> "BodyTorque":
-        return cls(np.zeros(3))
-
-
-def coriolis_acceleration(rate: np.ndarray, eff: EffectiveInertias) -> np.ndarray:
-    """Drift term f(x, xd) of the attitude dynamics: the gyroscopic
-    accelerations present with zero applied torque."""
-    return np.array(kernel.drift(eff.j1, eff.j2)(*kernel.floats(rate)))
-
-
-def input_gain(eff: EffectiveInertias) -> np.ndarray:
-    """Diagonal of the input map g(x): acceleration per unit body torque."""
-    return 1.0 / eff.j1
-
-
-def angular_acceleration(
-    state: BodyState, torque: BodyTorque, eff: EffectiveInertias
-) -> np.ndarray:
-    """Angular accelerations [phi_dd, theta_dd, psi_dd] = f(x, xd) + g(x) u."""
-    return coriolis_acceleration(state.rate, eff) + input_gain(eff) * torque.tau
 
 
 def torque_jacobian(steering: SteeringConfig) -> np.ndarray:

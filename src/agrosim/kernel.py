@@ -2,9 +2,10 @@
 
 This module is the one place where the gyroscopic drift term ``f``, the
 feedback-linearization and backstepping control laws, the adaptation law,
-the torque clamp and the classical RK4 step are written.  The simulator in
-:mod:`agrosim.sim` runs on it, and the typed functions of
-:mod:`agrosim.dynamics` and :mod:`agrosim.control` are views over it.
+the torque clamp, the disturbance torque and the classical RK4 step are
+written.  The simulator in :mod:`agrosim.sim` runs on it, and anything else
+that needs one of these (a test, a demo, the V2 column of a record) calls
+the function here rather than a copy of it.
 
 Layout: a 3-vector is a tuple of three floats and the augmented state
 ``[attitude, rate, L_hat]`` a tuple of nine.  Every constant (gains,

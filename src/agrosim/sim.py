@@ -21,8 +21,10 @@ disturbance: 15 floats) is appended to one flat ``array('d')``, which
 becomes the record's arrays after the loop; L_true, the clamp
 (:func:`saturate`), the wheel allocation
 (:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
-(:func:`agrosim.control.lyapunov`) and the metrics are then computed
-vectorised over all rows.  The horizon must be a whole number of steps.
+(:func:`agrosim.control.lyapunov`, with the loop's own
+:func:`agrosim.kernel.velocity_error` applied to the columns) and the
+metrics are then computed vectorised over all rows.  The horizon must be a
+whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and writes each block as it is made, so the whole text never sits in
@@ -40,7 +42,7 @@ import math
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, IO, Iterator, Optional, Union
+from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
@@ -108,13 +110,6 @@ class DisturbanceSpec(_ArrayEqMixin):
     @classmethod
     def zero(cls, seed: int = 0) -> "DisturbanceSpec":
         return cls(np.zeros(3), np.zeros(3), 0.0, np.zeros(3), np.zeros(3), seed)
-
-    def deterministic(self, t: float) -> np.ndarray:
-        """Offset plus sinusoid at time ``t`` (no noise)."""
-        return np.array(self._kernel()(t))
-
-    def _kernel(self) -> Callable[[float], kernel.Vec]:
-        return kernel.disturbance(self.offset, self.sine_amp, self.sine_freq, self.sine_phase)
 
 
 def check_disturbance_budget(spec: DisturbanceSpec, u_max: float) -> None:
@@ -251,9 +246,10 @@ def _loop(config: ScenarioConfig) -> kernel.Loop:
         e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
     if config.adaptation_enabled:
         l_rate = kernel.adaptation(gains.lam, gains.sigma)
-    dist = config.disturbance
-    return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt,
-                              None if dist is None else dist._kernel(), e2, l_rate)
+    spec, dist = config.disturbance, None
+    if spec is not None:
+        dist = kernel.disturbance(spec.offset, spec.sine_amp, spec.sine_freq, spec.sine_phase)
+    return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt, dist, e2, l_rate)
 
 
 #: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
@@ -313,10 +309,6 @@ class TrajectoryRecord(_ArrayEqMixin):
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
 
     def error(self) -> np.ndarray:
         """Per-sample attitude error x_d - x, radians."""
@@ -518,9 +510,10 @@ def run_scenario(
     e1 = config.reference.x_d[None, :] - att
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
     if config.controller == CONTROLLER_BS:
-        g = config.gains
-        e2 = (config.reference.xd_dot[None, :] - rate) + g.k1[None, :] * e1
-        v2 = lyapunov(e1, e2, l_true - l_hat, g)
+        g, ref = config.gains, config.reference
+        # the loop's own e2, applied to the record's columns: one value per row
+        e2 = kernel.velocity_error(g.k1, ref.x_d, ref.xd_dot)((*att.T, *rate.T, None, None, None))
+        v2 = lyapunov(e1, np.column_stack(e2), l_true - l_hat, g)
     else:
         v2 = np.full(n + 1, np.nan)
 

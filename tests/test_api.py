@@ -1,0 +1,62 @@
+"""The public surface of the package, pinned.
+
+Adding or removing a top-level name is a deliberate change to this list,
+so a wrapper that only the tests call does not creep back in unnoticed.
+"""
+
+import types
+
+import agrosim
+
+PUBLIC_NAMES = [
+    "AgroSimError",
+    "AllocationSingularityError",
+    "BodyState",
+    "BsGains",
+    "ComparisonInvalidError",
+    "ConfigError",
+    "DEFAULT_SETTLE_BAND",
+    "DegenerateInertiaError",
+    "DisturbanceBudgetError",
+    "DisturbanceSpec",
+    "DivergenceError",
+    "EffectiveInertias",
+    "FlGains",
+    "InertiaSet",
+    "InvalidParameterError",
+    "InvalidWindowError",
+    "LqrGains",
+    "Metrics",
+    "NoiseStreams",
+    "Reference",
+    "SINGULARITY_TOL",
+    "ScenarioConfig",
+    "SteeringConfig",
+    "TrajectoryRecord",
+    "WheelGeometry",
+    "allocate_wheel_torques",
+    "check_disturbance_budget",
+    "compute_metrics",
+    "effective_inertias",
+    "estimate_error_metrics",
+    "load_config",
+    "lqr_double_integrator",
+    "lyapunov",
+    "parse_config",
+    "preset",
+    "preset_names",
+    "reflected_inertia",
+    "run_scenario",
+    "saturate",
+    "serialize_config",
+    "settle_time",
+    "torque_jacobian",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name for name in dir(agrosim)
+        if not name.startswith("_") and not isinstance(getattr(agrosim, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

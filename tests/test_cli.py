@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from agrosim import ComparisonInvalidError, ConfigError
+from agrosim import ComparisonInvalidError, ConfigError, preset, serialize_config
 from agrosim.cli import RunManifest, cmd_compare, cmd_run, main
 
 
@@ -75,6 +75,22 @@ def test_run_invalid_horizon_fails_before_output(tmp_path, capsys):
     assert not out_dir.exists() or not os.listdir(out_dir)
     assert "not a whole number of dt" in capsys.readouterr().err
 
+
+
+def test_config_file_takes_dt_and_horizon_together(tmp_path):
+    # 0.7 s at 0.7 ms is 1000 steps, but neither override is valid alone
+    # against the file's 1 ms / 1.5 s, so both must be applied at once
+    path = tmp_path / "fl.json"
+    path.write_text(serialize_config(preset("fl-paper")))
+    flags = ["--dt", "0.0007", "--horizon", "0.7", "--out", str(tmp_path), "--no-svg"]
+    assert main(["run", "--config", str(path)] + flags) == 0
+    assert main(["run", "--preset", "fl-paper"] + flags) == 0
+    for suffix in (".csv", ".metrics.json"):
+        assert (tmp_path / ("fl" + suffix)).read_bytes() == \
+            (tmp_path / ("fl-paper" + suffix)).read_bytes()
+    rows = (tmp_path / "fl.csv").read_text().splitlines()
+    assert len(rows) == 1 + 1001
+    assert float(rows[-1].split(",")[0]) == pytest.approx(0.7, rel=1e-12)
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 

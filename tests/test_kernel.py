@@ -24,12 +24,7 @@ from agrosim import (
     Reference,
     ScenarioConfig,
     SteeringConfig,
-    adaptation_rate,
-    bs_control,
-    bs_velocity_error,
-    coriolis_acceleration,
     effective_inertias,
-    fl_control,
     run_scenario,
     torque_jacobian,
 )
@@ -284,28 +279,31 @@ def test_run_scenario_matches_numpy_reference_exactly(cfg):
 @given(cfg=scenarios(), y=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(9)]),
        t=st.floats(0.0, 5.0), noise=_vec(-1.0, 1.0))
 @_PROPERTY
-def test_step_and_typed_laws_match_numpy_reference_exactly(cfg, y, t, noise):
+def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     loop = _ReferenceLoop(cfg)
     y_next, _, _ = sim._loop(cfg).step(t, y, kernel.floats(noise))
-    y = np.array(y)
-    assert np.array_equal(np.array(y_next), loop.rk4_step(t, y, noise))
+    assert np.array_equal(np.array(y_next), loop.rk4_step(t, np.array(y), noise))
 
-    state, l_hat = BodyState(y[0:3], y[3:6]), y[6:9]
+    # each kernel function on its own, built as sim._loop builds it
+    att, rate, l_hat = np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9])
     ref, gains, eff = cfg.reference, cfg.gains, loop.eff
-    assert np.array_equal(coriolis_acceleration(state.rate, eff),
-                          _coriolis_acceleration(state.rate, eff))
+    assert np.array_equal(np.array(kernel.drift(eff.j1, eff.j2)(*y[3:6])),
+                          _coriolis_acceleration(rate, eff))
     if cfg.controller == "fl":
+        law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
         assert np.array_equal(
-            fl_control(state, ref, gains, eff).tau,
-            _fl_torque(y[0:3], y[3:6], ref.x_d, ref.xd_dot, ref.xd_ddot,
+            np.array(kernel.command(law, eff.j1, eff.j2)(y)),
+            _fl_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
                        gains.k1, gains.k2, eff.j1, eff.j2))
     else:
+        e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
+        law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
+                            ref.x_d, ref.xd_dot, ref.xd_ddot)
         assert np.array_equal(
-            bs_control(state, ref, gains, eff, l_hat).tau,
-            _bs_torque(y[0:3], y[3:6], ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
+            np.array(kernel.command(law, eff.j1, eff.j2, e2)(y)),
+            _bs_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
                        gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1, eff.j2))
-        e2 = bs_velocity_error(state, ref, gains)
-        assert np.array_equal(e2, _bs_velocity_error(y[0:3], y[3:6], ref.x_d, ref.xd_dot,
-                                                     gains.k1))
-        assert np.array_equal(adaptation_rate(e2, gains),
-                              _adaptation_rate(e2, gains.lam, gains.sigma))
+        e = np.array(e2(y))
+        assert np.array_equal(e, _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, gains.k1))
+        assert np.array_equal(np.array(kernel.adaptation(gains.lam, gains.sigma)(e2(y))),
+                              _adaptation_rate(e, gains.lam, gains.sigma))
