@@ -8,9 +8,11 @@
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given.  The output directory defaults to ``$AGROSIM_OUT``,
-then the current directory.  Exit status is 0 exactly when every requested
-artifact was written; each artifact replaces its target only once it is
-complete (:func:`agrosim.atomic.atomic_write`).
+then the current directory.  ``--dt``, ``--horizon`` and ``--seed`` are
+applied together, by :func:`agrosim.presets.override`, to the preset or the
+``--config`` file.  Exit status is 0 exactly when every requested artifact
+was written; each artifact replaces its target only once it is complete
+(:func:`agrosim.atomic.atomic_write`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,45 +30,9 @@ import numpy as np
 from .atomic import atomic_write
 from .config import load_config
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
-from .presets import preset, preset_names
+from .presets import override, preset, preset_names
 from .sim import Metrics, ScenarioConfig, TrajectoryRecord, run_scenario
 from .svgchart import LineChart, save_svg
-
-
-@dataclass
-class RunManifest:
-    """One requested scenario execution: source, output dir, SVG flag and
-    overrides."""
-
-    name: str
-    preset: Optional[str] = None
-    config_path: Optional[str] = None
-    out_dir: str = "."
-    emit_svg: bool = True
-    seed: Optional[int] = None
-    dt: Optional[float] = None
-    horizon: Optional[float] = None
-
-    def __post_init__(self):
-        if (self.preset is None) == (self.config_path is None):
-            raise ConfigError("exactly one of preset or config_path must be given")
-
-    def load(self) -> ScenarioConfig:
-        """The scenario with the --dt, --horizon and --seed overrides applied
-        together, so a valid pair of dt and horizon is checked as a pair."""
-        cfg = preset(self.preset) if self.preset is not None else load_config(self.config_path)
-        overrides = {}
-        if self.dt is not None:
-            overrides["dt"] = self.dt
-        if self.horizon is not None:
-            overrides["horizon"] = self.horizon
-        if self.seed is not None:
-            if cfg.disturbance is None:
-                raise ConfigError(
-                    f"--seed applies only to scenarios with a disturbance; {self.name!r} has none"
-                )
-            overrides["disturbance"] = dataclasses.replace(cfg.disturbance, seed=self.seed)
-        return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def attitude_chart(records: dict[str, TrajectoryRecord]) -> LineChart:
@@ -114,46 +79,48 @@ def _metrics_table(rows: dict[str, Metrics]) -> str:
     return "\n".join(lines)
 
 
-def _write_outputs(manifest: RunManifest, records: dict[str, TrajectoryRecord],
-                   metrics: dict[str, Metrics], charts: list[LineChart]) -> list[str]:
-    os.makedirs(manifest.out_dir, exist_ok=True)
+def _write_outputs(out_dir: str, name: str, records: dict[str, TrajectoryRecord],
+                   metrics: dict[str, Metrics], charts: list[LineChart]) -> None:
+    """Write the CSVs, the metrics JSON and, if there are charts, the SVG of
+    one command, then print the metrics table and the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
     written = []
-    base = os.path.join(manifest.out_dir, manifest.name)
+    base = os.path.join(out_dir, name)
     for label, rec in records.items():
         path = base + (f".{label}.csv" if len(records) > 1 else ".csv")
         rec.to_csv(path)
         written.append(path)
     path = base + ".metrics.json"
-    doc = {name: m.to_dict() for name, m in metrics.items()}
+    doc = {label: m.to_dict() for label, m in metrics.items()}
     with atomic_write(path) as fh:
         json.dump(doc if len(metrics) > 1 else next(iter(doc.values())), fh, indent=2)
         fh.write("\n")
     written.append(path)
-    if manifest.emit_svg:
+    if charts:
         path = base + ".svg"
         save_svg(charts, path)
         written.append(path)
-    return written
-
-
-def cmd_run(manifest: RunManifest) -> int:
-    """Execute one scenario and write its artifacts."""
-    cfg = manifest.load()
-    record, metrics = run_scenario(cfg)
-    charts = [attitude_chart({"": record}), torque_chart({"": record})]
-    if cfg.disturbance is not None:
-        charts.append(estimate_chart(record))
-    written = _write_outputs(manifest, {manifest.name: record},
-                             {manifest.name: metrics}, charts)
-    print(_metrics_table({manifest.name: metrics}))
+    print(_metrics_table(metrics))
     for path in written:
         print(f"wrote {path}")
+
+
+def cmd_run(name: str, cfg: ScenarioConfig, out_dir: str, svg: bool = True) -> int:
+    """Execute one scenario and write its artifacts."""
+    record, metrics = run_scenario(cfg)
+    charts = []
+    if svg:
+        charts = [attitude_chart({"": record}), torque_chart({"": record})]
+        if cfg.disturbance is not None:
+            charts.append(estimate_chart(record))
+    _write_outputs(out_dir, name, {name: record}, {name: metrics}, charts)
     return 0
 
 
-def cmd_compare(manifest_a: RunManifest, manifest_b: RunManifest) -> int:
-    """Run two scenarios from the same initial/reference state and overlay
-    their trajectories.
+def cmd_compare(a: tuple[str, ScenarioConfig], b: tuple[str, ScenarioConfig],
+                out_dir: str, svg: bool = True) -> int:
+    """Run two named scenarios from the same initial/reference state and
+    overlay their trajectories.
 
     Raises
     ------
@@ -161,7 +128,7 @@ def cmd_compare(manifest_a: RunManifest, manifest_b: RunManifest) -> int:
         If the scenarios start from different states or track different
         references.
     """
-    cfg_a, cfg_b = manifest_a.load(), manifest_b.load()
+    (name_a, cfg_a), (name_b, cfg_b) = a, b
     if cfg_a.initial != cfg_b.initial:
         raise ComparisonInvalidError(
             "scenarios start from different initial states; comparison is meaningless"
@@ -170,30 +137,25 @@ def cmd_compare(manifest_a: RunManifest, manifest_b: RunManifest) -> int:
         raise ComparisonInvalidError("scenarios track different references")
     rec_a, met_a = run_scenario(cfg_a)
     rec_b, met_b = run_scenario(cfg_b)
-    names = (manifest_a.name, manifest_b.name)
-    if names[0] == names[1]:
-        names = (names[0] + "-a", names[1] + "-b")
-    records = {names[0]: rec_a, names[1]: rec_b}
-    metrics = {names[0]: met_a, names[1]: met_b}
-    joint = dataclasses.replace(manifest_a, name=f"{names[0]}_vs_{names[1]}")
-    charts = [attitude_chart(records), torque_chart(records)]
-    written = _write_outputs(joint, records, metrics, charts)
-    print(_metrics_table(metrics))
-    for path in written:
-        print(f"wrote {path}")
+    if name_a == name_b:
+        name_a, name_b = name_a + "-a", name_b + "-b"
+    records = {name_a: rec_a, name_b: rec_b}
+    charts = [attitude_chart(records), torque_chart(records)] if svg else []
+    _write_outputs(out_dir, f"{name_a}_vs_{name_b}", records,
+                   {name_a: met_a, name_b: met_b}, charts)
     return 0
 
 
 _SWEEPABLE = {"k1", "k2", "gamma", "lambda", "sigma"}
 
 
-def cmd_sweep(manifest: RunManifest, param: str, values: list[float]) -> int:
+def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
+              values: list[float]) -> int:
     """Grid over one gain, all axes together, and tabulate the metrics."""
     if param not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {sorted(_SWEEPABLE)}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base_cfg = manifest.load()
     field = {"lambda": "lam"}.get(param, param)
     if not hasattr(base_cfg.gains, field):
         raise ConfigError(
@@ -208,8 +170,8 @@ def cmd_sweep(manifest: RunManifest, param: str, values: list[float]) -> int:
         label = f"{param}={value:g}"
         metrics[label] = m
         rows.append({"value": value, **m.to_dict()})
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    path = os.path.join(manifest.out_dir, f"{manifest.name}.sweep.{param}.metrics.json")
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}.sweep.{param}.metrics.json")
     with atomic_write(path) as fh:
         json.dump({"parameter": param, "runs": rows}, fh, indent=2)
         fh.write("\n")
@@ -236,16 +198,15 @@ def _add_scenario_args(p: argparse.ArgumentParser, repeatable: bool = False) -> 
     p.add_argument("--horizon", type=float, default=None, help="override the horizon [s]")
 
 
-def _manifest_from_args(args, preset_name, config_path, name=None) -> RunManifest:
-    if name is None:
-        if preset_name is not None:
-            name = preset_name
-        else:
-            name = os.path.splitext(os.path.basename(config_path))[0]
-    return RunManifest(
-        name=name, preset=preset_name, config_path=config_path, out_dir=args.out,
-        emit_svg=not args.no_svg, seed=args.seed, dt=args.dt, horizon=args.horizon,
-    )
+def _scenario(args, preset_name: Optional[str],
+              config_path: Optional[str]) -> tuple[str, ScenarioConfig]:
+    """The name and the scenario of one ``--preset`` or ``--config`` source,
+    with the ``--dt``, ``--horizon`` and ``--seed`` overrides applied."""
+    if preset_name is not None:
+        return preset_name, preset(preset_name, dt=args.dt, horizon=args.horizon, seed=args.seed)
+    name = os.path.splitext(os.path.basename(config_path))[0]
+    return name, override(load_config(config_path), dt=args.dt, horizon=args.horizon,
+                          seed=args.seed)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -269,31 +230,25 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="comma-separated gain values, e.g. 5,10,20")
 
     args = parser.parse_args(argv)
+    svg = not args.no_svg
     try:
-        if args.command == "run":
-            return cmd_run(_manifest_from_args(args, args.preset, args.config))
         if args.command == "compare":
-            sources = [("preset", v) for v in (args.preset or [])]
-            sources += [("config", v) for v in (args.config or [])]
+            sources = [(v, None) for v in (args.preset or [])]
+            sources += [(None, v) for v in (args.config or [])]
             if len(sources) != 2:
                 raise ConfigError("compare needs exactly two of --preset/--config")
-            manifests = [
-                _manifest_from_args(
-                    args,
-                    value if kind == "preset" else None,
-                    value if kind == "config" else None,
-                )
-                for kind, value in sources
-            ]
-            return cmd_compare(manifests[0], manifests[1])
-        if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError:
-                raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
-            return cmd_sweep(_manifest_from_args(args, args.preset, args.config),
-                             args.param, values)
-        raise ConfigError(f"unknown command {args.command!r}")
+            a, b = (_scenario(args, *source) for source in sources)
+            return cmd_compare(a, b, args.out, svg)
+        if (args.preset is None) == (args.config is None):
+            raise ConfigError("exactly one of --preset or --config must be given")
+        if args.command == "run":
+            return cmd_run(*_scenario(args, args.preset, args.config), args.out, svg)
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
+        return cmd_sweep(*_scenario(args, args.preset, args.config), args.out,
+                         args.param, values)
     except (AgroSimError, OSError) as exc:
         print(f"agrosim: error: {exc}", file=sys.stderr)
         return 1

@@ -3,10 +3,15 @@
 Hand-written documents use degrees for every angular quantity (steering
 angles, attitudes, rates, reference signals, sine phases); torques are N m
 and times seconds.  A document may either name a ``preset`` (optionally
-overriding ``dt``, ``horizon``, ``seed``) or spell out a full scenario.
-Unknown keys are rejected with the offending key named, and missing optional
-fields take the documented defaults (reference robot inertias, isotropic
-steering, zero initial/reference state).
+overriding ``dt``, ``horizon``, ``seed``, applied by
+:func:`agrosim.presets.preset`) or spell out a full scenario.  Unknown keys
+are rejected with the offending key named.  An omitted optional field is not
+passed on, so the type it belongs to supplies its default: the
+:class:`~agrosim.sim.ScenarioConfig` step and horizon, the
+:class:`~agrosim.control.Reference` bound, the identity backstepping weights
+of :class:`~agrosim.control.BsGains`, and
+:meth:`~agrosim.dynamics.SteeringConfig.isotropic` steering; the reference
+robot inertias and a zero initial and reference state fill the rest.
 
 :func:`serialize_config` emits ``"angle_units": "rad"`` and raw internal
 values, because degree/radian conversion is not bit-exact in floating point;
@@ -44,6 +49,14 @@ def _get(obj: dict, key: str, context: str, default: Any = _REQUIRED) -> Any:
     return default
 
 
+def _given(obj: dict, keys: tuple[str, ...], context: str, convert: Callable) -> dict:
+    """Keyword arguments for those of ``keys`` present in ``obj``, each value
+    checked by ``convert(value, context + key)``; ``lambda`` is passed as
+    ``lam``."""
+    return {("lam" if key == "lambda" else key): convert(obj[key], context + key)
+            for key in keys if key in obj}
+
+
 def _number(value: Any, key: str, allow_inf: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
@@ -62,6 +75,12 @@ def _torque_limit(value: Any) -> float:
 def _integer(value: Any, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value: Any, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be a boolean, got {value!r}")
     return value
 
 
@@ -98,9 +117,7 @@ def _parse_gains(doc: dict, controller: str) -> Union[FlGains, BsGains]:
     return BsGains(
         k1=_vec3(_get(obj, "k1", "gains."), "gains.k1"),
         k2=_vec3(_get(obj, "k2", "gains."), "gains.k2"),
-        gamma=_vec3(_get(obj, "gamma", "gains.", 1.0), "gains.gamma"),
-        lam=_vec3(_get(obj, "lambda", "gains.", 1.0), "gains.lambda"),
-        sigma=_vec3(_get(obj, "sigma", "gains.", 1.0), "gains.sigma"),
+        **_given(obj, ("gamma", "lambda", "sigma"), "gains.", _vec3),
     )
 
 
@@ -180,19 +197,8 @@ def parse_config(text: str) -> ScenarioConfig:
         name = doc["preset"]
         if not isinstance(name, str):
             raise ConfigError(f"'preset' must be a string, got {name!r}")
-        overrides: dict[str, Any] = {}
-        if "dt" in doc:
-            overrides["dt"] = _number(doc["dt"], "dt")
-        if "horizon" in doc:
-            overrides["horizon"] = _number(doc["horizon"], "horizon")
-        if "seed" in doc:
-            overrides["seed"] = _integer(doc["seed"], "seed")
-        try:
-            return presets.preset(name, **overrides)
-        except TypeError:
-            raise ConfigError(
-                f"preset {name!r} does not accept override {sorted(overrides)!r}"
-            ) from None
+        return presets.preset(name, **_given(doc, ("dt", "horizon"), "", _number),
+                              **_given(doc, ("seed",), "", _integer))
 
     _check_keys(doc, _TOP_KEYS, "")
     to_rad = _angle_scale(_get(doc, "angle_units", "", "deg"))
@@ -203,12 +209,14 @@ def parse_config(text: str) -> ScenarioConfig:
             f"'controller' must be {CONTROLLER_FL!r} or {CONTROLLER_BS!r}, got {controller!r}"
         )
 
-    steering_obj = _obj(_get(doc, "steering", "", {"delta1": 45.0, "delta2": -45.0}), "steering")
-    _check_keys(steering_obj, {"delta1", "delta2"}, "steering.")
-    steering = SteeringConfig(
-        to_rad(_number(_get(steering_obj, "delta1", "steering."), "steering.delta1")),
-        to_rad(_number(_get(steering_obj, "delta2", "steering."), "steering.delta2")),
-    )
+    steering = SteeringConfig.isotropic()
+    if "steering" in doc:
+        steering_obj = _obj(doc["steering"], "steering")
+        _check_keys(steering_obj, {"delta1", "delta2"}, "steering.")
+        steering = SteeringConfig(
+            to_rad(_number(_get(steering_obj, "delta1", "steering."), "steering.delta1")),
+            to_rad(_number(_get(steering_obj, "delta2", "steering."), "steering.delta2")),
+        )
 
     initial_obj = _obj(_get(doc, "initial", "", {}), "initial")
     _check_keys(initial_obj, {"attitude", "rate"}, "initial.")
@@ -223,12 +231,8 @@ def parse_config(text: str) -> ScenarioConfig:
         to_rad(_vec3(_get(ref_obj, "x_d", "reference.", 0.0), "reference.x_d")),
         to_rad(_vec3(_get(ref_obj, "xd_dot", "reference.", 0.0), "reference.xd_dot")),
         to_rad(_vec3(_get(ref_obj, "xd_ddot", "reference.", 0.0), "reference.xd_ddot")),
-        rho=_number(_get(ref_obj, "rho", "reference.", 100.0), "reference.rho"),
+        **_given(ref_obj, ("rho",), "reference.", _number),
     )
-
-    adaptation = _get(doc, "adaptation_enabled", "", False)
-    if not isinstance(adaptation, bool):
-        raise ConfigError(f"'adaptation_enabled' must be a boolean, got {adaptation!r}")
 
     return ScenarioConfig(
         inertias=_parse_inertias(doc),
@@ -238,10 +242,9 @@ def parse_config(text: str) -> ScenarioConfig:
         controller=controller,
         gains=_parse_gains(doc, controller),
         u_max=_torque_limit(_get(doc, "u_max", "")),
-        dt=_number(_get(doc, "dt", "", 1e-3), "dt"),
-        horizon=_number(_get(doc, "horizon", "", 1.5), "horizon"),
         disturbance=_parse_disturbance(doc, to_rad),
-        adaptation_enabled=adaptation,
+        **_given(doc, ("dt", "horizon"), "", _number),
+        **_given(doc, ("adaptation_enabled",), "", _boolean),
     )
 
 

@@ -69,31 +69,22 @@ class FlGains(_ArrayEqMixin):
         object.__setattr__(self, "k1", _gain_vec(self.k1, "k1"))
         object.__setattr__(self, "k2", _gain_vec(self.k2, "k2"))
 
-    @classmethod
-    def from_scalars(cls, k1: float, k2: float) -> "FlGains":
-        return cls(np.full(3, float(k1)), np.full(3, float(k2)))
-
 
 @dataclass(frozen=True, eq=False)
 class BsGains(_ArrayEqMixin):
     """Backstepping gains K1, K2 and Lyapunov weights Gamma, Lambda, Sigma,
-    each a positive diagonal stored as a 3-vector."""
+    each a positive diagonal stored as a 3-vector; the weights default to
+    the identity."""
 
     k1: np.ndarray
     k2: np.ndarray
-    gamma: np.ndarray
-    lam: np.ndarray
-    sigma: np.ndarray
+    gamma: np.ndarray = 1.0
+    lam: np.ndarray = 1.0
+    sigma: np.ndarray = 1.0
 
     def __post_init__(self):
         for name in ("k1", "k2", "gamma", "lam", "sigma"):
             object.__setattr__(self, name, _gain_vec(getattr(self, name), name))
-
-    @classmethod
-    def from_scalars(
-        cls, k1: float, k2: float, gamma: float = 1.0, lam: float = 1.0, sigma: float = 1.0
-    ) -> "BsGains":
-        return cls(k1, k2, gamma, lam, sigma)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Named scenario presets.
+"""Named scenario presets and the one place scenario overrides are applied.
 
 ``fl-paper`` and ``bs-paper`` reproduce the reference airborne-recovery
 comparison: isotropic steering, a throw-like initial attitude of
@@ -6,17 +6,26 @@ comparison: isotropic steering, a throw-like initial attitude of
 and the published gain sets.  ``bs-adaptive-paper`` adds the disturbance
 study: softer backstepping gains, the adaptation law enabled, and an
 offset + 2 rad/s sine + Gaussian noise disturbance inside the 20/20/5
-percent budget.
+percent budget.  The step and the horizon are the :class:`ScenarioConfig`
+defaults (1 ms, 1.5 s).
+
+:func:`override` applies a ``dt``, ``horizon`` and disturbance ``seed``
+override to any scenario; :func:`preset`, preset documents of
+:mod:`agrosim.config` and the CLI's ``--dt``, ``--horizon`` and ``--seed``
+all go through it.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Optional
 
 import numpy as np
 
 from .control import BsGains, FlGains, Reference
 from .dynamics import BodyState, InertiaSet, SteeringConfig
 from .errors import ConfigError
-from .sim import DisturbanceSpec, ScenarioConfig
+from .sim import CONTROLLER_BS, CONTROLLER_FL, DisturbanceSpec, ScenarioConfig
 
 #: Torque limit shared by all presets, N m.
 PAPER_U_MAX = 32.1521
@@ -25,8 +34,6 @@ PAPER_U_MAX = 32.1521
 PAPER_FL_K1 = 19.9977
 PAPER_FL_K2 = 122.6497
 
-DEFAULT_DT = 1e-3
-DEFAULT_HORIZON = 1.5
 DEFAULT_SEED = 42
 
 
@@ -43,64 +50,42 @@ def paper_initial_state() -> BodyState:
     return BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3))
 
 
-def _base_kwargs(dt: float, horizon: float) -> dict:
-    return dict(
+def fl_paper() -> ScenarioConfig:
+    """PD + feedback linearization with the published LQR-derived gains."""
+    return ScenarioConfig(
         inertias=paper_inertias(),
         steering=SteeringConfig.isotropic(),
         initial=paper_initial_state(),
         reference=Reference.zero(),
+        controller=CONTROLLER_FL,
+        gains=FlGains(PAPER_FL_K1, PAPER_FL_K2),
         u_max=PAPER_U_MAX,
-        dt=dt,
-        horizon=horizon,
     )
 
 
-def default_disturbance(u_max: float = PAPER_U_MAX, seed: int = DEFAULT_SEED) -> DisturbanceSpec:
-    """Offset + 2 rad/s sine at 15% of the limit each, noise sigma at
-    u_max/60 so the 3-sigma extent sits on the 5% budget line."""
-    return DisturbanceSpec(
-        offset=np.full(3, 0.15 * u_max),
-        sine_amp=np.full(3, 0.15 * u_max),
-        sine_freq=2.0,
-        sine_phase=np.zeros(3),
-        noise_sigma=np.full(3, u_max / 60.0),
-        seed=seed,
-    )
+def bs_paper() -> ScenarioConfig:
+    """The fl-paper scenario under backstepping with the aggressive
+    comparison gains (K1=20, K2=1800), adaptation off: the estimate stays
+    frozen at zero."""
+    return dataclasses.replace(fl_paper(), controller=CONTROLLER_BS, gains=BsGains(20.0, 1800.0))
 
 
-def fl_paper(dt: float = DEFAULT_DT, horizon: float = DEFAULT_HORIZON) -> ScenarioConfig:
-    """PD + feedback linearization with the published LQR-derived gains."""
-    return ScenarioConfig(
-        controller="fl",
-        gains=FlGains.from_scalars(PAPER_FL_K1, PAPER_FL_K2),
-        **_base_kwargs(dt, horizon),
-    )
-
-
-def bs_paper(dt: float = DEFAULT_DT, horizon: float = DEFAULT_HORIZON) -> ScenarioConfig:
-    """Backstepping with the aggressive comparison gains (K1=20, K2=1800),
-    adaptation off: the estimate stays frozen at zero."""
-    return ScenarioConfig(
-        controller="backstepping",
-        gains=BsGains.from_scalars(20.0, 1800.0, gamma=1.0, lam=1.0, sigma=1.0),
-        adaptation_enabled=False,
-        **_base_kwargs(dt, horizon),
-    )
-
-
-def bs_adaptive_paper(
-    dt: float = DEFAULT_DT,
-    horizon: float = DEFAULT_HORIZON,
-    seed: int = DEFAULT_SEED,
-) -> ScenarioConfig:
+def bs_adaptive_paper() -> ScenarioConfig:
     """Adaptive backstepping under the budgeted disturbance (K1=10, K2=200,
-    Sigma=0.0005)."""
-    return ScenarioConfig(
-        controller="backstepping",
-        gains=BsGains.from_scalars(10.0, 200.0, gamma=1.0, lam=1.0, sigma=0.0005),
+    Sigma=0.0005): offset and 2 rad/s sine at 15% of the limit each, noise
+    sigma at u_max/60 so the 3-sigma extent sits on the 5% budget line."""
+    return dataclasses.replace(
+        bs_paper(),
+        gains=BsGains(10.0, 200.0, sigma=0.0005),
         adaptation_enabled=True,
-        disturbance=default_disturbance(PAPER_U_MAX, seed),
-        **_base_kwargs(dt, horizon),
+        disturbance=DisturbanceSpec(
+            offset=np.full(3, 0.15 * PAPER_U_MAX),
+            sine_amp=np.full(3, 0.15 * PAPER_U_MAX),
+            sine_freq=2.0,
+            sine_phase=np.zeros(3),
+            noise_sigma=np.full(3, PAPER_U_MAX / 60.0),
+            seed=DEFAULT_SEED,
+        ),
     )
 
 
@@ -115,16 +100,51 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def preset(name: str, **overrides) -> ScenarioConfig:
-    """Look up a preset by name.
+def override(
+    cfg: ScenarioConfig,
+    dt: Optional[float] = None,
+    horizon: Optional[float] = None,
+    seed: Optional[int] = None,
+) -> ScenarioConfig:
+    """``cfg`` with the given step, horizon and disturbance seed.
 
-    Keyword overrides are forwarded to the builder (``dt``, ``horizon``, and
-    ``seed`` where applicable).
+    The overrides are applied in one replace, so a dt and a horizon that
+    are valid only as a pair are checked as a pair.  ``None`` keeps the
+    scenario's value.
 
     Raises
     ------
     ConfigError
-        For an unknown preset name.
+        For a seed on a scenario without a disturbance.
+    InvalidParameterError
+        For an invalid step, horizon or seed.
+    """
+    changes = {}
+    if dt is not None:
+        changes["dt"] = dt
+    if horizon is not None:
+        changes["horizon"] = horizon
+    if seed is not None:
+        if cfg.disturbance is None:
+            raise ConfigError("seed applies only to scenarios with a disturbance; this one has none")
+        changes["disturbance"] = dataclasses.replace(cfg.disturbance, seed=seed)
+    return dataclasses.replace(cfg, **changes) if changes else cfg
+
+
+def preset(
+    name: str,
+    *,
+    dt: Optional[float] = None,
+    horizon: Optional[float] = None,
+    seed: Optional[int] = None,
+) -> ScenarioConfig:
+    """The preset ``name``, with :func:`override` applied.
+
+    Raises
+    ------
+    ConfigError
+        For an unknown preset name, or a seed on a preset without a
+        disturbance.
     """
     try:
         builder = _PRESETS[name]
@@ -132,4 +152,4 @@ def preset(name: str, **overrides) -> ScenarioConfig:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(_PRESETS)}"
         ) from None
-    return builder(**overrides)
+    return override(builder(), dt=dt, horizon=horizon, seed=seed)

@@ -39,6 +39,7 @@ scenario-local, so independent scenarios can execute in parallel.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -82,8 +83,8 @@ class DisturbanceSpec(_ArrayEqMixin):
     """Torque disturbance: constant offset + sinusoid + Gaussian noise.
 
     Each component is a per-axis 3-vector in N m; the sinusoid shares one
-    frequency (rad/s) with per-axis phases.  ``seed`` fixes the noise
-    streams, one independent stream per axis.
+    frequency (rad/s) with per-axis phases.  ``seed``, a non-negative
+    integer, fixes the noise streams, one independent stream per axis.
     """
 
     offset: np.ndarray
@@ -105,6 +106,10 @@ class DisturbanceSpec(_ArrayEqMixin):
         if not (np.isfinite(freq) and freq >= 0.0):
             raise InvalidParameterError(f"sine_freq must be non-negative, got {freq}")
         object.__setattr__(self, "sine_freq", freq)
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidParameterError(
+                f"disturbance seed must be a non-negative integer, got {self.seed!r}"
+            )
         object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
@@ -450,10 +455,9 @@ def compute_metrics(
     )
 
 
-def run_scenario(
-    config: ScenarioConfig, settle_band: float = DEFAULT_SETTLE_BAND
-) -> tuple[TrajectoryRecord, Metrics]:
-    """Roll out a scenario and summarize it.
+def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
+    """Roll out a scenario and summarize it (:func:`compute_metrics` at its
+    default band).
 
     The noise of every step is drawn up front.  Per step: advance the
     augmented state one RK4 step (stage-evaluated and clamped control,
@@ -521,4 +525,4 @@ def run_scenario(
         t=t_grid, attitude=att, rate=rate, u_cmd=u_cmd, u_sat=u_sat, wheel=wheel,
         l_true=l_true, l_hat=l_hat, v1=v1, v2=v2, reference=config.reference,
     )
-    return record, compute_metrics(record, band=settle_band)
+    return record, compute_metrics(record)

@@ -99,7 +99,7 @@ def test_criterion_2_saturation_respected(fl_run, bs_run):
 
 
 def test_criterion_3_fl_exactness():
-    gains = FlGains.from_scalars(19.9977, 122.6497)
+    gains = FlGains(19.9977, 122.6497)
     rng = np.random.default_rng(2718)
     worst = 0.0
     for _ in range(10):
@@ -214,7 +214,7 @@ def test_criterion_7_oracle_equivalences():
             initial=paper_initial_state(),
             reference=Reference.zero(),
             controller="fl",
-            gains=FlGains.from_scalars(19.9977, 122.6497),
+            gains=FlGains(19.9977, 122.6497),
             u_max=np.inf,
             dt=dt,
             horizon=0.2,
@@ -232,7 +232,7 @@ def test_criterion_7_oracle_equivalences():
     cfg0 = ScenarioConfig(
         inertias=paper_inertias(), steering=SteeringConfig.isotropic(),
         initial=BodyState.zero(), reference=Reference.zero(), controller="fl",
-        gains=FlGains.from_scalars(19.9977, 122.6497), u_max=PAPER_U_MAX,
+        gains=FlGains(19.9977, 122.6497), u_max=PAPER_U_MAX,
         horizon=0.25,
     )
     rec0, _ = run_scenario(cfg0)

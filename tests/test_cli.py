@@ -5,22 +5,24 @@ from pathlib import Path
 
 import pytest
 
-from agrosim import ComparisonInvalidError, ConfigError, preset, serialize_config
-from agrosim.cli import RunManifest, cmd_compare, cmd_run, main
+from agrosim import ComparisonInvalidError, load_config, parse_config, preset, serialize_config
+from agrosim import cli
+from agrosim.cli import cmd_compare, cmd_run, main
 
 
-def test_manifest_requires_exactly_one_source(tmp_path):
-    with pytest.raises(ConfigError):
-        RunManifest(name="x", out_dir=str(tmp_path))
-    with pytest.raises(ConfigError):
-        RunManifest(name="x", preset="fl-paper", config_path="a.json",
-                    out_dir=str(tmp_path))
+def test_manifest_requires_exactly_one_source(tmp_path, capsys):
+    # a run or a sweep names exactly one of --preset and --config
+    for command in (["run"], ["sweep", "--param", "k1", "--values", "1"]):
+        assert main(command + ["--out", str(tmp_path)]) == 1
+        assert "exactly one of --preset or --config" in capsys.readouterr().err
+        assert main(command + ["--preset", "fl-paper", "--config", "a.json",
+                               "--out", str(tmp_path)]) == 1
+        assert "exactly one of --preset or --config" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_run_preset_writes_artifacts(tmp_path, capsys):
-    manifest = RunManifest(name="fl-paper", preset="fl-paper",
-                           out_dir=str(tmp_path), horizon=0.2)
-    assert cmd_run(manifest) == 0
+    assert cmd_run("fl-paper", preset("fl-paper", horizon=0.2), str(tmp_path)) == 0
     csv_path = tmp_path / "fl-paper.csv"
     metrics_path = tmp_path / "fl-paper.metrics.json"
     svg_path = tmp_path / "fl-paper.svg"
@@ -127,7 +129,7 @@ def test_seed_override(tmp_path):
 def test_seed_rejected_without_disturbance(tmp_path, capsys):
     rc = main(["run", "--preset", "fl-paper", "--out", str(tmp_path), "--seed", "3"])
     assert rc == 1
-    assert "--seed applies only to scenarios with a disturbance" in capsys.readouterr().err
+    assert "seed applies only to scenarios with a disturbance" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
 
@@ -145,10 +147,8 @@ def test_compare_presets(tmp_path):
 
 
 def test_compare_preset_with_itself(tmp_path):
-    manifest = lambda: RunManifest(name="bs-paper", preset="bs-paper",
-                                   out_dir=str(tmp_path), horizon=0.1,
-                                   emit_svg=False)
-    assert cmd_compare(manifest(), manifest()) == 0
+    scenario = ("bs-paper", preset("bs-paper", horizon=0.1))
+    assert cmd_compare(scenario, scenario, str(tmp_path), svg=False) == 0
     doc = json.loads((tmp_path / "bs-paper-a_vs_bs-paper-b.metrics.json").read_text())
     assert doc["bs-paper-a"] == doc["bs-paper-b"]
     a = (tmp_path / "bs-paper-a_vs_bs-paper-b.bs-paper-a.csv").read_bytes()
@@ -167,10 +167,7 @@ def test_compare_mismatched_initial_states(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ComparisonInvalidError):
-        cmd_compare(
-            RunManifest(name="a", preset="fl-paper", out_dir=str(tmp_path)),
-            RunManifest(name="b", config_path=str(path), out_dir=str(tmp_path)),
-        )
+        cmd_compare(("a", preset("fl-paper")), ("b", load_config(str(path))), str(tmp_path))
     rc = main(["compare", "--preset", "fl-paper", "--config", str(path),
                "--out", str(tmp_path)])
     assert rc == 1
@@ -213,3 +210,44 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     rc = main(["run", "--preset", "fl-paper", "--horizon", "0.05", "--no-svg"])
     assert rc == 0
     assert (tmp_path / "fl-paper.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["fl-paper", "bs-paper", "bs-adaptive-paper"])
+def test_preset_document_resolves_like_the_cli(name, tmp_path, monkeypatch):
+    # a preset document and the same preset and overrides on the command
+    # line resolve to one scenario
+    overrides = {"dt": 0.0005, "horizon": 0.25}
+    if name == "bs-adaptive-paper":
+        overrides["seed"] = 7
+    resolved = []
+    monkeypatch.setattr(cli, "cmd_run",
+                        lambda name, cfg, out_dir, svg=True: resolved.append(cfg) or 0)
+    flags = [f"--{key}={value}" for key, value in overrides.items()]
+    assert main(["run", "--preset", name, "--out", str(tmp_path)] + flags) == 0
+    assert resolved == [parse_config(json.dumps({"preset": name, **overrides}))]
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--preset", "bs-adaptive-paper", "--seed", "-1", "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("agrosim: error:") and "-1" in err
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"preset": "bs-adaptive-paper", "seed": -1}))
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("agrosim: error:") and "-1" in err
+    assert not out_dir.exists() or not os.listdir(out_dir)
+
+
+def test_no_svg_builds_no_chart(tmp_path, monkeypatch):
+    def no_chart(*args):
+        raise AssertionError("a chart was built for a run without SVG")
+
+    for attr in ("attitude_chart", "torque_chart", "estimate_chart"):
+        monkeypatch.setattr(cli, attr, no_chart)
+    flags = ["--horizon", "0.05", "--no-svg", "--out", str(tmp_path)]
+    assert main(["run", "--preset", "bs-adaptive-paper"] + flags) == 0
+    assert main(["compare", "--preset", "fl-paper", "--preset", "bs-paper"] + flags) == 0
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".svg")]

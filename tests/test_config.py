@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,16 +20,20 @@ from agrosim import (
     ScenarioConfig,
     SteeringConfig,
     parse_config,
+    run_scenario,
     serialize_config,
 )
 from agrosim.presets import (
     bs_adaptive_paper,
     bs_paper,
     fl_paper,
+    override,
     paper_inertias,
     preset,
     preset_names,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_minimal_preset_document():
@@ -90,6 +96,19 @@ def test_preset_rejects_inapplicable_override():
         parse_config('{"preset": "fl-paper", "seed": 3}')
     with pytest.raises(ConfigError):
         parse_config('{"preset": "fl-paper", "u_max": 10}')
+
+
+def test_preset_seed_without_disturbance_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed applies only to scenarios with a disturbance"):
+        preset("fl-paper", seed=3)
+
+
+def test_negative_preset_seed_rejected():
+    for seed in (-1, -(2**40)):
+        with pytest.raises(InvalidParameterError, match=str(seed)):
+            preset("bs-adaptive-paper", seed=seed)
+        with pytest.raises(InvalidParameterError, match=str(seed)):
+            parse_config(json.dumps({"preset": "bs-adaptive-paper", "seed": seed}))
 
 
 def test_unknown_preset():
@@ -193,6 +212,31 @@ def test_angle_units_rad():
     assert cfg.initial.attitude[0] == 0.5
 
 
+def test_omitted_fields_take_the_type_defaults():
+    # whatever the angle units, a minimal document gets isotropic steering,
+    # the ScenarioConfig step and horizon, the Reference bound and identity
+    # backstepping weights
+    for units in ("deg", "rad"):
+        doc = {"angle_units": units, "controller": "backstepping",
+               "gains": {"k1": 1.0, "k2": 2.0}, "u_max": 10.0}
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.steering == SteeringConfig.isotropic()
+        assert cfg == ScenarioConfig(
+            inertias=paper_inertias(), steering=SteeringConfig.isotropic(),
+            initial=BodyState.zero(), reference=Reference.zero(),
+            controller="backstepping", gains=BsGains(1.0, 2.0), u_max=10.0,
+        )
+
+
+def test_readme_json_example_runs():
+    text = README.read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    cfg = override(parse_config(example), horizon=0.05)
+    record, metrics = run_scenario(cfg)
+    assert len(record) == 51
+    assert np.isfinite(record.attitude).all()
+
+
 def test_round_trip_presets():
     for build in (fl_paper, bs_paper, bs_adaptive_paper):
         cfg = build()
@@ -235,8 +279,8 @@ def _vec3(lo, hi):
 def _controllers(draw, u_max):
     """Gains, adaptation flag and an in-budget disturbance (or none)."""
     if draw(st.booleans()):
-        return "fl", FlGains.from_scalars(draw(st.floats(0.1, 100.0)),
-                                         draw(st.floats(0.1, 1000.0))), False, None
+        return "fl", FlGains(draw(st.floats(0.1, 100.0)),
+                             draw(st.floats(0.1, 1000.0))), False, None
     gains = BsGains(draw(_vec3(0.1, 100.0)), draw(_vec3(0.1, 2000.0)),
                     draw(_vec3(0.1, 10.0)), draw(_vec3(0.1, 10.0)), draw(_vec3(1e-4, 10.0)))
     disturbance = None

@@ -72,7 +72,7 @@ def test_bs_gains_reject_non_positive(field, value):
 
 
 def test_scalar_gains_broadcast():
-    g = BsGains.from_scalars(20.0, 1800.0)
+    g = BsGains(20.0, 1800.0)
     np.testing.assert_array_equal(g.k1, [20.0, 20.0, 20.0])
     np.testing.assert_array_equal(g.gamma, [1.0, 1.0, 1.0])
 
@@ -96,7 +96,7 @@ def test_reference_rejects_non_finite_rho(rho):
 # ---------------------------------------------------------------------------
 
 def test_fl_zero_error_zero_rate_gives_zero_torque():
-    gains = FlGains.from_scalars(19.9977, 122.6497)
+    gains = FlGains(19.9977, 122.6497)
     u = _fl(BodyState.zero(), Reference.zero(), gains)
     assert (u == 0.0).all()
 
@@ -104,7 +104,7 @@ def test_fl_zero_error_zero_rate_gives_zero_torque():
 def test_fl_pure_coriolis_cancellation():
     # at the reference with rates [0, 1, 1] only the drift terms need torque;
     # roll channel reduces to u1 = -J_phi2
-    gains = FlGains.from_scalars(19.9977, 122.6497)
+    gains = FlGains(19.9977, 122.6497)
     state = BodyState(np.zeros(3), np.array([0.0, 1.0, 1.0]))
     u = _fl(state, Reference.zero(), gains)
     assert u[0] == pytest.approx(-EFF.j2[0], rel=1e-14)
@@ -143,7 +143,7 @@ def _virtual_control(ref, e1, gains):
 
 
 def test_virtual_control_examples():
-    gains = BsGains.from_scalars(20.0, 1800.0)
+    gains = BsGains(20.0, 1800.0)
     assert (_virtual_control(Reference.zero(), np.zeros(3), gains) == 0.0).all()
     uv = _virtual_control(Reference.zero(), np.array([0.1, -0.1, 0.0]), gains)
     np.testing.assert_allclose(uv, [2.0, -2.0, 0.0], rtol=1e-15)
@@ -153,14 +153,14 @@ def test_virtual_control_examples():
 
 
 def test_bs_zero_at_rest_at_reference():
-    gains = BsGains.from_scalars(20.0, 1800.0)
+    gains = BsGains(20.0, 1800.0)
     u = _bs(BodyState.zero(), Reference.zero(), gains, np.zeros(3))
     assert (u == 0.0).all()
 
 
 def test_bs_termwise_oracle_tilted_rest():
     # independent term-by-term evaluation at the throw-recovery initial state
-    gains = BsGains.from_scalars(20.0, 1800.0)
+    gains = BsGains(20.0, 1800.0)
     u = _bs(REST_TILTED, Reference.zero(), gains, np.zeros(3))
     e1 = -REST_TILTED.attitude
     expected = np.empty(3)
@@ -176,14 +176,14 @@ def test_bs_termwise_oracle_tilted_rest():
 
 
 def test_bs_pure_disturbance_cancellation():
-    gains = BsGains.from_scalars(20.0, 1800.0)
+    gains = BsGains(20.0, 1800.0)
     l_hat = np.array([0.3, -0.2, 0.5])
     u = _bs(BodyState.zero(), Reference.zero(), gains, l_hat)
     np.testing.assert_allclose(u, -EFF.j1 * l_hat, rtol=1e-14)
 
 
 def test_bs_velocity_error_definition():
-    gains = BsGains.from_scalars(7.0, 1.0)
+    gains = BsGains(7.0, 1.0)
     state = BodyState(np.array([0.1, 0.0, -0.2]), np.array([0.5, -0.5, 0.0]))
     ref = Reference(np.zeros(3), np.array([0.1, 0.1, 0.1]), np.zeros(3))
     e2 = _e2(state, ref, gains)
@@ -196,14 +196,14 @@ def test_bs_velocity_error_definition():
 # ---------------------------------------------------------------------------
 
 def test_adapt_zero_error_fixed_point():
-    gains = BsGains.from_scalars(10.0, 200.0, sigma=0.0005)
+    gains = BsGains(10.0, 200.0, sigma=0.0005)
     l_hat = np.array([1.0, 2.0, 3.0])
     out = l_hat + 1e-3 * _l_rate(np.zeros(3), gains)
     np.testing.assert_array_equal(out, l_hat)
 
 
 def test_adapt_euler_increment():
-    gains = BsGains.from_scalars(10.0, 200.0, lam=1.0, sigma=0.0005)
+    gains = BsGains(10.0, 200.0, lam=1.0, sigma=0.0005)
     out = np.zeros(3) + 0.001 * _l_rate(np.array([0.001, 0.0, 0.0]), gains)
     np.testing.assert_allclose(out, [-0.002, 0.0, 0.0], rtol=1e-14)
     np.testing.assert_allclose(
@@ -223,14 +223,14 @@ def _lyapunov_at(state, ref, gains, l_hat, l_true):
 
 
 def test_lyapunov_zero_everything():
-    gains = BsGains.from_scalars(20.0, 1800.0)
+    gains = BsGains(20.0, 1800.0)
     v1, v2, _, _ = _lyapunov_at(BodyState.zero(), Reference.zero(), gains, np.zeros(3),
                                 np.zeros(3))
     assert v1 == 0.0 and v2 == 0.0
 
 
 def test_lyapunov_single_quadratic_term():
-    gains = BsGains.from_scalars(2.0, 1.0)
+    gains = BsGains(2.0, 1.0)
     # pick the state so e1 = [1,0,0] and e2 = 0 (rate = K1 e1)
     state = BodyState(np.array([-1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
     v1, v2, e1, e2 = _lyapunov_at(state, Reference.zero(), gains, np.zeros(3), np.zeros(3))
@@ -241,7 +241,7 @@ def test_lyapunov_single_quadratic_term():
 
 
 def test_lyapunov_estimation_error_term():
-    gains = BsGains.from_scalars(1.0, 1.0, sigma=2.0)
+    gains = BsGains(1.0, 1.0, sigma=2.0)
     _, v2, _, _ = _lyapunov_at(BodyState.zero(), Reference.zero(), gains,
                                np.array([1.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
     # Ltilde = [2,0,0]; V2 = 1/2 * 2 * 4 = 4

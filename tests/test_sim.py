@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -40,6 +41,7 @@ from agrosim.presets import (
     bs_paper,
     fl_paper,
     paper_inertias,
+    preset,
 )
 
 ISO = SteeringConfig.isotropic()
@@ -52,7 +54,7 @@ def _plain_config(**overrides) -> ScenarioConfig:
         initial=BodyState.zero(),
         reference=Reference.zero(),
         controller="fl",
-        gains=FlGains.from_scalars(19.9977, 122.6497),
+        gains=FlGains(19.9977, 122.6497),
         u_max=PAPER_U_MAX,
         dt=1e-3,
         horizon=0.05,
@@ -196,13 +198,13 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         _plain_config(horizon=1e-4)  # horizon < dt
     with pytest.raises(InvalidParameterError, match="0.0015"):
-        fl_paper(horizon=0.0015)  # 1.5 steps
+        preset("fl-paper", horizon=0.0015)  # 1.5 steps
     with pytest.raises(InvalidParameterError, match="0.0007"):
-        fl_paper(dt=0.0007)  # 1.5 s is 2142.86 steps
+        preset("fl-paper", dt=0.0007)  # 1.5 s is 2142.86 steps
     with pytest.raises(InvalidParameterError):
         _plain_config(controller="pid")
     with pytest.raises(InvalidParameterError):
-        _plain_config(gains=BsGains.from_scalars(1.0, 1.0))  # fl needs FlGains
+        _plain_config(gains=BsGains(1.0, 1.0))  # fl needs FlGains
     with pytest.raises(InvalidParameterError):
         _plain_config(adaptation_enabled=True)  # fl cannot adapt
     with pytest.raises(DisturbanceBudgetError):
@@ -263,7 +265,7 @@ def test_equilibrium_regression_exact_zero():
 
 
 def test_runs_are_bit_deterministic():
-    cfg = bs_adaptive_paper(horizon=0.4)
+    cfg = preset("bs-adaptive-paper", horizon=0.4)
     rec_a, _ = run_scenario(cfg)
     rec_b, _ = run_scenario(cfg)
     for name in ("t", "attitude", "rate", "u_cmd", "u_sat", "wheel",
@@ -280,7 +282,7 @@ def test_saturation_respected_everywhere():
 
 
 def test_wheel_allocation_consistency():
-    cfg = bs_paper(horizon=0.5)
+    cfg = preset("bs-paper", horizon=0.5)
     rec, _ = run_scenario(cfg)
     jac = torque_jacobian(cfg.steering)
     recovered = rec.wheel @ jac.T
@@ -339,7 +341,7 @@ def test_saturated_backstepping_overshoot_is_real():
 
 
 def test_divergence_raises_with_step_index():
-    cfg = _plain_config(gains=FlGains.from_scalars(1.0, 1e12), u_max=np.inf,
+    cfg = _plain_config(gains=FlGains(1.0, 1e12), u_max=np.inf,
                         initial=BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3)),
                         horizon=0.2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -350,7 +352,7 @@ def test_divergence_raises_with_step_index():
 
 
 def test_divergence_raises_without_numpy_warnings():
-    cfg = _plain_config(gains=FlGains.from_scalars(1.0, 1e12), u_max=np.inf,
+    cfg = _plain_config(gains=FlGains(1.0, 1e12), u_max=np.inf,
                         initial=BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3)),
                         horizon=0.2)
     with warnings.catch_warnings():
@@ -368,10 +370,10 @@ def test_singular_steering_fails_fast():
 
 
 def test_fl_runs_have_nan_v2_and_bs_runs_do_not():
-    rec_fl, _ = run_scenario(fl_paper(horizon=0.05))
+    rec_fl, _ = run_scenario(preset("fl-paper", horizon=0.05))
     assert np.isnan(rec_fl.v2).all()
     assert not np.isnan(rec_fl.v1).any()
-    rec_bs, _ = run_scenario(bs_paper(horizon=0.05))
+    rec_bs, _ = run_scenario(preset("bs-paper", horizon=0.05))
     assert not np.isnan(rec_bs.v2).any()
 
 
@@ -461,7 +463,7 @@ def test_record_rejects_irregular_grid():
 
 
 def test_csv_format_and_precision():
-    rec, _ = run_scenario(bs_adaptive_paper(horizon=0.02))
+    rec, _ = run_scenario(preset("bs-adaptive-paper", horizon=0.02))
     buf = io.StringIO()
     rec.to_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -536,7 +538,7 @@ def test_csv_blocks_match_per_value_formatting(n, pool, dt, seed):
 
 
 def test_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
-    rec, _ = run_scenario(bs_adaptive_paper(horizon=0.6))
+    rec, _ = run_scenario(preset("bs-adaptive-paper", horizon=0.6))
     assert len(rec) > sim._CSV_BLOCK
     path = tmp_path / "run.csv"
     path.write_text("previous\n", encoding="utf-8")
@@ -571,3 +573,14 @@ def test_metrics_to_dict_converts_nan():
     d = m.to_dict()
     assert d["settle_time_s"][0] is None
     assert d["settle_time_s"][1] == 0.0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_disturbance_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(InvalidParameterError, match=re.escape(repr(seed))):
+        DisturbanceSpec.zero(seed)
+
+
+def test_disturbance_seed_accepts_numpy_integers():
+    spec = DisturbanceSpec.zero(np.int64(7))
+    assert spec.seed == 7 and type(spec.seed) is int
