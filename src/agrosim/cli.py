@@ -7,7 +7,8 @@
 
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
-``--no-svg`` is given.  The output directory defaults to ``$AGROSIM_OUT``,
+``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
+``--no-svg``.  The output directory defaults to ``$AGROSIM_OUT``,
 then the current directory.  ``--dt``, ``--horizon`` and ``--seed`` are
 applied together, by :func:`agrosim.presets.override`, to the preset or the
 ``--config`` file.  Exit status is 0 exactly when every requested artifact
@@ -193,7 +194,6 @@ def _add_scenario_args(p: argparse.ArgumentParser, repeatable: bool = False) -> 
     p.add_argument("--out", default=_default_out(), metavar="DIR",
                    help="output directory (default: $AGROSIM_OUT or '.')")
     p.add_argument("--seed", type=int, default=None, help="override the disturbance seed")
-    p.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
     p.add_argument("--dt", type=float, default=None, help="override the integration step [s]")
     p.add_argument("--horizon", type=float, default=None, help="override the horizon [s]")
 
@@ -222,6 +222,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_cmp = sub.add_parser("compare", help="run two scenarios and overlay them")
     _add_scenario_args(p_cmp, repeatable=True)
 
+    # a sweep writes no SVG, so only run and compare take --no-svg
+    for p in (p_run, p_cmp):
+        p.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
+
     p_sweep = sub.add_parser("sweep", help="grid over one gain")
     _add_scenario_args(p_sweep)
     p_sweep.add_argument("--param", required=True,
@@ -230,7 +234,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="comma-separated gain values, e.g. 5,10,20")
 
     args = parser.parse_args(argv)
-    svg = not args.no_svg
     try:
         if args.command == "compare":
             sources = [(v, None) for v in (args.preset or [])]
@@ -238,11 +241,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             if len(sources) != 2:
                 raise ConfigError("compare needs exactly two of --preset/--config")
             a, b = (_scenario(args, *source) for source in sources)
-            return cmd_compare(a, b, args.out, svg)
+            return cmd_compare(a, b, args.out, not args.no_svg)
         if (args.preset is None) == (args.config is None):
             raise ConfigError("exactly one of --preset or --config must be given")
         if args.command == "run":
-            return cmd_run(*_scenario(args, args.preset, args.config), args.out, svg)
+            return cmd_run(*_scenario(args, args.preset, args.config), args.out,
+                           not args.no_svg)
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:

@@ -14,8 +14,9 @@ This module owns the inertia bookkeeping that yields the constants J1 and
 J2 (:func:`effective_inertias`) and the Jacobian maps between body torques
 and wheel/steering torques.  The equations themselves are written once, on
 floats, in :mod:`agrosim.kernel`: the drift term f is
-:func:`agrosim.kernel.drift` and the input gain ``g`` is
-:attr:`agrosim.kernel.Loop.g`.
+:func:`agrosim.kernel.drift`, and the input gain ``g`` is applied inside the
+step that :func:`agrosim.kernel.closed_loop` returns, which also records
+L_true as ``g`` times the injected torque.
 
 Angles are radians throughout; the command-line layer converts from degrees.
 All values are immutable after construction and all functions are pure, so
@@ -37,6 +38,10 @@ from .errors import (
 #: Steering configurations with |sin(delta1 - delta2)| below this lose
 #: roll/pitch torque authority and cannot be inverted.
 SINGULARITY_TOL = 1e-6
+
+#: Relative tolerance between stored reflected inertias and the values
+#: their wheel geometry gives (:meth:`InertiaSet.check_geometry_consistency`).
+_GEOMETRY_RTOL = 1e-9
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -186,11 +191,10 @@ class InertiaSet(_ArrayEqMixin):
         j_xx, j_yy = reflected_inertia(geometry, steering)
         return cls(j_body, j_wheel, np.array([j_xx, j_yy, float(j_reflected_zz)]), geometry)
 
-    def check_geometry_consistency(
-        self, steering: SteeringConfig, rtol: float = 1e-9
-    ) -> None:
+    def check_geometry_consistency(self, steering: SteeringConfig) -> None:
         """Raise if stored roll/pitch reflected inertias disagree with the
-        geometry-derived values beyond ``rtol`` (no-op without geometry)."""
+        geometry-derived values beyond a relative :data:`_GEOMETRY_RTOL`
+        (no-op without geometry)."""
         if self.geometry is None:
             return
         j_xx, j_yy = reflected_inertia(self.geometry, steering)
@@ -198,7 +202,7 @@ class InertiaSet(_ArrayEqMixin):
             (self.j_reflected[0], j_xx, "J_mWxx"),
             (self.j_reflected[1], j_yy, "J_mWyy"),
         ):
-            if abs(stored - computed) > rtol * max(abs(computed), 1e-300):
+            if abs(stored - computed) > _GEOMETRY_RTOL * max(abs(computed), 1e-300):
                 raise InvalidParameterError(
                     f"{name} = {stored!r} inconsistent with geometry value "
                     f"{computed!r} at steering ({steering.delta1!r}, {steering.delta2!r})"
@@ -300,9 +304,7 @@ def torque_jacobian(steering: SteeringConfig) -> np.ndarray:
     ])
 
 
-def allocate_wheel_torques(
-    tau, steering: SteeringConfig, tol: float = SINGULARITY_TOL
-) -> np.ndarray:
+def allocate_wheel_torques(tau, steering: SteeringConfig) -> np.ndarray:
     """Invert :func:`torque_jacobian`: wheel and steering torques realizing
     requested body torques.
 
@@ -313,15 +315,15 @@ def allocate_wheel_torques(
     negated value (cross-symmetric application); ``tau_delta`` is applied at
     all four steering joints.  Yaw decouples (tau_delta = tau_z / 4); roll
     and pitch come from the 2x2 solve, which requires
-    |sin(d1 - d2)| >= ``tol``.
+    |sin(d1 - d2)| >= :data:`SINGULARITY_TOL`.
 
     Raises
     ------
     AllocationSingularityError
-        If the steering configuration is singular at tolerance ``tol``.
+        If the steering configuration is singular at :data:`SINGULARITY_TOL`.
     """
-    if steering.is_singular(tol):
-        raise AllocationSingularityError(steering.delta1, steering.delta2, tol)
+    if steering.is_singular():
+        raise AllocationSingularityError(steering.delta1, steering.delta2, SINGULARITY_TOL)
     tau = np.asarray(tau, dtype=float)
     rows = np.atleast_2d(tau)
     jac = torque_jacobian(steering)

@@ -5,12 +5,15 @@ feedback-linearization and backstepping control laws, the adaptation law,
 the torque clamp, the disturbance torque and the classical RK4 step are
 written.  The simulator in :mod:`agrosim.sim` runs on it, and anything else
 that needs one of these (a test, a demo, the V2 column of a record) calls
-the function here rather than a copy of it.
+the function here rather than a copy of it.  :func:`closed_loop` is the one
+entry point of a run: its step returns the next state together with the
+unclamped command and L_true at the step's start, so every recorded row,
+the last included, comes from one call of it.
 
 Layout: a 3-vector is a tuple of three floats and the augmented state
 ``[attitude, rate, L_hat]`` a tuple of nine.  Every constant (gains,
 inertias, reference, disturbance) is converted to ``float`` once, when a law
-or a loop is built, together with the ratios the laws use (``j2/j1``,
+or a step is built, together with the ratios the laws use (``j2/j1``,
 ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``, ``dt/6``).  On 3-vectors
 a numpy call costs far more than the arithmetic it does, so this layout
 runs a closed-loop step about five times faster than numpy arrays did (see
@@ -32,7 +35,7 @@ Nothing here holds mutable state; everything built is safe to share.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 #: Three floats, one per body axis.
 Vec = tuple[float, float, float]
@@ -151,34 +154,6 @@ def disturbance(offset, sine_amp, sine_freq, sine_phase) -> Callable[[float], Ve
     return torque
 
 
-def command(law: Law, j1, j2,
-            e2: Optional[Callable[[State], Vec]] = None) -> Callable[[State], Vec]:
-    """The unclamped torque ``law`` commands at a state; ``e2`` is the
-    velocity error the law reads, if it reads one."""
-    f = drift(j1, j2)
-
-    def u(y: State) -> Vec:
-        return law(y, f(y[3], y[4], y[5]), None if e2 is None else e2(y))
-
-    return u
-
-
-class Loop(NamedTuple):
-    """A closed loop built for one scenario.
-
-    ``step(t, y, noise)`` advances ``y`` one RK4 step and also returns the
-    unclamped command at ``y`` (its first stage evaluates it) and the
-    deterministic disturbance at ``t`` (ZERO without one); ``command(y)`` is
-    that command alone.  ``g`` is the input gain ``1/j1`` and
-    ``disturbance`` the deterministic disturbance, or None.
-    """
-
-    command: Callable[[State], Vec]
-    step: Callable[[float, State, Vec], tuple[State, Vec, Vec]]
-    g: Vec
-    disturbance: Optional[Callable[[float], Vec]]
-
-
 def closed_loop(
     law: Law,
     j1,
@@ -188,16 +163,24 @@ def closed_loop(
     dist: Optional[Callable[[float], Vec]] = None,
     e2: Optional[Callable[[State], Vec]] = None,
     l_rate: Optional[Callable[[Vec], Vec]] = None,
-) -> Loop:
-    """Build the stage derivative and RK4 step of the augmented state.
+) -> Callable[[float, State, Vec], tuple[State, Vec, Vec]]:
+    """The RK4 step of the augmented state, ``step(t, y, noise) -> (y_next,
+    u, l)``: every recorded row of a run comes from one call.
 
     At every stage the velocity error ``e2`` (if given) is computed once and
     fed to the law and, when ``l_rate`` (the adaptation law) is given, to
     the L_hat derivative; without ``l_rate`` L_hat has zero derivative.  The
     command is clamped to ``[-u_max, u_max]`` (NaN passes through, as with
     ``np.clip``), the deterministic disturbance and the held noise are
-    added, and the rates follow ``f + g * tau``.  A step evaluates
-    ``dist`` once at each of ``t``, ``t + dt/2`` and ``t + dt``.
+    added, and the rates follow ``f + g * tau`` with the input gain
+    ``g = 1/j1``.  A step evaluates ``dist`` once at each of ``t``,
+    ``t + dt/2`` and ``t + dt``.
+
+    Besides ``y_next`` the step returns ``u``, the unclamped command at
+    ``y`` (its first stage evaluates it), and ``l = g * (dist(t) + noise)``,
+    L_true at ``t``: the acceleration-domain image of the injected torque,
+    which the adaptive law's L_hat estimates.  Without ``dist``, ``l`` is
+    ZERO.
     """
     f = drift(j1, j2)
     g0, g1, g2 = (1.0 / float(a) for a in j1)
@@ -228,9 +211,11 @@ def closed_loop(
     def step(t: float, y: State, n: Vec) -> tuple[State, Vec, Vec]:
         # y + h * k per component, then y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
         if dist is None:
-            da = dh = db = ZERO
+            da = dh = db = l = ZERO
         else:
             da, dh, db = dist(t), dist(t + h), dist(t + dt)
+            (d0, d1, d2), (n0, n1, n2) = da, n
+            l = g0 * (d0 + n0), g1 * (d1 + n1), g2 * (d2 + n2)
         k1, u = stage(y, da, n)
         k2, _ = stage(tuple([a + h * b for a, b in zip(y, k1)]), dh, n)
         k3, _ = stage(tuple([a + h * b for a, b in zip(y, k2)]), dh, n)
@@ -238,6 +223,6 @@ def closed_loop(
         return tuple([
             a + s6 * (((b + 2.0 * c) + 2.0 * d) + e)
             for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        ]), u, da
+        ]), u, l
 
-    return Loop(command(law, j1, j2, e2), step, (g0, g1, g2), dist)
+    return step

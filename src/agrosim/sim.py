@@ -13,12 +13,13 @@ state, the command and the disturbance as plain Python floats.  A step makes
 four control evaluations, one per RK4 stage; the first stage's command at
 the step's start is the one recorded.  The deterministic disturbance is
 evaluated once at each of ``t``, ``t + dt/2`` and ``t + dt`` per step (the
-two middle stages share one value), and the value at ``t`` is also the one
-recorded.  The noise of a whole run is drawn before the loop, one
-``standard_normal`` call per axis stream, which gives the same numbers as
-one draw per step.  Each sample's row (state, command and deterministic
-disturbance: 15 floats) is appended to one flat ``array('d')``, which
-becomes the record's arrays after the loop; L_true, the clamp
+two middle stages share one value).  The noise of a whole run is drawn
+before the loop, one ``standard_normal`` call per axis stream, which gives
+the same numbers as one draw per step.  Every sample's row (state, command
+and L_true: 15 floats) is what the kernel's step returns at the sample's
+time, the last row included: it comes from one more step from the final
+state, whose next state is discarded.  The rows are appended to one flat
+``array('d')``, which becomes the record's arrays after the loop; the clamp
 (:func:`saturate`), the wheel allocation
 (:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
 (:func:`agrosim.control.lyapunov`, with the loop's own
@@ -78,6 +79,17 @@ DEFAULT_SETTLE_BAND = np.deg2rad(2.0)
 _BUDGET_SLACK = 1.0 + 1e-12  # absorb rounding when a spec sits exactly on budget
 
 
+def _seed(seed) -> int:
+    """``seed`` as an ``int``, if it is a non-negative integer (numpy
+    integers included); anything else, a float such as 1.5 or a bool among
+    them, is rejected rather than converted, as a scenario file's seed is."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameterError(
+            f"disturbance seed must be a non-negative integer, got {seed!r}"
+        )
+    return int(seed)
+
+
 @dataclass(frozen=True, eq=False)
 class DisturbanceSpec(_ArrayEqMixin):
     """Torque disturbance: constant offset + sinusoid + Gaussian noise.
@@ -106,11 +118,7 @@ class DisturbanceSpec(_ArrayEqMixin):
         if not (np.isfinite(freq) and freq >= 0.0):
             raise InvalidParameterError(f"sine_freq must be non-negative, got {freq}")
         object.__setattr__(self, "sine_freq", freq)
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidParameterError(
-                f"disturbance seed must be a non-negative integer, got {self.seed!r}"
-            )
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @classmethod
     def zero(cls, seed: int = 0) -> "DisturbanceSpec":
@@ -140,10 +148,12 @@ def check_disturbance_budget(spec: DisturbanceSpec, u_max: float) -> None:
 
 
 class NoiseStreams:
-    """Three independent per-axis Gaussian streams behind one seed."""
+    """Three independent per-axis Gaussian streams behind one seed, a
+    non-negative integer (:class:`InvalidParameterError` otherwise)."""
 
     def __init__(self, seed: int):
-        self._gens = [np.random.default_rng(s) for s in np.random.SeedSequence(int(seed)).spawn(3)]
+        seeds = np.random.SeedSequence(_seed(seed)).spawn(3)
+        self._gens = [np.random.default_rng(s) for s in seeds]
 
     def draw(self, size: Optional[int] = None) -> np.ndarray:
         """One standard-normal sample per axis (scale by sigma at the caller).
@@ -237,8 +247,8 @@ class ScenarioConfig(_ArrayEqMixin):
         return int(round(self.horizon / self.dt))
 
 
-def _loop(config: ScenarioConfig) -> kernel.Loop:
-    """The stage kernel of one scenario."""
+def _loop(config: ScenarioConfig):
+    """The RK4 step of one scenario (:func:`agrosim.kernel.closed_loop`)."""
     eff = effective_inertias(config.inertias, config.steering)
     ref, gains = config.reference, config.gains
     if config.controller == CONTROLLER_FL:
@@ -436,35 +446,28 @@ def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
-def compute_metrics(
-    record: TrajectoryRecord,
-    band: float = DEFAULT_SETTLE_BAND,
-    tail_window: Optional[tuple[float, float]] = None,
-) -> Metrics:
-    """Standard metrics bundle; the tail window defaults to the last third
-    of the horizon."""
-    if tail_window is None:
-        t_end = float(record.t[-1])
-        tail_window = (t_end * 2.0 / 3.0, t_end)
+def compute_metrics(record: TrajectoryRecord) -> Metrics:
+    """Standard metrics bundle: settle times at :data:`DEFAULT_SETTLE_BAND`
+    and the estimate-error RMS over the last third of the horizon."""
+    t_end = float(record.t[-1])
     return Metrics(
-        settle_time=settle_time(record, band),
+        settle_time=settle_time(record),
         peak_torque=np.abs(record.u_sat).max(axis=0),
-        est_error_rms=estimate_error_metrics(record, tail_window),
+        est_error_rms=estimate_error_metrics(record, (t_end * 2.0 / 3.0, t_end)),
         final_error=record.error()[-1],
-        settle_band=float(band),
+        settle_band=float(DEFAULT_SETTLE_BAND),
     )
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
-    """Roll out a scenario and summarize it (:func:`compute_metrics` at its
-    default band).
+    """Roll out a scenario and summarize it (:func:`compute_metrics`).
 
     The noise of every step is drawn up front.  Per step: advance the
     augmented state one RK4 step (stage-evaluated and clamped control,
     deterministic disturbance at ``t``, ``t + dt/2`` and ``t + dt``, held
-    noise), and record the state, the unclamped command of the first stage
-    and the disturbance.  Wheel torques realizing the applied body torque
-    are logged for diagnostics.
+    noise), and record what the step returns: the state, the unclamped
+    command of the first stage and L_true.  Wheel torques realizing the
+    applied body torque are logged for diagnostics.
 
     Raises
     ------
@@ -473,7 +476,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     DivergenceError
         If the state leaves the finite range, naming the failing step.
     """
-    loop = _loop(config)
+    step = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
     allocate_wheel_torques(np.zeros(3), config.steering)
 
@@ -482,31 +485,28 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     dist = config.disturbance
     # the held noise of every sample, drawn in one call per axis stream
     if dist is None:
-        noise = np.zeros((n + 1, 3))
         held = [kernel.ZERO] * (n + 1)
     else:
-        noise = dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)
-        held = noise.tolist()
-    step, isfinite = loop.step, math.isfinite
+        held = (dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
+    isfinite = math.isfinite
 
-    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd and the
-    # deterministic disturbance at the sample's time
+    # one row of 15 floats per sample, all from step: attitude, rate, l_hat,
+    # u_cmd and L_true at the sample's time
     rows = array("d")
     y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
     for k in range(n):
         t = k * dt
-        y_next, u_k, d_k = step(t, y, held[k])
-        rows.extend(y + u_k + d_k)
+        y_next, u_k, l_k = step(t, y, held[k])
+        rows.extend(y + u_k + l_k)
         if not all(map(isfinite, y_next)):
             raise DivergenceError(step=k + 1, t=t + dt)
         y = y_next
-    d_n = kernel.ZERO if dist is None else loop.disturbance(n * dt)
-    rows.extend(y + loop.command(y) + d_n)
+    # the last row: one more step from the final state, whose y_next is unused
+    _, u_n, l_n = step(n * dt, y, held[n])
+    rows.extend(y + u_n + l_n)
 
     t_grid = np.arange(n + 1) * dt
-    att, rate, l_hat, u_cmd, d = np.frombuffer(rows).reshape(n + 1, 5, 3).transpose(1, 0, 2)
-    # acceleration-domain image of the injected torque, g * (d + noise)
-    l_true = np.array(loop.g) * (d + noise)
+    att, rate, l_hat, u_cmd, l_true = np.frombuffer(rows).reshape(n + 1, 5, 3).transpose(1, 0, 2)
     u_sat = saturate(u_cmd, config.u_max)
 
     wheel = allocate_wheel_torques(u_sat, config.steering)

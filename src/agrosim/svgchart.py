@@ -15,16 +15,20 @@ from .atomic import atomic_write
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
+#: Size of one chart in pixels; stacked charts share the width.
+_WIDTH, _HEIGHT = 640.0, 320.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 44.0
+#: Number of ticks an axis aims for.
+_TICKS = 6
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], about :data:`_TICKS` of them."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -55,21 +59,18 @@ class Series:
 
 @dataclass
 class LineChart:
-    """One set of axes with any number of line series."""
+    """One set of axes, :data:`_WIDTH` by :data:`_HEIGHT` pixels, with any
+    number of line series coloured in turn from the palette."""
 
     title: str
     xlabel: str = ""
     ylabel: str = ""
-    width: float = 640.0
-    height: float = 320.0
     series: list[Series] = field(default_factory=list)
 
-    def add_series(self, name: str, x: Sequence[float], y: Sequence[float],
-                   color: str | None = None) -> None:
+    def add_series(self, name: str, x: Sequence[float], y: Sequence[float]) -> None:
         if len(x) != len(y):
             raise ValueError(f"series {name!r}: x and y lengths differ ({len(x)} vs {len(y)})")
-        if color is None:
-            color = _PALETTE[len(self.series) % len(_PALETTE)]
+        color = _PALETTE[len(self.series) % len(_PALETTE)]
         self.series.append(Series(name, list(map(float, x)), list(map(float, y)), color))
 
     def _bounds(self) -> tuple[float, float, float, float]:
@@ -87,8 +88,8 @@ class LineChart:
     def render_group(self, y_offset: float = 0.0) -> str:
         """SVG fragment for this chart, translated down by ``y_offset``."""
         x_lo, x_hi, y_lo, y_hi = self._bounds()
-        px_l, px_r = _MARGIN_L, self.width - _MARGIN_R
-        px_t, px_b = _MARGIN_T, self.height - _MARGIN_B
+        px_l, px_r = _MARGIN_L, _WIDTH - _MARGIN_R
+        px_t, px_b = _MARGIN_T, _HEIGHT - _MARGIN_B
 
         def sx(x: float) -> float:
             return px_l + (x - x_lo) / (x_hi - x_lo) * (px_r - px_l)
@@ -149,8 +150,7 @@ def render_svg(charts: Sequence[LineChart]) -> str:
     """Stack charts vertically into one standalone SVG document."""
     if not charts:
         raise ValueError("need at least one chart")
-    width = max(c.width for c in charts)
-    height = sum(c.height for c in charts)
+    width, height = _WIDTH, _HEIGHT * len(charts)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
@@ -160,7 +160,7 @@ def render_svg(charts: Sequence[LineChart]) -> str:
     offset = 0.0
     for chart in charts:
         parts.append(chart.render_group(offset))
-        offset += chart.height
+        offset += _HEIGHT
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

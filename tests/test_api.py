@@ -4,6 +4,7 @@ Adding or removing a top-level name is a deliberate change to this list,
 so a wrapper that only the tests call does not creep back in unnoticed.
 """
 
+import inspect
 import types
 
 import agrosim
@@ -60,3 +61,30 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(agrosim, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+#: The functions agrosim.kernel defines; it defines no classes.  closed_loop
+#: returns the step every recorded row comes from, so a second path to a
+#: row (a command-only helper, a loop object around the step) is a change to
+#: this list.
+KERNEL_FUNCTIONS = [
+    "adaptation",
+    "bs_law",
+    "closed_loop",
+    "disturbance",
+    "drift",
+    "fl_law",
+    "floats",
+    "velocity_error",
+]
+
+
+def test_kernel_surface_is_pinned():
+    from agrosim import kernel
+
+    defined = {
+        name: value for name, value in vars(kernel).items()
+        if getattr(value, "__module__", None) == kernel.__name__
+    }
+    assert sorted(name for name, v in defined.items() if inspect.isfunction(v)) == KERNEL_FUNCTIONS
+    assert [name for name, v in defined.items() if inspect.isclass(v)] == []

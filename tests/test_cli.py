@@ -182,7 +182,7 @@ def test_compare_needs_two_sources(tmp_path, capsys):
 def test_sweep(tmp_path, capsys):
     rc = main(["sweep", "--preset", "bs-paper", "--param", "k1",
                "--values", "10,20", "--out", str(tmp_path),
-               "--horizon", "0.2", "--no-svg"])
+               "--horizon", "0.2"])
     assert rc == 0
     path = tmp_path / "bs-paper.sweep.k1.metrics.json"
     doc = json.loads(path.read_text())
@@ -190,6 +190,16 @@ def test_sweep(tmp_path, capsys):
     assert [run["value"] for run in doc["runs"]] == [10.0, 20.0]
     out = capsys.readouterr().out
     assert "k1=10" in out and "k1=20" in out
+
+
+def test_sweep_rejects_no_svg_as_a_usage_error(tmp_path, capsys):
+    # a sweep writes no SVG, so --no-svg is not one of its options
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10",
+              "--horizon", "0.05", "--out", str(tmp_path), "--no-svg"])
+    assert exc.value.code == 2
+    assert "--no-svg" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_sweep_rejects_unknown_param(tmp_path):

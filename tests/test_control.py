@@ -33,7 +33,8 @@ def _y(state, l_hat=kernel.ZERO):
 
 def _fl(state, ref, gains):
     law = kernel.fl_law(gains.k1, gains.k2, EFF.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-    return np.array(kernel.command(law, EFF.j1, EFF.j2)(_y(state)))
+    y = _y(state)
+    return np.array(law(y, kernel.drift(EFF.j1, EFF.j2)(*y[3:6]), None))
 
 
 def _e2(state, ref, gains):
@@ -44,7 +45,8 @@ def _bs(state, ref, gains, l_hat):
     law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, EFF.j1,
                         ref.x_d, ref.xd_dot, ref.xd_ddot)
     e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
-    return np.array(kernel.command(law, EFF.j1, EFF.j2, e2)(_y(state, l_hat)))
+    y = _y(state, l_hat)
+    return np.array(law(y, kernel.drift(EFF.j1, EFF.j2)(*y[3:6]), e2(y)))
 
 
 def _l_rate(e2, gains):

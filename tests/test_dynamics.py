@@ -145,9 +145,12 @@ def _drift(eff, rate):
 
 
 def _input_gain(eff):
-    """The diagonal of g, acceleration per unit body torque (``Loop.g``)."""
-    loop = kernel.closed_loop(lambda y, f, e: kernel.ZERO, eff.j1, eff.j2, math.inf, 1e-3)
-    return np.array(loop.g)
+    """The diagonal of g, acceleration per unit body torque: the step's L_true
+    under a unit offset torque and zero noise, ``g * (1 + 0)``."""
+    unit = kernel.disturbance((1.0, 1.0, 1.0), kernel.ZERO, 0.0, kernel.ZERO)
+    step = kernel.closed_loop(lambda y, f, e: kernel.ZERO, eff.j1, eff.j2, math.inf, 1e-3, unit)
+    _, _, l = step(0.0, (0.0,) * 9, kernel.ZERO)
+    return np.array(l)
 
 
 def test_equilibrium_is_exact(eff_paper):

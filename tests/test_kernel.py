@@ -281,7 +281,7 @@ def test_run_scenario_matches_numpy_reference_exactly(cfg):
 @_PROPERTY
 def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     loop = _ReferenceLoop(cfg)
-    y_next, _, _ = sim._loop(cfg).step(t, y, kernel.floats(noise))
+    y_next, _, _ = sim._loop(cfg)(t, y, kernel.floats(noise))
     assert np.array_equal(np.array(y_next), loop.rk4_step(t, np.array(y), noise))
 
     # each kernel function on its own, built as sim._loop builds it
@@ -292,7 +292,7 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     if cfg.controller == "fl":
         law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
         assert np.array_equal(
-            np.array(kernel.command(law, eff.j1, eff.j2)(y)),
+            np.array(law(y, kernel.drift(eff.j1, eff.j2)(*y[3:6]), None)),
             _fl_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
                        gains.k1, gains.k2, eff.j1, eff.j2))
     else:
@@ -300,7 +300,7 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
         law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
                             ref.x_d, ref.xd_dot, ref.xd_ddot)
         assert np.array_equal(
-            np.array(kernel.command(law, eff.j1, eff.j2, e2)(y)),
+            np.array(law(y, kernel.drift(eff.j1, eff.j2)(*y[3:6]), e2(y))),
             _bs_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
                        gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1, eff.j2))
         e = np.array(e2(y))

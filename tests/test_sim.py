@@ -226,7 +226,7 @@ def test_config_allows_unlimited_torque():
 def test_step_zero_dynamics_is_identity():
     cfg = _plain_config()
     y = (0.0,) * 9
-    out, _, _ = sim._loop(cfg).step(0.0, y, kernel.ZERO)
+    out, _, _ = sim._loop(cfg)(0.0, y, kernel.ZERO)
     np.testing.assert_array_equal(out, y)
 
 
@@ -238,9 +238,9 @@ def test_step_constant_torque_matches_kinematics():
     j1 = 0.662 + 0.3055 + 2.0 * 0.006565 * np.sqrt(2.0)
     tau = 3.7
     y0 = (0.25,) + (0.0,) * 8  # initial roll angle
-    loop = kernel.closed_loop(lambda y, f, e2: (tau, 0.0, 0.0), eff.j1, eff.j2,
+    step = kernel.closed_loop(lambda y, f, e2: (tau, 0.0, 0.0), eff.j1, eff.j2,
                               cfg.u_max, cfg.dt)
-    out = np.array(loop.step(0.0, y0, kernel.ZERO)[0])
+    out = np.array(step(0.0, y0, kernel.ZERO)[0])
     dt = cfg.dt
     acc = tau / j1
     assert out[0] == pytest.approx(0.25 + 0.5 * acc * dt * dt, rel=1e-14)
@@ -575,12 +575,16 @@ def test_metrics_to_dict_converts_nan():
     assert d["settle_time_s"][1] == 0.0
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True])
 def test_disturbance_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(InvalidParameterError, match=re.escape(repr(seed))):
         DisturbanceSpec.zero(seed)
+    # the noise streams run the same check: 1.5 is not truncated to 1
+    with pytest.raises(InvalidParameterError, match=re.escape(repr(seed))):
+        NoiseStreams(seed)
 
 
 def test_disturbance_seed_accepts_numpy_integers():
     spec = DisturbanceSpec.zero(np.int64(7))
     assert spec.seed == 7 and type(spec.seed) is int
+    assert np.array_equal(NoiseStreams(np.int64(7)).draw(4), NoiseStreams(7).draw(4))
