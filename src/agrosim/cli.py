@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .atomic import atomic_write
-from .config import load_config
+from .config import GAIN_FIELDS, load_config
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
 from .presets import override, preset, preset_names
 from .sim import Metrics, ScenarioConfig, TrajectoryRecord, run_scenario
@@ -147,20 +147,17 @@ def cmd_compare(a: tuple[str, ScenarioConfig], b: tuple[str, ScenarioConfig],
     return 0
 
 
-_SWEEPABLE = {"k1", "k2", "gamma", "lambda", "sigma"}
-
-
 def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
               values: list[float]) -> int:
     """Grid over one gain, all axes together, and tabulate the metrics."""
-    if param not in _SWEEPABLE:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {sorted(_SWEEPABLE)}")
+    if param not in GAIN_FIELDS:
+        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {sorted(GAIN_FIELDS)}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    field = {"lambda": "lam"}.get(param, param)
+    field = GAIN_FIELDS[param]
     if not hasattr(base_cfg.gains, field):
         raise ConfigError(
-            f"parameter {param!r} does not apply to the {base_cfg.controller!r} controller"
+            f"parameter {param!r} does not apply to {type(base_cfg.gains).__name__}"
         )
     metrics: dict[str, Metrics] = {}
     rows = []
@@ -229,7 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sweep = sub.add_parser("sweep", help="grid over one gain")
     _add_scenario_args(p_sweep)
     p_sweep.add_argument("--param", required=True,
-                         help=f"gain to sweep: {', '.join(sorted(_SWEEPABLE))}")
+                         help=f"gain to sweep: {', '.join(sorted(GAIN_FIELDS))}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated gain values, e.g. 5,10,20")
 

@@ -13,6 +13,10 @@ of :class:`~agrosim.control.BsGains`, and
 :meth:`~agrosim.dynamics.SteeringConfig.isotropic` steering; the reference
 robot inertias and a zero initial and reference state fill the rest.
 
+``"controller"`` (:data:`CONTROLLER_FL` or :data:`CONTROLLER_BS`) selects
+the gains type, which is the scenario's controller; ``"gains"`` takes the
+keys of :data:`GAIN_FIELDS` whose fields that type has.
+
 :func:`serialize_config` emits ``"angle_units": "rad"`` and raw internal
 values, because degree/radian conversion is not bit-exact in floating point;
 parsing such a document reproduces the original configuration exactly.
@@ -20,6 +24,7 @@ parsing such a document reproduces the original configuration exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any, Callable, Optional, Union
@@ -30,7 +35,16 @@ from . import presets
 from .control import BsGains, FlGains, Reference
 from .dynamics import BodyState, InertiaSet, SteeringConfig, WheelGeometry
 from .errors import ConfigError
-from .sim import CONTROLLER_BS, CONTROLLER_FL, DisturbanceSpec, ScenarioConfig
+from .sim import DisturbanceSpec, ScenarioConfig
+
+#: The schema's ``controller`` names, and the gains type each one selects.
+CONTROLLER_FL = "fl"
+CONTROLLER_BS = "backstepping"
+_GAINS_TYPES = {CONTROLLER_FL: FlGains, CONTROLLER_BS: BsGains}
+
+#: The schema's ``gains`` keys, in document order, and the gains field each
+#: one sets.
+GAIN_FIELDS = {"k1": "k1", "k2": "k2", "gamma": "gamma", "lambda": "lam", "sigma": "sigma"}
 
 _REQUIRED = object()
 
@@ -51,10 +65,8 @@ def _get(obj: dict, key: str, context: str, default: Any = _REQUIRED) -> Any:
 
 def _given(obj: dict, keys: tuple[str, ...], context: str, convert: Callable) -> dict:
     """Keyword arguments for those of ``keys`` present in ``obj``, each value
-    checked by ``convert(value, context + key)``; ``lambda`` is passed as
-    ``lam``."""
-    return {("lam" if key == "lambda" else key): convert(obj[key], context + key)
-            for key in keys if key in obj}
+    checked by ``convert(value, context + key)``."""
+    return {key: convert(obj[key], context + key) for key in keys if key in obj}
 
 
 def _number(value: Any, key: str, allow_inf: bool = False) -> float:
@@ -107,17 +119,15 @@ def _angle_scale(units: Any) -> Callable[[Any], Any]:
     raise ConfigError(f"'angle_units' must be 'deg' or 'rad', got {units!r}")
 
 
-def _parse_gains(doc: dict, controller: str) -> Union[FlGains, BsGains]:
+def _parse_gains(doc: dict, gains_type: type) -> Union[FlGains, BsGains]:
     obj = _obj(_get(doc, "gains", ""), "gains")
-    if controller == CONTROLLER_FL:
-        _check_keys(obj, {"k1", "k2"}, "gains.")
-        return FlGains(_vec3(_get(obj, "k1", "gains."), "gains.k1"),
-                       _vec3(_get(obj, "k2", "gains."), "gains.k2"))
-    _check_keys(obj, {"k1", "k2", "gamma", "lambda", "sigma"}, "gains.")
-    return BsGains(
+    names = {f.name for f in dataclasses.fields(gains_type)}
+    _check_keys(obj, {key for key, name in GAIN_FIELDS.items() if name in names}, "gains.")
+    return gains_type(
         k1=_vec3(_get(obj, "k1", "gains."), "gains.k1"),
         k2=_vec3(_get(obj, "k2", "gains."), "gains.k2"),
-        **_given(obj, ("gamma", "lambda", "sigma"), "gains.", _vec3),
+        **{GAIN_FIELDS[key]: _vec3(obj[key], "gains." + key)
+           for key in ("gamma", "lambda", "sigma") if key in obj},
     )
 
 
@@ -239,8 +249,7 @@ def parse_config(text: str) -> ScenarioConfig:
         steering=steering,
         initial=initial,
         reference=reference,
-        controller=controller,
-        gains=_parse_gains(doc, controller),
+        gains=_parse_gains(doc, _GAINS_TYPES[controller]),
         u_max=_torque_limit(_get(doc, "u_max", "")),
         disturbance=_parse_disturbance(doc, to_rad),
         **_given(doc, ("dt", "horizon"), "", _number),
@@ -257,11 +266,10 @@ def serialize_config(config: ScenarioConfig) -> str:
     """Serialize a scenario losslessly as standard JSON (angle_units is 'rad'
     on purpose: parse_config(serialize_config(c)) reconstructs c exactly;
     unlimited torque is written as ``"u_max": null``)."""
-    gains: dict[str, Any] = {"k1": list(config.gains.k1), "k2": list(config.gains.k2)}
-    if isinstance(config.gains, BsGains):
-        gains["gamma"] = list(config.gains.gamma)
-        gains["lambda"] = list(config.gains.lam)
-        gains["sigma"] = list(config.gains.sigma)
+    gains = {key: list(getattr(config.gains, name)) for key, name in GAIN_FIELDS.items()
+             if hasattr(config.gains, name)}
+    controller = next(name for name, gains_type in _GAINS_TYPES.items()
+                      if isinstance(config.gains, gains_type))
 
     inertias: dict[str, Any] = {
         "j_body": list(config.inertias.j_body),
@@ -286,7 +294,7 @@ def serialize_config(config: ScenarioConfig) -> str:
 
     doc = {
         "angle_units": "rad",
-        "controller": config.controller,
+        "controller": controller,
         "gains": gains,
         "inertias": inertias,
         "steering": {"delta1": config.steering.delta1, "delta2": config.steering.delta2},

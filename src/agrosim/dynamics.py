@@ -69,8 +69,7 @@ class _ArrayEqMixin:
                 return False
         return True
 
-    def __hash__(self):
-        return NotImplemented
+    __hash__ = None  # unhashable, like the numpy arrays its equality compares
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 ``fl-paper`` and ``bs-paper`` reproduce the reference airborne-recovery
 comparison: isotropic steering, a throw-like initial attitude of
 [-22.5, +22.5, 0] degrees, zero reference, a +/-32.1521 N m torque limit,
-and the published gain sets.  ``bs-adaptive-paper`` adds the disturbance
-study: softer backstepping gains, the adaptation law enabled, and an
-offset + 2 rad/s sine + Gaussian noise disturbance inside the 20/20/5
-percent budget.  The step and the horizon are the :class:`ScenarioConfig`
-defaults (1 ms, 1.5 s).
+and the published gain sets; the type of a preset's gains is its
+controller.  ``bs-adaptive-paper`` adds the disturbance study: softer
+backstepping gains, the adaptation law enabled, and an offset + 2 rad/s
+sine + Gaussian noise disturbance inside the 20/20/5 percent budget.  The
+step and the horizon are the :class:`ScenarioConfig` defaults (1 ms, 1.5 s).
 
 :func:`override` applies a ``dt``, ``horizon`` and disturbance ``seed``
 override to any scenario; :func:`preset`, preset documents of
@@ -25,7 +25,7 @@ import numpy as np
 from .control import BsGains, FlGains, Reference
 from .dynamics import BodyState, InertiaSet, SteeringConfig
 from .errors import ConfigError
-from .sim import CONTROLLER_BS, CONTROLLER_FL, DisturbanceSpec, ScenarioConfig
+from .sim import DisturbanceSpec, ScenarioConfig
 
 #: Torque limit shared by all presets, N m.
 PAPER_U_MAX = 32.1521
@@ -57,7 +57,6 @@ def fl_paper() -> ScenarioConfig:
         steering=SteeringConfig.isotropic(),
         initial=paper_initial_state(),
         reference=Reference.zero(),
-        controller=CONTROLLER_FL,
         gains=FlGains(PAPER_FL_K1, PAPER_FL_K2),
         u_max=PAPER_U_MAX,
     )
@@ -67,7 +66,7 @@ def bs_paper() -> ScenarioConfig:
     """The fl-paper scenario under backstepping with the aggressive
     comparison gains (K1=20, K2=1800), adaptation off: the estimate stays
     frozen at zero."""
-    return dataclasses.replace(fl_paper(), controller=CONTROLLER_BS, gains=BsGains(20.0, 1800.0))
+    return dataclasses.replace(fl_paper(), gains=BsGains(20.0, 1800.0))
 
 
 def bs_adaptive_paper() -> ScenarioConfig:

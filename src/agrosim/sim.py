@@ -1,12 +1,14 @@
 """Closed-loop simulation: fixed-step RK4, saturation, disturbances, metrics.
 
-A scenario couples the airborne dynamics with one of the two controllers and
-integrates the augmented state [attitude, rate, L_hat] with classical RK4 at
-a fixed step.  The control law and the deterministic disturbance component
-are evaluated at every integrator stage, so the scheme keeps its fourth-order
-convergence against the continuous closed loop; the Gaussian noise component
-is sampled once per step and held across stages to keep runs reproducible
-and refinement studies meaningful.
+A scenario couples the airborne dynamics with one of the two controllers,
+the one the type of its gains names (:class:`~agrosim.control.FlGains` or
+:class:`~agrosim.control.BsGains`), and integrates the augmented state
+[attitude, rate, L_hat] with classical RK4 at a fixed step.  The control
+law and the deterministic disturbance component are evaluated at every
+integrator stage, so the scheme keeps its fourth-order convergence against
+the continuous closed loop; the Gaussian noise component is sampled once per
+step and held across stages to keep runs reproducible and refinement studies
+meaningful.
 
 The loop runs on the stage kernel of :mod:`agrosim.kernel`, which holds the
 state, the command and the disturbance as plain Python floats.  A step makes
@@ -179,27 +181,23 @@ def saturate(u: np.ndarray, u_max: float) -> np.ndarray:
 #: rounding of decimal inputs such as 1.5 / 0.001.
 _HORIZON_RTOL = 1e-9
 
-#: Controller identifiers accepted by :class:`ScenarioConfig`.
-CONTROLLER_FL = "fl"
-CONTROLLER_BS = "backstepping"
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig(_ArrayEqMixin):
     """Everything one closed-loop run depends on.
 
-    ``u_max = math.inf`` disables saturation.  ``adaptation_enabled`` only
-    makes sense for the backstepping controller and requires BsGains; the
-    FL controller requires FlGains.  ``horizon`` must be a whole number of
-    ``dt`` steps (to a relative tolerance of :data:`_HORIZON_RTOL`), so a
-    run ends exactly at the horizon it was given.
+    The type of ``gains`` is the controller: :class:`FlGains` runs PD +
+    feedback linearization, :class:`BsGains` backstepping, and
+    ``adaptation_enabled`` requires BsGains.  ``u_max = math.inf`` disables
+    saturation.  ``horizon`` must be a whole number of ``dt`` steps (to a
+    relative tolerance of :data:`_HORIZON_RTOL`), so a run ends exactly at
+    the horizon it was given.
     """
 
     inertias: InertiaSet
     steering: SteeringConfig
     initial: BodyState
     reference: Reference
-    controller: str
     gains: Union[FlGains, BsGains]
     u_max: float
     dt: float = 1e-3
@@ -208,18 +206,11 @@ class ScenarioConfig(_ArrayEqMixin):
     adaptation_enabled: bool = False
 
     def __post_init__(self):
-        if self.controller not in (CONTROLLER_FL, CONTROLLER_BS):
+        if not isinstance(self.gains, (FlGains, BsGains)):
             raise InvalidParameterError(
-                f"controller must be {CONTROLLER_FL!r} or {CONTROLLER_BS!r}, "
-                f"got {self.controller!r}"
+                f"gains must be FlGains or BsGains, got {type(self.gains).__name__}"
             )
-        expected = FlGains if self.controller == CONTROLLER_FL else BsGains
-        if not isinstance(self.gains, expected):
-            raise InvalidParameterError(
-                f"{self.controller!r} controller needs {expected.__name__}, "
-                f"got {type(self.gains).__name__}"
-            )
-        if self.adaptation_enabled and self.controller != CONTROLLER_BS:
+        if self.adaptation_enabled and not isinstance(self.gains, BsGains):
             raise InvalidParameterError("adaptation requires the backstepping controller")
         u_max = float(self.u_max)
         if math.isnan(u_max) or not u_max > 0.0:
@@ -251,14 +242,13 @@ def _loop(config: ScenarioConfig):
     """The RK4 step of one scenario (:func:`agrosim.kernel.closed_loop`)."""
     eff = effective_inertias(config.inertias, config.steering)
     ref, gains = config.reference, config.gains
-    if config.controller == CONTROLLER_FL:
-        law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-    else:
+    e2 = l_rate = None
+    if isinstance(gains, BsGains):
         law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
                             ref.x_d, ref.xd_dot, ref.xd_ddot)
-    e2 = l_rate = None
-    if config.controller == CONTROLLER_BS:
         e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
+    else:
+        law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
     if config.adaptation_enabled:
         l_rate = kernel.adaptation(gains.lam, gains.sigma)
     spec, dist = config.disturbance, None
@@ -379,7 +369,8 @@ class Metrics(_ArrayEqMixin):
     """Summary numbers of a run.
 
     ``settle_time`` is per axis, NaN when the axis never enters and stays in
-    the band; ``peak_torque`` is the largest applied |torque| per axis;
+    the :data:`DEFAULT_SETTLE_BAND` band, which :meth:`to_dict` records as
+    ``settle_band_rad``; ``peak_torque`` is the largest applied |torque| per axis;
     ``est_error_rms`` is the RMS disturbance-estimate error over the tail
     window; ``final_error`` is the signed attitude error at the horizon.
     """
@@ -388,7 +379,6 @@ class Metrics(_ArrayEqMixin):
     peak_torque: np.ndarray
     est_error_rms: float
     final_error: np.ndarray
-    settle_band: float
 
     def to_dict(self) -> dict:
         def _clean(v):
@@ -399,7 +389,7 @@ class Metrics(_ArrayEqMixin):
             "peak_torque_nm": [float(v) for v in self.peak_torque],
             "est_error_rms": _clean(float(self.est_error_rms)),
             "final_error_rad": [float(v) for v in self.final_error],
-            "settle_band_rad": float(self.settle_band),
+            "settle_band_rad": float(DEFAULT_SETTLE_BAND),
         }
 
 
@@ -455,7 +445,6 @@ def compute_metrics(record: TrajectoryRecord) -> Metrics:
         peak_torque=np.abs(record.u_sat).max(axis=0),
         est_error_rms=estimate_error_metrics(record, (t_end * 2.0 / 3.0, t_end)),
         final_error=record.error()[-1],
-        settle_band=float(DEFAULT_SETTLE_BAND),
     )
 
 
@@ -513,7 +502,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
 
     e1 = config.reference.x_d[None, :] - att
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
-    if config.controller == CONTROLLER_BS:
+    if isinstance(config.gains, BsGains):
         g, ref = config.gains, config.reference
         # the loop's own e2, applied to the record's columns: one value per row
         e2 = kernel.velocity_error(g.k1, ref.x_d, ref.xd_dot)((*att.T, *rate.T, None, None, None))

@@ -110,7 +110,6 @@ def test_criterion_3_fl_exactness():
             steering=SteeringConfig.isotropic(),
             initial=BodyState(att0, rate0),
             reference=Reference.zero(),
-            controller="fl",
             gains=gains,
             u_max=np.inf,
         )
@@ -213,7 +212,6 @@ def test_criterion_7_oracle_equivalences():
             steering=SteeringConfig.isotropic(),
             initial=paper_initial_state(),
             reference=Reference.zero(),
-            controller="fl",
             gains=FlGains(19.9977, 122.6497),
             u_max=np.inf,
             dt=dt,
@@ -231,7 +229,7 @@ def test_criterion_7_oracle_equivalences():
     # equilibrium regression: exactly zero, bit for bit
     cfg0 = ScenarioConfig(
         inertias=paper_inertias(), steering=SteeringConfig.isotropic(),
-        initial=BodyState.zero(), reference=Reference.zero(), controller="fl",
+        initial=BodyState.zero(), reference=Reference.zero(),
         gains=FlGains(19.9977, 122.6497), u_max=PAPER_U_MAX,
         horizon=0.25,
     )

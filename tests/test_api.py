@@ -4,6 +4,7 @@ Adding or removing a top-level name is a deliberate change to this list,
 so a wrapper that only the tests call does not creep back in unnoticed.
 """
 
+import dataclasses
 import inspect
 import types
 
@@ -88,3 +89,23 @@ def test_kernel_surface_is_pinned():
     }
     assert sorted(name for name, v in defined.items() if inspect.isfunction(v)) == KERNEL_FUNCTIONS
     assert [name for name, v in defined.items() if inspect.isclass(v)] == []
+
+
+#: The fields of a scenario.  The type of ``gains`` is the controller, so a
+#: second statement of it (a name, a flag) is a change to this list.
+SCENARIO_FIELDS = [
+    "inertias",
+    "steering",
+    "initial",
+    "reference",
+    "gains",
+    "u_max",
+    "dt",
+    "horizon",
+    "disturbance",
+    "adaptation_enabled",
+]
+
+
+def test_scenario_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(agrosim.ScenarioConfig)] == SCENARIO_FIELDS

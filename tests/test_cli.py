@@ -180,16 +180,20 @@ def test_compare_needs_two_sources(tmp_path, capsys):
 
 
 def test_sweep(tmp_path, capsys):
-    rc = main(["sweep", "--preset", "bs-paper", "--param", "k1",
-               "--values", "10,20", "--out", str(tmp_path),
-               "--horizon", "0.2"])
-    assert rc == 0
-    path = tmp_path / "bs-paper.sweep.k1.metrics.json"
-    doc = json.loads(path.read_text())
-    assert doc["parameter"] == "k1"
-    assert [run["value"] for run in doc["runs"]] == [10.0, 20.0]
-    out = capsys.readouterr().out
-    assert "k1=10" in out and "k1=20" in out
+    # lambda is the schema key of the lam field
+    for param in ("k1", "lambda"):
+        rc = main(["sweep", "--preset", "bs-paper", "--param", param,
+                   "--values", "10,20", "--out", str(tmp_path),
+                   "--horizon", "0.2"])
+        assert rc == 0
+        path = tmp_path / f"bs-paper.sweep.{param}.metrics.json"
+        doc = json.loads(path.read_text())
+        assert doc["parameter"] == param
+        assert [run["value"] for run in doc["runs"]] == [10.0, 20.0]
+        first, second = ({k: v for k, v in run.items() if k != "value"} for run in doc["runs"])
+        assert first != second  # the value reached the gains
+        out = capsys.readouterr().out
+        assert f"{param}=10" in out and f"{param}=20" in out
 
 
 def test_sweep_rejects_no_svg_as_a_usage_error(tmp_path, capsys):
@@ -209,10 +213,11 @@ def test_sweep_rejects_unknown_param(tmp_path):
 
 
 def test_sweep_rejects_fl_only_mismatch(tmp_path):
-    # sigma applies to backstepping only
-    rc = main(["sweep", "--preset", "fl-paper", "--param", "sigma",
-               "--values", "1", "--out", str(tmp_path)])
-    assert rc == 1
+    # sigma and lambda apply to backstepping only
+    for param in ("sigma", "lambda"):
+        rc = main(["sweep", "--preset", "fl-paper", "--param", param,
+                   "--values", "1", "--out", str(tmp_path)])
+        assert rc == 1
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):

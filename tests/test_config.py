@@ -133,7 +133,7 @@ _FULL_DOC = {
 
 def test_full_document_parses():
     cfg = parse_config(json.dumps(_FULL_DOC))
-    assert cfg.controller == "backstepping"
+    assert isinstance(cfg.gains, BsGains)
     np.testing.assert_array_equal(cfg.gains.sigma, [0.0005] * 3)
     np.testing.assert_array_equal(cfg.gains.gamma, [1.0] * 3)  # default
     assert cfg.inertias == paper_inertias()  # default
@@ -163,6 +163,12 @@ def test_unknown_keys_rejected_with_name():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert "nope" in str(err.value)
+
+    # a backstepping weight is not an FL gain
+    doc = {"controller": "fl", "gains": {"k1": 1.0, "k2": 2.0, "gamma": 1.0}, "u_max": 10.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert "gains.'gamma'" in str(err.value)
 
 
 def test_missing_required_key_named():
@@ -224,7 +230,7 @@ def test_omitted_fields_take_the_type_defaults():
         assert cfg == ScenarioConfig(
             inertias=paper_inertias(), steering=SteeringConfig.isotropic(),
             initial=BodyState.zero(), reference=Reference.zero(),
-            controller="backstepping", gains=BsGains(1.0, 2.0), u_max=10.0,
+            gains=BsGains(1.0, 2.0), u_max=10.0,
         )
 
 
@@ -256,7 +262,6 @@ def test_round_trip_with_geometry():
         steering=SteeringConfig.isotropic(),
         initial=BodyState(np.array([0.1, -0.2, 0.05]), np.array([0.3, 0.0, -0.1])),
         reference=Reference.constant(np.array([0.05, 0.0, 0.0])),
-        controller="backstepping",
         gains=BsGains(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]),
                       np.array([0.5, 0.5, 2.0]), np.array([1.5, 1.0, 1.0]),
                       np.array([0.1, 0.2, 0.3])),
@@ -279,8 +284,7 @@ def _vec3(lo, hi):
 def _controllers(draw, u_max):
     """Gains, adaptation flag and an in-budget disturbance (or none)."""
     if draw(st.booleans()):
-        return "fl", FlGains(draw(st.floats(0.1, 100.0)),
-                             draw(st.floats(0.1, 1000.0))), False, None
+        return FlGains(draw(st.floats(0.1, 100.0)), draw(st.floats(0.1, 1000.0))), False, None
     gains = BsGains(draw(_vec3(0.1, 100.0)), draw(_vec3(0.1, 2000.0)),
                     draw(_vec3(0.1, 10.0)), draw(_vec3(0.1, 10.0)), draw(_vec3(1e-4, 10.0)))
     disturbance = None
@@ -294,7 +298,7 @@ def _controllers(draw, u_max):
             noise_sigma=draw(_vec3(0.0, 0.05 * budget / 3.0)),
             seed=draw(st.integers(0, 2**32 - 1)),
         )
-    return "backstepping", gains, draw(st.booleans()), disturbance
+    return gains, draw(st.booleans()), disturbance
 
 
 @given(
@@ -308,13 +312,12 @@ def _controllers(draw, u_max):
 @settings(max_examples=60)
 def test_round_trip_random_fl_configs(att, rate, u_max, dt, n_steps, data):
     # FL and backstepping configs alike; the horizon is a whole number of steps
-    controller, gains, adapt, disturbance = data.draw(_controllers(u_max))
+    gains, adapt, disturbance = data.draw(_controllers(u_max))
     cfg = ScenarioConfig(
         inertias=paper_inertias(),
         steering=SteeringConfig.isotropic(),
         initial=BodyState(np.array(att), np.array(rate)),
         reference=Reference.zero(),
-        controller=controller,
         gains=gains,
         u_max=u_max,
         dt=dt,

@@ -97,7 +97,7 @@ class _ReferenceLoop:
         self.u_max = config.u_max
         self.adapt = config.adaptation_enabled
         gains = config.gains
-        if config.controller == "fl":
+        if isinstance(config.gains, FlGains):
             self.torque = lambda att, rate, l_hat: _fl_torque(
                 att, rate, self.x_d, self.xd_dot, self.xd_ddot,
                 gains.k1, gains.k2, self.j1, self.j2)
@@ -179,7 +179,7 @@ def _reference_rollout(config):
 
     e1 = config.reference.x_d[None, :] - att
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
-    if config.controller == "backstepping":
+    if isinstance(config.gains, BsGains):
         g = config.gains
         e2 = (config.reference.xd_dot[None, :] - rate) + g.k1[None, :] * e1
         l_err = l_true - l_hat
@@ -234,7 +234,6 @@ def scenarios(draw):
         steering=draw(st.sampled_from(_STEERINGS)),
         initial=BodyState(draw(_vec(-0.8, 0.8)), draw(_vec(-3.0, 3.0))),
         reference=Reference(draw(_vec(-0.3, 0.3)), draw(_vec(-0.5, 0.5)), draw(_vec(-1.0, 1.0))),
-        controller=controller,
         gains=gains,
         u_max=u_max,
         dt=dt,
@@ -289,7 +288,7 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     ref, gains, eff = cfg.reference, cfg.gains, loop.eff
     assert np.array_equal(np.array(kernel.drift(eff.j1, eff.j2)(*y[3:6])),
                           _coriolis_acceleration(rate, eff))
-    if cfg.controller == "fl":
+    if isinstance(cfg.gains, FlGains):
         law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
         assert np.array_equal(
             np.array(law(y, kernel.drift(eff.j1, eff.j2)(*y[3:6]), None)),

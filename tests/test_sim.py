@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from agrosim import (
     AllocationSingularityError,
     BodyState,
-    BsGains,
     DisturbanceBudgetError,
     DisturbanceSpec,
     DivergenceError,
@@ -53,7 +52,6 @@ def _plain_config(**overrides) -> ScenarioConfig:
         steering=ISO,
         initial=BodyState.zero(),
         reference=Reference.zero(),
-        controller="fl",
         gains=FlGains(19.9977, 122.6497),
         u_max=PAPER_U_MAX,
         dt=1e-3,
@@ -201,16 +199,20 @@ def test_config_validation():
         preset("fl-paper", horizon=0.0015)  # 1.5 steps
     with pytest.raises(InvalidParameterError, match="0.0007"):
         preset("fl-paper", dt=0.0007)  # 1.5 s is 2142.86 steps
-    with pytest.raises(InvalidParameterError):
-        _plain_config(controller="pid")
-    with pytest.raises(InvalidParameterError):
-        _plain_config(gains=BsGains(1.0, 1.0))  # fl needs FlGains
+    with pytest.raises(InvalidParameterError, match="dict"):
+        _plain_config(gains={"k1": 19.9977, "k2": 122.6497})  # not a gains object
     with pytest.raises(InvalidParameterError):
         _plain_config(adaptation_enabled=True)  # fl cannot adapt
     with pytest.raises(DisturbanceBudgetError):
         _plain_config(disturbance=DisturbanceSpec(
             np.full(3, 0.5 * PAPER_U_MAX), np.zeros(3), 0.0, np.zeros(3),
             np.zeros(3), seed=0))
+
+
+def test_scenario_is_unhashable():
+    # equality compares arrays by value, so there is no hash to agree with it
+    with pytest.raises(TypeError, match="unhashable type: 'ScenarioConfig'"):
+        hash(preset("fl-paper"))
 
 
 def test_config_allows_unlimited_torque():
