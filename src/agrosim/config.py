@@ -123,12 +123,10 @@ def _parse_gains(doc: dict, gains_type: type) -> Union[FlGains, BsGains]:
     obj = _obj(_get(doc, "gains", ""), "gains")
     names = {f.name for f in dataclasses.fields(gains_type)}
     _check_keys(obj, {key for key, name in GAIN_FIELDS.items() if name in names}, "gains.")
-    return gains_type(
-        k1=_vec3(_get(obj, "k1", "gains."), "gains.k1"),
-        k2=_vec3(_get(obj, "k2", "gains."), "gains.k2"),
-        **{GAIN_FIELDS[key]: _vec3(obj[key], "gains." + key)
-           for key in ("gamma", "lambda", "sigma") if key in obj},
-    )
+    for key in ("k1", "k2"):
+        _get(obj, key, "gains.")  # required by both types
+    return gains_type(**{name: _vec3(obj[key], "gains." + key)
+                         for key, name in GAIN_FIELDS.items() if key in obj})
 
 
 def _parse_inertias(doc: dict) -> InertiaSet:
