@@ -370,9 +370,9 @@ class Metrics(_ArrayEqMixin):
 
     ``settle_time`` is per axis, NaN when the axis never enters and stays in
     the :data:`DEFAULT_SETTLE_BAND` band, which :meth:`to_dict` records as
-    ``settle_band_rad``; ``peak_torque`` is the largest applied |torque| per axis;
-    ``est_error_rms`` is the RMS disturbance-estimate error over the tail
-    window; ``final_error`` is the signed attitude error at the horizon.
+    ``settle_band_rad``; ``peak_torque`` is the largest applied |torque| per
+    axis; ``est_error_rms`` is the RMS disturbance-estimate error over the
+    tail window; ``final_error`` is the signed attitude error at the horizon.
     """
 
     settle_time: np.ndarray
