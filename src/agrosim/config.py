@@ -1,21 +1,22 @@
 """JSON scenario configuration: parsing, validation, serialization.
 
+A document either names a ``preset`` (optionally overriding ``dt``,
+``horizon``, ``seed``, applied by :func:`agrosim.presets.preset`) or spells
+out a full scenario.  The full-document schema is written once, in the
+table ``_SCENARIO`` that :func:`parse_config` and :func:`serialize_config`
+both read: for each key, its kind (number, integer, boolean, 3-vector,
+angle, angle 3-vector, or an object of the type whose fields are its keys)
+and the value an omitted key takes (required, a default, or left to the
+type, which then supplies its own).  Unknown keys are rejected, and a bad
+value is named by its full dotted key.  ``null`` is read only for
+``inertias.geometry`` and ``disturbance`` (none) and ``u_max`` (unlimited).
+
 Hand-written documents use degrees for every angular quantity (steering
 angles, attitudes, rates, reference signals, sine phases); torques are N m
-and times seconds.  A document may either name a ``preset`` (optionally
-overriding ``dt``, ``horizon``, ``seed``, applied by
-:func:`agrosim.presets.preset`) or spell out a full scenario.  Unknown keys
-are rejected with the offending key named.  An omitted optional field is not
-passed on, so the type it belongs to supplies its default: the
-:class:`~agrosim.sim.ScenarioConfig` step and horizon, the
-:class:`~agrosim.control.Reference` bound, the identity backstepping weights
-of :class:`~agrosim.control.BsGains`, and
-:meth:`~agrosim.dynamics.SteeringConfig.isotropic` steering; the reference
-robot inertias and a zero initial and reference state fill the rest.
-
-``"controller"`` (:data:`CONTROLLER_FL` or :data:`CONTROLLER_BS`) selects
-the gains type, which is the scenario's controller; ``"gains"`` takes the
-keys of :data:`GAIN_FIELDS` whose fields that type has.
+and times seconds.  ``"controller"`` (:data:`CONTROLLER_FL` or
+:data:`CONTROLLER_BS`) selects the gains type, which is the scenario's
+controller; ``"gains"`` takes the keys of :data:`GAIN_FIELDS` whose fields
+that type has.
 
 :func:`serialize_config` emits ``"angle_units": "rad"`` and raw internal
 values, because degree/radian conversion is not bit-exact in floating point;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,27 +47,8 @@ _GAINS_TYPES = {CONTROLLER_FL: FlGains, CONTROLLER_BS: BsGains}
 #: one sets.
 GAIN_FIELDS = {"k1": "k1", "k2": "k2", "gamma": "gamma", "lambda": "lam", "sigma": "sigma"}
 
-_REQUIRED = object()
-
-
-def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {context}{key!r}")
-
-
-def _get(obj: dict, key: str, context: str, default: Any = _REQUIRED) -> Any:
-    if key in obj:
-        return obj[key]
-    if default is _REQUIRED:
-        raise ConfigError(f"missing required key {context}{key!r}")
-    return default
-
-
-def _given(obj: dict, keys: tuple[str, ...], context: str, convert: Callable) -> dict:
-    """Keyword arguments for those of ``keys`` present in ``obj``, each value
-    checked by ``convert(value, context + key)``."""
-    return {key: convert(obj[key], context + key) for key in keys if key in obj}
+_REQUIRED = object()  # an omitted key is an error
+_TYPE = object()  # an omitted key is not passed on: the type's default applies
 
 
 def _number(value: Any, key: str, allow_inf: bool = False) -> float:
@@ -78,10 +60,10 @@ def _number(value: Any, key: str, allow_inf: bool = False) -> float:
     return v
 
 
-def _torque_limit(value: Any) -> float:
+def _torque_limit(value: Any, key: str) -> float:
     """``u_max``: null means unlimited; the legacy token ``Infinity`` is
     still read."""
-    return math.inf if value is None else _number(value, "u_max", allow_inf=True)
+    return math.inf if value is None else _number(value, key, allow_inf=True)
 
 
 def _integer(value: Any, key: str) -> int:
@@ -93,6 +75,12 @@ def _integer(value: Any, key: str) -> int:
 def _boolean(value: Any, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key!r} must be a boolean, got {value!r}")
+    return value
+
+
+def _string(value: Any, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a string, got {value!r}")
     return value
 
 
@@ -110,76 +98,153 @@ def _obj(value: Any, key: str) -> dict:
     return value
 
 
-def _angle_scale(units: Any) -> Callable[[Any], Any]:
-    """The conversion of schema angle values to radians for ``angle_units``."""
-    if units == "deg":
-        return np.deg2rad
-    if units == "rad":
-        return lambda x: x
-    raise ConfigError(f"'angle_units' must be 'deg' or 'rad', got {units!r}")
+def _same(value: Any) -> Any:
+    return value
 
 
-def _parse_gains(doc: dict, gains_type: type) -> Union[FlGains, BsGains]:
-    obj = _obj(_get(doc, "gains", ""), "gains")
-    names = {f.name for f in dataclasses.fields(gains_type)}
-    _check_keys(obj, {key for key, name in GAIN_FIELDS.items() if name in names}, "gains.")
-    for key in ("k1", "k2"):
-        _get(obj, key, "gains.")  # required by both types
-    return gains_type(**{name: _vec3(obj[key], "gains." + key)
-                         for key, name in GAIN_FIELDS.items() if key in obj})
+def _read_keys(keys: dict, obj: dict, prefix: str, settings: dict) -> dict:
+    """The keyword arguments that document object ``obj`` gives its type.
+
+    ``keys`` maps each key to its kind and the value an omitted key takes:
+    :data:`_REQUIRED`, :data:`_TYPE`, a document value read as if given, or
+    a function that builds the value.  A key whose omitted value is None
+    also reads ``null`` as None.  A setting's value goes into ``settings``
+    (keyed by the setting), where the keys after it read it.
+    """
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {prefix}{key!r}")
+    values = {}
+    for key, (kind, omitted) in keys.items():
+        value = obj.get(key, omitted)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required key {prefix}{key!r}")
+        if value is _TYPE:
+            continue
+        if callable(value):
+            value = value()
+        elif value is not None or omitted is not None:
+            value = kind.read(value, prefix + key, settings)
+        if isinstance(kind, _Setting):
+            settings[kind] = value
+        else:
+            values[key] = value
+    return values
 
 
-def _parse_inertias(doc: dict) -> InertiaSet:
-    if "inertias" not in doc:
-        return presets.paper_inertias()
-    obj = _obj(doc["inertias"], "inertias")
-    _check_keys(obj, {"j_body", "j_wheel", "j_reflected", "geometry"}, "inertias.")
-    geometry = None
-    if obj.get("geometry") is not None:
-        g = _obj(obj["geometry"], "inertias.geometry")
-        _check_keys(g, {"a", "b", "c", "m_w"}, "inertias.geometry.")
-        geometry = WheelGeometry(
-            a=_number(_get(g, "a", "inertias.geometry."), "a"),
-            b=_number(_get(g, "b", "inertias.geometry."), "b"),
-            c=_number(_get(g, "c", "inertias.geometry."), "c"),
-            m_w=_number(_get(g, "m_w", "inertias.geometry."), "m_w"),
-        )
-    return InertiaSet(
-        j_body=_vec3(_get(obj, "j_body", "inertias."), "inertias.j_body"),
-        j_wheel=_vec3(_get(obj, "j_wheel", "inertias."), "inertias.j_wheel"),
-        j_reflected=_vec3(_get(obj, "j_reflected", "inertias."), "inertias.j_reflected"),
-        geometry=geometry,
-    )
+class _Value(NamedTuple):
+    """A key holding one value, checked by ``check(value, key)`` and, for an
+    ``angle``, converted by the document's ``angle_units``; ``write`` gives
+    the document value of a scenario's value."""
+
+    check: Callable[[Any, str], Any]
+    write: Callable[[Any], Any] = _same
+    angle: bool = False
+
+    def read(self, value: Any, key: str, settings: dict) -> Any:
+        value = self.check(value, key)
+        return settings[_UNITS](value) if self.angle else value
 
 
-def _parse_disturbance(doc: dict, to_rad: Callable[[Any], Any]) -> Optional[DisturbanceSpec]:
-    if doc.get("disturbance") is None:
-        return None
-    obj = _obj(doc["disturbance"], "disturbance")
-    _check_keys(
-        obj,
-        {"offset", "sine_amp", "sine_freq", "sine_phase", "noise_sigma", "seed"},
-        "disturbance.",
-    )
-    return DisturbanceSpec(
-        offset=_vec3(_get(obj, "offset", "disturbance.", 0.0), "disturbance.offset"),
-        sine_amp=_vec3(_get(obj, "sine_amp", "disturbance.", 0.0), "disturbance.sine_amp"),
-        sine_freq=_number(_get(obj, "sine_freq", "disturbance.", 0.0), "disturbance.sine_freq"),
-        sine_phase=to_rad(
-            _vec3(_get(obj, "sine_phase", "disturbance.", 0.0), "disturbance.sine_phase")
-        ),
-        noise_sigma=_vec3(
-            _get(obj, "noise_sigma", "disturbance.", 0.0), "disturbance.noise_sigma"
-        ),
-        seed=_integer(_get(obj, "seed", "disturbance.", 0), "disturbance.seed"),
-    )
+class _Object(NamedTuple):
+    """A key holding an object: the type it builds and, per key, the key's
+    kind and omitted value (see :func:`_read_keys`)."""
+
+    type: type
+    keys: dict
+
+    def read(self, value: Any, key: str, settings: dict) -> Any:
+        return self.type(**_read_keys(self.keys, _obj(value, key), key + ".", settings))
+
+    def write(self, obj: Any) -> Any:
+        """The document object of ``obj``, None for none; a key without a
+        value (no geometry) is left out."""
+        if obj is None:
+            return None
+        return {key: kind.write(getattr(obj, key)) for key, (kind, _) in self.keys.items()
+                if getattr(obj, key) is not None}
 
 
-_TOP_KEYS = {
-    "angle_units", "controller", "gains", "inertias", "steering", "initial",
-    "reference", "u_max", "dt", "horizon", "adaptation_enabled", "disturbance",
+class _Setting:
+    """A top-level key that is no scenario field: its value names one of
+    ``choices``, which the keys after it read, and ``write(config)`` names
+    the choice a scenario is written with."""
+
+    def __init__(self, choices: dict, write: Callable[[ScenarioConfig], str]):
+        self.choices, self.write = choices, write
+
+    def read(self, value: Any, key: str, settings: dict) -> Any:
+        if not (isinstance(value, str) and value in self.choices):
+            raise ConfigError(
+                f"{key!r} must be {' or '.join(map(repr, self.choices))}, got {value!r}"
+            )
+        return self.choices[value]
+
+
+class _Gains:
+    """``gains``: the :data:`GAIN_FIELDS` keys whose fields the controller's
+    gains type has, each a 3-vector, required where the field has no
+    default."""
+
+    def read(self, value: Any, key: str, settings: dict) -> Any:
+        gains_type = settings[_CONTROLLER]
+        omitted = {f.name: _REQUIRED if f.default is dataclasses.MISSING else _TYPE
+                   for f in dataclasses.fields(gains_type)}
+        keys = {k: (_VECTOR, omitted[name]) for k, name in GAIN_FIELDS.items() if name in omitted}
+        given = _read_keys(keys, _obj(value, key), key + ".", settings)
+        return gains_type(**{GAIN_FIELDS[k]: v for k, v in given.items()})
+
+    def write(self, gains: Any) -> dict:
+        return {key: list(getattr(gains, name)) for key, name in GAIN_FIELDS.items()
+                if hasattr(gains, name)}
+
+
+_NUMBER = _Value(_number)
+_INTEGER = _Value(_integer)
+_VECTOR = _Value(_vec3, list)
+_ANGLE = _Value(_number, angle=True)
+_ANGLES = _Value(_vec3, list, angle=True)
+_UNITS = _Setting({"deg": np.deg2rad, "rad": _same}, lambda config: "rad")
+_CONTROLLER = _Setting(_GAINS_TYPES, lambda config: next(
+    name for name, gains_type in _GAINS_TYPES.items() if isinstance(config.gains, gains_type)))
+
+#: The full-document schema, in document order.
+_SCENARIO = {
+    "angle_units": (_UNITS, "deg"),
+    "controller": (_CONTROLLER, _REQUIRED),
+    "gains": (_Gains(), _REQUIRED),
+    "inertias": (_Object(InertiaSet, {
+        "j_body": (_VECTOR, _REQUIRED), "j_wheel": (_VECTOR, _REQUIRED),
+        "j_reflected": (_VECTOR, _REQUIRED),
+        "geometry": (_Object(WheelGeometry, {
+            "a": (_NUMBER, _REQUIRED), "b": (_NUMBER, _REQUIRED),
+            "c": (_NUMBER, _REQUIRED), "m_w": (_NUMBER, _REQUIRED),
+        }), None),
+    }), presets.paper_inertias),
+    "steering": (_Object(SteeringConfig, {
+        "delta1": (_ANGLE, _REQUIRED), "delta2": (_ANGLE, _REQUIRED),
+    }), SteeringConfig.isotropic),
+    "initial": (_Object(BodyState, {
+        "attitude": (_ANGLES, 0.0), "rate": (_ANGLES, 0.0),
+    }), BodyState.zero),
+    "reference": (_Object(Reference, {
+        "x_d": (_ANGLES, 0.0), "xd_dot": (_ANGLES, 0.0),
+        "xd_ddot": (_ANGLES, 0.0), "rho": (_NUMBER, _TYPE),
+    }), Reference.zero),
+    "u_max": (_Value(_torque_limit, lambda u: None if math.isinf(u) else u), _REQUIRED),
+    "dt": (_NUMBER, _TYPE),
+    "horizon": (_NUMBER, _TYPE),
+    "adaptation_enabled": (_Value(_boolean), _TYPE),
+    "disturbance": (_Object(DisturbanceSpec, {
+        "offset": (_VECTOR, 0.0), "sine_amp": (_VECTOR, 0.0),
+        "sine_freq": (_NUMBER, 0.0), "sine_phase": (_ANGLES, 0.0),
+        "noise_sigma": (_VECTOR, 0.0), "seed": (_INTEGER, 0),
+    }), None),
 }
-_PRESET_KEYS = {"preset", "dt", "horizon", "seed"}
+
+#: A preset document: the preset's name and its overrides.
+_PRESET = {"preset": (_Value(_string), _REQUIRED), "dt": (_NUMBER, _TYPE),
+           "horizon": (_NUMBER, _TYPE), "seed": (_INTEGER, _TYPE)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -199,60 +264,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
-
     if "preset" in doc:
-        _check_keys(doc, _PRESET_KEYS, "")
-        name = doc["preset"]
-        if not isinstance(name, str):
-            raise ConfigError(f"'preset' must be a string, got {name!r}")
-        return presets.preset(name, **_given(doc, ("dt", "horizon"), "", _number),
-                              **_given(doc, ("seed",), "", _integer))
-
-    _check_keys(doc, _TOP_KEYS, "")
-    to_rad = _angle_scale(_get(doc, "angle_units", "", "deg"))
-
-    controller = _get(doc, "controller", "")
-    if controller not in (CONTROLLER_FL, CONTROLLER_BS):
-        raise ConfigError(
-            f"'controller' must be {CONTROLLER_FL!r} or {CONTROLLER_BS!r}, got {controller!r}"
-        )
-
-    steering = SteeringConfig.isotropic()
-    if "steering" in doc:
-        steering_obj = _obj(doc["steering"], "steering")
-        _check_keys(steering_obj, {"delta1", "delta2"}, "steering.")
-        steering = SteeringConfig(
-            to_rad(_number(_get(steering_obj, "delta1", "steering."), "steering.delta1")),
-            to_rad(_number(_get(steering_obj, "delta2", "steering."), "steering.delta2")),
-        )
-
-    initial_obj = _obj(_get(doc, "initial", "", {}), "initial")
-    _check_keys(initial_obj, {"attitude", "rate"}, "initial.")
-    initial = BodyState(
-        to_rad(_vec3(_get(initial_obj, "attitude", "initial.", 0.0), "initial.attitude")),
-        to_rad(_vec3(_get(initial_obj, "rate", "initial.", 0.0), "initial.rate")),
-    )
-
-    ref_obj = _obj(_get(doc, "reference", "", {}), "reference")
-    _check_keys(ref_obj, {"x_d", "xd_dot", "xd_ddot", "rho"}, "reference.")
-    reference = Reference(
-        to_rad(_vec3(_get(ref_obj, "x_d", "reference.", 0.0), "reference.x_d")),
-        to_rad(_vec3(_get(ref_obj, "xd_dot", "reference.", 0.0), "reference.xd_dot")),
-        to_rad(_vec3(_get(ref_obj, "xd_ddot", "reference.", 0.0), "reference.xd_ddot")),
-        **_given(ref_obj, ("rho",), "reference.", _number),
-    )
-
-    return ScenarioConfig(
-        inertias=_parse_inertias(doc),
-        steering=steering,
-        initial=initial,
-        reference=reference,
-        gains=_parse_gains(doc, _GAINS_TYPES[controller]),
-        u_max=_torque_limit(_get(doc, "u_max", "")),
-        disturbance=_parse_disturbance(doc, to_rad),
-        **_given(doc, ("dt", "horizon"), "", _number),
-        **_given(doc, ("adaptation_enabled",), "", _boolean),
-    )
+        overrides = _read_keys(_PRESET, doc, "", {})
+        return presets.preset(overrides.pop("preset"), **overrides)
+    return ScenarioConfig(**_read_keys(_SCENARIO, doc, "", {}))
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -263,53 +278,8 @@ def load_config(path: str) -> ScenarioConfig:
 def serialize_config(config: ScenarioConfig) -> str:
     """Serialize a scenario losslessly as standard JSON (angle_units is 'rad'
     on purpose: parse_config(serialize_config(c)) reconstructs c exactly;
-    unlimited torque is written as ``"u_max": null``)."""
-    gains = {key: list(getattr(config.gains, name)) for key, name in GAIN_FIELDS.items()
-             if hasattr(config.gains, name)}
-    controller = next(name for name, gains_type in _GAINS_TYPES.items()
-                      if isinstance(config.gains, gains_type))
-
-    inertias: dict[str, Any] = {
-        "j_body": list(config.inertias.j_body),
-        "j_wheel": list(config.inertias.j_wheel),
-        "j_reflected": list(config.inertias.j_reflected),
-    }
-    if config.inertias.geometry is not None:
-        g = config.inertias.geometry
-        inertias["geometry"] = {"a": g.a, "b": g.b, "c": g.c, "m_w": g.m_w}
-
-    disturbance = None
-    if config.disturbance is not None:
-        d = config.disturbance
-        disturbance = {
-            "offset": list(d.offset),
-            "sine_amp": list(d.sine_amp),
-            "sine_freq": d.sine_freq,
-            "sine_phase": list(d.sine_phase),
-            "noise_sigma": list(d.noise_sigma),
-            "seed": d.seed,
-        }
-
-    doc = {
-        "angle_units": "rad",
-        "controller": controller,
-        "gains": gains,
-        "inertias": inertias,
-        "steering": {"delta1": config.steering.delta1, "delta2": config.steering.delta2},
-        "initial": {
-            "attitude": list(config.initial.attitude),
-            "rate": list(config.initial.rate),
-        },
-        "reference": {
-            "x_d": list(config.reference.x_d),
-            "xd_dot": list(config.reference.xd_dot),
-            "xd_ddot": list(config.reference.xd_ddot),
-            "rho": config.reference.rho,
-        },
-        "u_max": None if math.isinf(config.u_max) else config.u_max,
-        "dt": config.dt,
-        "horizon": config.horizon,
-        "adaptation_enabled": config.adaptation_enabled,
-        "disturbance": disturbance,
-    }
+    unlimited torque is written as ``"u_max": null``).  Every top-level key
+    is written, ``"disturbance": null`` included."""
+    doc = {key: kind.write(config if isinstance(kind, _Setting) else getattr(config, key))
+           for key, (kind, _) in _SCENARIO.items()}
     return json.dumps(doc, indent=2, allow_nan=False)

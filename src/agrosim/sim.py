@@ -210,6 +210,10 @@ class ScenarioConfig(_ArrayEqMixin):
             raise InvalidParameterError(
                 f"gains must be FlGains or BsGains, got {type(self.gains).__name__}"
             )
+        adapt = self.adaptation_enabled
+        if not isinstance(adapt, (bool, np.bool_)):
+            raise InvalidParameterError(f"adaptation_enabled must be a boolean, got {adapt!r}")
+        object.__setattr__(self, "adaptation_enabled", bool(adapt))
         if self.adaptation_enabled and not isinstance(self.gains, BsGains):
             raise InvalidParameterError("adaptation requires the backstepping controller")
         u_max = float(self.u_max)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,12 @@ from agrosim import (
     DisturbanceBudgetError,
     DisturbanceSpec,
     FlGains,
+    InertiaSet,
     InvalidParameterError,
     Reference,
     ScenarioConfig,
     SteeringConfig,
+    WheelGeometry,
     parse_config,
     run_scenario,
     serialize_config,
@@ -190,6 +194,24 @@ def test_type_errors():
     doc["adaptation_enabled"] = "yes"
     with pytest.raises(ConfigError):
         parse_config(json.dumps(doc))
+    # a bad value is named by its full dotted key
+    doc = json.loads(json.dumps(_FULL_DOC))
+    doc["inertias"] = {"j_body": 1.0, "j_wheel": 0.01, "j_reflected": 0.5,
+                       "geometry": {"a": "x", "b": 0.3, "c": 0.05, "m_w": 2.0}}
+    with pytest.raises(ConfigError, match=r"'inertias\.geometry\.a' must be a number, got 'x'"):
+        parse_config(json.dumps(doc))
+    # null stands for "none" only where there can be none: no geometry, no
+    # disturbance, unlimited torque; the other objects reject it by name
+    for key in ("inertias", "steering", "initial", "reference"):
+        doc = json.loads(json.dumps(_FULL_DOC))
+        doc[key] = None
+        with pytest.raises(ConfigError, match=f"'{key}' must be an object, got None"):
+            parse_config(json.dumps(doc))
+    doc = json.loads(json.dumps(_FULL_DOC))
+    doc.update(disturbance=None, u_max=None, adaptation_enabled=False)
+    doc["inertias"] = {"j_body": 1.0, "j_wheel": 0.01, "j_reflected": 0.5, "geometry": None}
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.disturbance is None and cfg.inertias.geometry is None and cfg.u_max == math.inf
 
 
 def test_invalid_parameter_propagates():
@@ -301,6 +323,27 @@ def _controllers(draw, u_max):
     return gains, draw(st.booleans()), disturbance
 
 
+@st.composite
+def _inertias(draw, steering):
+    """Inertias with or without a wheel geometry, whose reflected roll and
+    pitch entries it then gives."""
+    j_body, j_wheel = draw(_vec3(0.1, 2.0)), draw(_vec3(1e-3, 0.05))
+    if draw(st.booleans()):
+        return InertiaSet(j_body, j_wheel, draw(_vec3(0.05, 1.0)))
+    geometry = WheelGeometry(draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0)),
+                             draw(st.floats(0.0, 0.2)), draw(st.floats(0.5, 5.0)))
+    return InertiaSet.from_geometry(j_body, j_wheel, geometry, steering,
+                                    draw(st.floats(0.05, 1.0)))
+
+
+@st.composite
+def _references(draw):
+    """A reference whose bound rho is at least its magnitude."""
+    x_d, xd_dot, xd_ddot = (draw(_vec3(-1.0, 1.0)) for _ in range(3))
+    total = float(x_d @ x_d + xd_dot @ xd_dot + xd_ddot @ xd_ddot)
+    return Reference(x_d, xd_dot, xd_ddot, rho=total + draw(st.floats(0.0, 100.0)))
+
+
 @given(
     att=st.tuples(*[st.floats(-0.7, 0.7) for _ in range(3)]),
     rate=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(3)]),
@@ -311,13 +354,19 @@ def _controllers(draw, u_max):
 )
 @settings(max_examples=60)
 def test_round_trip_random_fl_configs(att, rate, u_max, dt, n_steps, data):
-    # FL and backstepping configs alike; the horizon is a whole number of steps
+    # FL and backstepping configs alike, with any steering, reference and
+    # inertias (with or without geometry), so every key of the schema is
+    # round-tripped; the horizon is a whole number of steps
     gains, adapt, disturbance = data.draw(_controllers(u_max))
+    steering = data.draw(st.one_of(
+        st.just(SteeringConfig.isotropic()),
+        st.builds(SteeringConfig, st.floats(0.1, 1.4), st.floats(-1.4, -0.1)),
+    ))
     cfg = ScenarioConfig(
-        inertias=paper_inertias(),
-        steering=SteeringConfig.isotropic(),
+        inertias=data.draw(_inertias(steering)),
+        steering=steering,
         initial=BodyState(np.array(att), np.array(rate)),
-        reference=Reference.zero(),
+        reference=data.draw(st.one_of(st.just(Reference.zero()), _references())),
         gains=gains,
         u_max=u_max,
         dt=dt,
@@ -329,6 +378,37 @@ def test_round_trip_random_fl_configs(att, rate, u_max, dt, n_steps, data):
     assert parse_config(text) == cfg
     doc = json.loads(text, parse_constant=_reject_non_standard)
     assert doc["u_max"] == (None if math.isinf(u_max) else u_max)
+
+
+def _field_types(cls):
+    """Each field of dataclass ``cls``, and the dataclasses it may hold."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: [t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
+                     if dataclasses.is_dataclass(t)]
+            for f in dataclasses.fields(cls)}
+
+
+def test_schema_covers_every_field():
+    # every object of the schema table has exactly the fields of the type it
+    # builds, recursively from ScenarioConfig, so a field added to a type but
+    # not to the schema fails here; angle_units and controller are no fields
+    from agrosim.config import _SCENARIO, GAIN_FIELDS, _Object
+
+    def covers(keys, cls):
+        types = _field_types(cls)
+        assert set(keys) == set(types), cls
+        for name, held in types.items():
+            kind = keys[name][0]
+            if isinstance(kind, _Object):
+                assert held == [kind.type]
+                covers(kind.keys, kind.type)
+            else:  # the gains, whose keys are GAIN_FIELDS
+                assert name == "gains" or held == []
+                for gains_type in held:
+                    assert set(_field_types(gains_type)) <= set(GAIN_FIELDS.values())
+
+    covers({k: v for k, v in _SCENARIO.items() if k not in ("angle_units", "controller")},
+           ScenarioConfig)
 
 
 def _reject_non_standard(token):

@@ -28,8 +28,10 @@ from agrosim import (
     check_disturbance_budget,
     effective_inertias,
     estimate_error_metrics,
+    parse_config,
     run_scenario,
     saturate,
+    serialize_config,
     settle_time,
     torque_jacobian,
 )
@@ -207,6 +209,20 @@ def test_config_validation():
         _plain_config(disturbance=DisturbanceSpec(
             np.full(3, 0.5 * PAPER_U_MAX), np.zeros(3), 0.0, np.zeros(3),
             np.zeros(3), seed=0))
+
+
+def test_adaptation_flag_must_be_boolean():
+    # a truthy non-boolean would run with adaptation on and save a document
+    # that does not load; a numpy boolean is stored as bool, as a numpy
+    # integer seed is stored as int
+    bs = preset("bs-paper")
+    for flag in ("no", 1, 0, None, 1.0):
+        with pytest.raises(InvalidParameterError, match=f"adaptation_enabled .*{flag!r}"):
+            dataclasses.replace(bs, adaptation_enabled=flag)
+    for flag in (np.True_, np.False_):
+        cfg = dataclasses.replace(bs, adaptation_enabled=flag)
+        assert type(cfg.adaptation_enabled) is bool and cfg.adaptation_enabled == flag
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_scenario_is_unhashable():
