@@ -272,8 +272,6 @@ def test_round_trip_presets():
 
 
 def test_round_trip_with_geometry():
-    from agrosim import InertiaSet, WheelGeometry
-
     geom = WheelGeometry(0.52, 0.32, 0.05, 2.0)
     inertias = InertiaSet.from_geometry(
         [0.662, 0.940, 1.448], [0.006565, 0.011689, 0.006565],
@@ -402,7 +400,7 @@ def test_schema_covers_every_field():
             if isinstance(kind, _Object):
                 assert held == [kind.type]
                 covers(kind.keys, kind.type)
-            else:  # the gains, whose keys are GAIN_FIELDS
+            else:  # a value, or the gains, whose keys are GAIN_FIELDS
                 assert name == "gains" or held == []
                 for gains_type in held:
                     assert set(_field_types(gains_type)) <= set(GAIN_FIELDS.values())
