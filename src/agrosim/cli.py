@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -65,13 +65,13 @@ def estimate_chart(rec: TrajectoryRecord) -> LineChart:
     return chart
 
 
-def _metrics_table(rows: dict[str, Metrics]) -> str:
+def _metrics_table(rows: Iterable[tuple[str, Metrics]]) -> str:
     def fmt_settle(v: float) -> str:
         return "not settled" if math.isnan(v) else f"{v:.3f} s"
 
     lines = [f"{'scenario':<22}{'settle roll':<14}{'settle pitch':<14}"
              f"{'peak |u| [N m]':<16}{'est err RMS':<12}"]
-    for name, m in rows.items():
+    for name, m in rows:
         lines.append(
             f"{name:<22}{fmt_settle(m.settle_time[0]):<14}"
             f"{fmt_settle(m.settle_time[1]):<14}"
@@ -101,7 +101,7 @@ def _write_outputs(out_dir: str, name: str, records: dict[str, TrajectoryRecord]
         path = base + ".svg"
         save_svg(charts, path)
         written.append(path)
-    print(_metrics_table(metrics))
+    print(_metrics_table(metrics.items()))
     for path in written:
         print(f"wrote {path}")
 
@@ -159,21 +159,19 @@ def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
         raise ConfigError(
             f"parameter {param!r} does not apply to {type(base_cfg.gains).__name__}"
         )
-    metrics: dict[str, Metrics] = {}
-    rows = []
+    table, rows = [], []
     for value in values:
-        gains = dataclasses.replace(base_cfg.gains, **{field: np.full(3, float(value))})
-        cfg = dataclasses.replace(base_cfg, gains=gains)
-        _, m = run_scenario(cfg)
-        label = f"{param}={value:g}"
-        metrics[label] = m
+        gains = dataclasses.replace(base_cfg.gains, **{field: value})
+        _, m = run_scenario(dataclasses.replace(base_cfg, gains=gains))
+        # repr tells any two values apart; %g does not (1e-07 and 1.00000001e-07)
+        table.append((f"{param}={value!r}", m))
         rows.append({"value": value, **m.to_dict()})
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.sweep.{param}.metrics.json")
     with atomic_write(path) as fh:
         json.dump({"parameter": param, "runs": rows}, fh, indent=2)
         fh.write("\n")
-    print(_metrics_table(metrics))
+    print(_metrics_table(table))
     print(f"wrote {path}")
     return 0
 

@@ -30,27 +30,16 @@ a closed-form gain design for the FL error dynamics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import _ArrayEqMixin, _vec3
+from .dynamics import _ArrayEqMixin, _check_fields, _real, _vec3
 from .errors import InvalidParameterError
 
 #: Default bound on ||x_d||^2 + ||xd_d||^2 + ||xd_dd||^2 for references.
 DEFAULT_REFERENCE_BOUND = 100.0
-
-
-def _gain_vec(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 0:
-        v = np.full(3, float(v))
-    v = _vec3(v, name)
-    if not (v > 0.0).all():
-        raise InvalidParameterError(f"{name} entries must be positive, got {v}")
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +55,7 @@ class FlGains(_ArrayEqMixin):
     k2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", _gain_vec(self.k1, "k1"))
-        object.__setattr__(self, "k2", _gain_vec(self.k2, "k2"))
+        _check_fields(self, _vec3, "positive", "k1", "k2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +71,7 @@ class BsGains(_ArrayEqMixin):
     sigma: np.ndarray = 1.0
 
     def __post_init__(self):
-        for name in ("k1", "k2", "gamma", "lam", "sigma"):
-            object.__setattr__(self, name, _gain_vec(getattr(self, name), name))
+        _check_fields(self, _vec3, "positive", "k1", "k2", "gamma", "lam", "sigma")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +79,12 @@ class Reference(_ArrayEqMixin):
     """Desired attitude trajectory sample (x_d, xd_d, xd_dd).
 
     The combined squared magnitude must stay under ``rho`` (boundedness
-    assumption of the stability analysis; configurable).
+    assumption of the stability analysis; configurable).  The sample is held
+    for the whole run: x_d never integrates ``xd_dot``, so a non-zero rate or
+    acceleration demand leaves the body at rest at an offset from x_d, where
+    the laws' terms balance.  Under FL that offset is ``x - x_d = (k1 xd_dot
+    + xd_ddot) / k2``: fl-paper with ``xd_dot = [0.1, 0, 0]`` rad/s ends at
+    roll +0.0163 rad, not turning at 0.1 rad/s.
     """
 
     x_d: np.ndarray
@@ -101,18 +93,9 @@ class Reference(_ArrayEqMixin):
     rho: float = DEFAULT_REFERENCE_BOUND
 
     def __post_init__(self):
-        object.__setattr__(self, "x_d", _vec3(self.x_d, "x_d"))
-        object.__setattr__(self, "xd_dot", _vec3(self.xd_dot, "xd_dot"))
-        object.__setattr__(self, "xd_ddot", _vec3(self.xd_ddot, "xd_ddot"))
-        rho = float(self.rho)
-        if not math.isfinite(rho):
-            raise InvalidParameterError(f"reference bound rho must be finite, got {rho}")
-        object.__setattr__(self, "rho", rho)
-        total = (
-            float(self.x_d @ self.x_d)
-            + float(self.xd_dot @ self.xd_dot)
-            + float(self.xd_ddot @ self.xd_ddot)
-        )
+        _check_fields(self, _vec3, "finite", "x_d", "xd_dot", "xd_ddot")
+        _check_fields(self, _real, "finite", "rho")
+        total = sum(float(v @ v) for v in (self.x_d, self.xd_dot, self.xd_ddot))
         if total > self.rho:
             raise InvalidParameterError(
                 f"reference magnitude {total:g} exceeds bound rho = {self.rho:g}"
@@ -120,11 +103,7 @@ class Reference(_ArrayEqMixin):
 
     @classmethod
     def zero(cls) -> "Reference":
-        return cls(np.zeros(3), np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def constant(cls, x_d, rho: float = DEFAULT_REFERENCE_BOUND) -> "Reference":
-        return cls(np.asarray(x_d, dtype=float), np.zeros(3), np.zeros(3), rho)
+        return cls(0.0, 0.0, 0.0)
 
 
 def lyapunov(e1: np.ndarray, e2: np.ndarray, l_err: np.ndarray, gains: BsGains) -> np.ndarray:

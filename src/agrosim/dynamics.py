@@ -18,6 +18,11 @@ floats, in :mod:`agrosim.kernel`: the drift term f is
 step that :func:`agrosim.kernel.closed_loop` returns, which also records
 L_true as ``g`` times the injected torque.
 
+Every scenario type checks its values with :func:`_real` (a real number)
+and :func:`_vec3` (a 3-vector; a real number is spread over all three axes),
+each under a condition such as "positive".  A bool, a numeric string or any
+other non-real value is rejected by name, never converted.
+
 Angles are radians throughout; the command-line layer converts from degrees.
 All values are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
@@ -25,6 +30,8 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,15 +50,53 @@ SINGULARITY_TOL = 1e-6
 #: their wheel geometry gives (:meth:`InertiaSet.check_geometry_consistency`).
 _GEOMETRY_RTOL = 1e-9
 
+#: The conditions :func:`_real` and :func:`_vec3` enforce, by the words
+#: their errors use.
+_CONDITIONS = {
+    "finite": math.isfinite,
+    "positive": lambda v: math.isfinite(v) and v > 0.0,
+    "non-negative": lambda v: math.isfinite(v) and v >= 0.0,
+    "positive or inf": lambda v: v > 0.0,
+}
 
-def _vec3(value, name: str) -> np.ndarray:
-    v = np.array(value, dtype=float)  # copy: the stored array is frozen below
-    if v.shape != (3,):
-        raise InvalidParameterError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InvalidParameterError(f"{name} must be finite, got {v}")
+
+def _real(value, name: str, condition: str = "finite") -> float:
+    """``value`` as a float, if it is a real number (a numpy number or a 0-d
+    array of one included, a bool not) that meets ``condition``, one of
+    :data:`_CONDITIONS`."""
+    if type(value) is not float:  # a float, the common case, needs no kind check
+        if isinstance(value, np.ndarray) and value.shape == ():
+            value = value[()]
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not _CONDITIONS[condition](value):
+        raise InvalidParameterError(f"{name} must be {condition}, got {value!r}")
+    return value
+
+
+def _vec3(value, name: str, condition: str = "finite") -> np.ndarray:
+    """``value`` as a new read-only array of three floats: a real number is
+    spread over all three axes, and each entry of a list, tuple or array of
+    three is checked by :func:`_real` on its own, so a bool among them is
+    rejected, not upcast."""
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(entries, (list, tuple)):
+        entries = (_real(entries, name, condition),) * 3
+    elif len(entries) == 3:
+        entries = [_real(x, f"{name}[{i}]", condition) for i, x in enumerate(entries)]
+    else:
+        raise InvalidParameterError(f"{name} needs 1 or 3 real numbers, got {len(entries)}")
+    v = np.array(entries)
     v.flags.writeable = False
     return v
+
+
+def _check_fields(obj, check, condition: str, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as ``check``
+    (:func:`_real` or :func:`_vec3`) returns it under ``condition``."""
+    for name in names:
+        object.__setattr__(obj, name, check(getattr(obj, name), name, condition))
 
 
 class _ArrayEqMixin:
@@ -85,11 +130,7 @@ class SteeringConfig:
     delta2: float
 
     def __post_init__(self):
-        for name in ("delta1", "delta2"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+        _check_fields(self, _real, "finite", "delta1", "delta2")
 
     @classmethod
     def from_degrees(cls, delta1_deg: float, delta2_deg: float) -> "SteeringConfig":
@@ -114,14 +155,8 @@ class WheelGeometry:
     m_w: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m_w) and self.m_w > 0.0):
-            raise InvalidParameterError(f"wheel mass must be positive, got {self.m_w}")
-        for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not (np.isfinite(v) and v >= 0.0):
-                raise InvalidParameterError(f"{name} must be non-negative, got {v}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "m_w", float(self.m_w))
+        _check_fields(self, _real, "non-negative", "a", "b", "c")
+        _check_fields(self, _real, "positive", "m_w")
 
 
 def reflected_inertia(geometry: WheelGeometry, steering: SteeringConfig) -> tuple[float, float]:
@@ -170,11 +205,7 @@ class InertiaSet(_ArrayEqMixin):
     geometry: WheelGeometry | None = None
 
     def __post_init__(self):
-        for name in ("j_body", "j_wheel", "j_reflected"):
-            v = _vec3(getattr(self, name), name)
-            if not (v > 0.0).all():
-                raise InvalidParameterError(f"{name} entries must be positive, got {v}")
-            object.__setattr__(self, name, v)
+        _check_fields(self, _vec3, "positive", "j_body", "j_wheel", "j_reflected")
 
     @classmethod
     def from_geometry(
@@ -188,7 +219,7 @@ class InertiaSet(_ArrayEqMixin):
         """Build an inertia set whose roll/pitch reflected entries are
         computed from the wheel geometry at the given steering angles."""
         j_xx, j_yy = reflected_inertia(geometry, steering)
-        return cls(j_body, j_wheel, np.array([j_xx, j_yy, float(j_reflected_zz)]), geometry)
+        return cls(j_body, j_wheel, (j_xx, j_yy, j_reflected_zz), geometry)
 
     def check_geometry_consistency(self, steering: SteeringConfig) -> None:
         """Raise if stored roll/pitch reflected inertias disagree with the
@@ -221,12 +252,10 @@ class EffectiveInertias(_ArrayEqMixin):
     j2: np.ndarray
 
     def __post_init__(self):
-        j1 = _vec3(self.j1, "j1")
-        j2 = _vec3(self.j2, "j2")
-        if not (j1 > 0.0).all():
-            raise DegenerateInertiaError(f"effective inertia divisors must be positive, got {j1}")
-        object.__setattr__(self, "j1", j1)
-        object.__setattr__(self, "j2", j2)
+        _check_fields(self, _vec3, "finite", "j1", "j2")
+        if not (self.j1 > 0.0).all():
+            raise DegenerateInertiaError(
+                f"effective inertia divisors must be positive, got {self.j1}")
 
 
 def effective_inertias(inertias: InertiaSet, steering: SteeringConfig) -> EffectiveInertias:
@@ -277,12 +306,11 @@ class BodyState(_ArrayEqMixin):
     rate: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "attitude", _vec3(self.attitude, "attitude"))
-        object.__setattr__(self, "rate", _vec3(self.rate, "rate"))
+        _check_fields(self, _vec3, "finite", "attitude", "rate")
 
     @classmethod
     def zero(cls) -> "BodyState":
-        return cls(np.zeros(3), np.zeros(3))
+        return cls(0.0, 0.0)
 
 
 def torque_jacobian(steering: SteeringConfig) -> np.ndarray:

@@ -47,7 +47,7 @@ def paper_inertias() -> InertiaSet:
 
 
 def paper_initial_state() -> BodyState:
-    return BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3))
+    return BodyState(np.deg2rad([-22.5, 22.5, 0.0]), 0.0)
 
 
 def fl_paper() -> ScenarioConfig:
@@ -78,12 +78,8 @@ def bs_adaptive_paper() -> ScenarioConfig:
         gains=BsGains(10.0, 200.0, sigma=0.0005),
         adaptation_enabled=True,
         disturbance=DisturbanceSpec(
-            offset=np.full(3, 0.15 * PAPER_U_MAX),
-            sine_amp=np.full(3, 0.15 * PAPER_U_MAX),
-            sine_freq=2.0,
-            sine_phase=np.zeros(3),
-            noise_sigma=np.full(3, PAPER_U_MAX / 60.0),
-            seed=DEFAULT_SEED,
+            offset=0.15 * PAPER_U_MAX, sine_amp=0.15 * PAPER_U_MAX, sine_freq=2.0,
+            sine_phase=0.0, noise_sigma=PAPER_U_MAX / 60.0, seed=DEFAULT_SEED,
         ),
     )
 

@@ -58,6 +58,8 @@ from .dynamics import (
     InertiaSet,
     SteeringConfig,
     _ArrayEqMixin,
+    _check_fields,
+    _real,
     _vec3,
     allocate_wheel_torques,
     effective_inertias,
@@ -109,22 +111,10 @@ class DisturbanceSpec(_ArrayEqMixin):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", _vec3(self.offset, "offset"))
-        object.__setattr__(self, "sine_amp", _vec3(self.sine_amp, "sine_amp"))
-        object.__setattr__(self, "sine_phase", _vec3(self.sine_phase, "sine_phase"))
-        sigma = _vec3(self.noise_sigma, "noise_sigma")
-        if (sigma < 0.0).any():
-            raise InvalidParameterError(f"noise_sigma must be non-negative, got {sigma}")
-        object.__setattr__(self, "noise_sigma", sigma)
-        freq = float(self.sine_freq)
-        if not (np.isfinite(freq) and freq >= 0.0):
-            raise InvalidParameterError(f"sine_freq must be non-negative, got {freq}")
-        object.__setattr__(self, "sine_freq", freq)
+        _check_fields(self, _vec3, "finite", "offset", "sine_amp", "sine_phase")
+        _check_fields(self, _vec3, "non-negative", "noise_sigma")
+        _check_fields(self, _real, "non-negative", "sine_freq")
         object.__setattr__(self, "seed", _seed(self.seed))
-
-    @classmethod
-    def zero(cls, seed: int = 0) -> "DisturbanceSpec":
-        return cls(np.zeros(3), np.zeros(3), 0.0, np.zeros(3), np.zeros(3), seed)
 
 
 def check_disturbance_budget(spec: DisturbanceSpec, u_max: float) -> None:
@@ -172,8 +162,7 @@ class NoiseStreams:
 def saturate(u: np.ndarray, u_max: float) -> np.ndarray:
     """Per-axis clamp of body torques (shape (3,) or (n, 3)) to
     [-u_max, +u_max]."""
-    if not u_max > 0.0:
-        raise InvalidParameterError(f"u_max must be positive, got {u_max}")
+    u_max = _real(u_max, "u_max", "positive or inf")
     return np.clip(np.asarray(u, dtype=float), -u_max, u_max)
 
 
@@ -216,14 +205,10 @@ class ScenarioConfig(_ArrayEqMixin):
         object.__setattr__(self, "adaptation_enabled", bool(adapt))
         if self.adaptation_enabled and not isinstance(self.gains, BsGains):
             raise InvalidParameterError("adaptation requires the backstepping controller")
-        u_max = float(self.u_max)
-        if math.isnan(u_max) or not u_max > 0.0:
-            raise InvalidParameterError(f"u_max must be positive, got {u_max}")
-        dt = float(self.dt)
-        if not (np.isfinite(dt) and dt > 0.0):
-            raise InvalidParameterError(f"dt must be positive, got {dt}")
-        horizon = float(self.horizon)
-        if not (np.isfinite(horizon) and horizon >= dt):
+        _check_fields(self, _real, "positive or inf", "u_max")
+        _check_fields(self, _real, "positive", "dt", "horizon")
+        horizon, dt = self.horizon, self.dt
+        if horizon < dt:
             raise InvalidParameterError(f"horizon must be >= dt, got {horizon}")
         steps = horizon / dt
         if abs(steps - round(steps)) > _HORIZON_RTOL * steps:
@@ -231,11 +216,8 @@ class ScenarioConfig(_ArrayEqMixin):
                 f"horizon {horizon!r} s is not a whole number of dt = {dt!r} s steps "
                 f"(horizon / dt = {steps!r})"
             )
-        object.__setattr__(self, "u_max", u_max)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "horizon", horizon)
-        if self.disturbance is not None and np.isfinite(u_max):
-            check_disturbance_budget(self.disturbance, u_max)
+        if self.disturbance is not None and math.isfinite(self.u_max):
+            check_disturbance_budget(self.disturbance, self.u_max)
 
     @property
     def n_steps(self) -> int:
@@ -403,8 +385,7 @@ def settle_time(record: TrajectoryRecord, band: float = DEFAULT_SETTLE_BAND) -> 
     Returns NaN for an axis that has not settled by the end of the record
     ("enter and stay" semantics: one late excursion resets the clock).
     """
-    if not band > 0.0:
-        raise InvalidParameterError(f"band must be positive, got {band}")
+    band = _real(band, "band", "positive or inf")
     err = np.abs(record.error())
     out = np.full(3, np.nan)
     for axis in range(3):

@@ -4,8 +4,10 @@ Adding or removing a top-level name is a deliberate change to this list,
 so a wrapper that only the tests call does not creep back in unnoticed.
 """
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 import types
 
 import agrosim
@@ -109,3 +111,26 @@ SCENARIO_FIELDS = [
 
 def test_scenario_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(agrosim.ScenarioConfig)] == SCENARIO_FIELDS
+
+
+def test_source_modules_use_every_import():
+    # no linter runs on this package, so a simplification that deletes the
+    # last use of an import is caught here; __init__ imports to re-export
+    src = pathlib.Path(agrosim.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in used]
+    assert unused == []

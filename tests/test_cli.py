@@ -194,6 +194,14 @@ def test_sweep(tmp_path, capsys):
         assert first != second  # the value reached the gains
         out = capsys.readouterr().out
         assert f"{param}=10" in out and f"{param}=20" in out
+    # one table row per run, in run order, labelled so that values %g rounds
+    # together (1e-07 and 1.00000001e-07) and repeated values stay apart
+    rc = main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values",
+               "10,10,1e-7,1.00000001e-7", "--out", str(tmp_path), "--horizon", "0.05"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == [
+        "k1=10.0", "k1=10.0", "k1=1e-07", "k1=1.00000001e-07"]
 
 
 def test_sweep_rejects_no_svg_as_a_usage_error(tmp_path, capsys):

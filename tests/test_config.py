@@ -281,7 +281,7 @@ def test_round_trip_with_geometry():
         inertias=inertias,
         steering=SteeringConfig.isotropic(),
         initial=BodyState(np.array([0.1, -0.2, 0.05]), np.array([0.3, 0.0, -0.1])),
-        reference=Reference.constant(np.array([0.05, 0.0, 0.0])),
+        reference=Reference(np.array([0.05, 0.0, 0.0]), 0.0, 0.0),
         gains=BsGains(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]),
                       np.array([0.5, 0.5, 2.0]), np.array([1.5, 1.0, 1.0]),
                       np.array([0.1, 0.2, 0.3])),

@@ -21,6 +21,9 @@ from agrosim import kernel
 from agrosim.presets import paper_inertias
 
 EFF = effective_inertias(paper_inertias(), SteeringConfig.isotropic())
+
+#: Values that are no real number: each is rejected by name, not converted.
+NOT_REAL = (True, np.False_, "0.5", object())
 REST_TILTED = BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3))
 
 
@@ -73,6 +76,21 @@ def test_bs_gains_reject_non_positive(field, value):
         BsGains(**kwargs)
 
 
+@pytest.mark.parametrize("gains_type,field", [
+    (FlGains, "k1"), (FlGains, "k2"),
+    (BsGains, "k1"), (BsGains, "k2"), (BsGains, "gamma"), (BsGains, "lam"), (BsGains, "sigma"),
+])
+@pytest.mark.parametrize("bad", NOT_REAL)
+def test_gains_reject_non_real(gains_type, field, bad):
+    kwargs = dict(k1=1.0, k2=1.0)
+    kwargs[field] = bad
+    with pytest.raises(InvalidParameterError, match=rf"^{field} "):
+        gains_type(**kwargs)
+    kwargs[field] = [1.0, 1.0, bad]  # a bool entry is not upcast with its neighbours
+    with pytest.raises(InvalidParameterError, match=rf"^{field}\[2\] "):
+        gains_type(**kwargs)
+
+
 def test_scalar_gains_broadcast():
     g = BsGains(20.0, 1800.0)
     np.testing.assert_array_equal(g.k1, [20.0, 20.0, 20.0])
@@ -87,10 +105,26 @@ def test_reference_bound():
     Reference(np.array([11.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), rho=200.0)
 
 
-@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, *NOT_REAL])
 def test_reference_rejects_non_finite_rho(rho):
     with pytest.raises(InvalidParameterError, match="rho"):
         Reference(np.zeros(3), np.zeros(3), np.zeros(3), rho=rho)
+
+
+@pytest.mark.parametrize("field", ["x_d", "xd_dot", "xd_ddot"])
+@pytest.mark.parametrize("bad", NOT_REAL)
+def test_reference_rejects_non_real_entries(field, bad):
+    kwargs = dict(x_d=0.0, xd_dot=0.0, xd_ddot=0.0)
+    kwargs[field] = [0.0, bad, 0.0]
+    with pytest.raises(InvalidParameterError, match=rf"^{field}\[1\] "):
+        Reference(**kwargs)
+
+
+def test_reference_spreads_a_scalar():
+    assert Reference(0.0, 0.0, 0.0) == Reference.zero()
+    ref = Reference(0.1, [0.0, 0.2, 0.0], 0.0)
+    np.testing.assert_array_equal(ref.x_d, [0.1, 0.1, 0.1])
+    np.testing.assert_array_equal(ref.xd_dot, [0.0, 0.2, 0.0])
 
 
 # ---------------------------------------------------------------------------

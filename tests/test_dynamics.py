@@ -25,6 +25,9 @@ from agrosim.presets import paper_inertias
 ISO = SteeringConfig.isotropic()
 
 finite_angles = st.floats(-np.pi, np.pi, allow_nan=False)
+
+#: Values that are no real number: each is rejected by name, not converted.
+NOT_REAL = (True, np.False_, "0.5", object())
 small_floats = st.floats(-10.0, 10.0, allow_nan=False)
 
 
@@ -75,6 +78,12 @@ def test_wheel_geometry_rejects_bad_values():
         WheelGeometry(1.0, 1.0, 0.1, -2.0)
     with pytest.raises(InvalidParameterError):
         WheelGeometry(-0.1, 1.0, 0.1, 1.0)
+    for i, name in enumerate(("a", "b", "c", "m_w")):
+        for bad in NOT_REAL:
+            args = [1.0, 1.0, 0.1, 1.0]
+            args[i] = bad
+            with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+                WheelGeometry(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +142,15 @@ def test_inertia_set_rejects_non_positive():
         InertiaSet(np.array([0.0, 1.0, 1.0]), np.ones(3), np.ones(3))
     with pytest.raises(InvalidParameterError):
         InertiaSet(np.ones(3), np.array([1.0, -1.0, 1.0]), np.ones(3))
+    for i, name in enumerate(("j_body", "j_wheel", "j_reflected")):
+        for bad in NOT_REAL:
+            args = [np.ones(3)] * 3
+            args[i] = [1.0, bad, 1.0]  # a bool entry is not upcast with its neighbours
+            with pytest.raises(InvalidParameterError, match=rf"^{name}\[1\] "):
+                InertiaSet(*args)
+    with pytest.raises(InvalidParameterError, match=r"^j_reflected\[2\] "):
+        InertiaSet.from_geometry(np.ones(3), np.ones(3), WheelGeometry(0.5, 0.3, 0.05, 2.0),
+                                 ISO, j_reflected_zz="0.7")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +298,11 @@ def test_steering_singularity_flag():
 def test_steering_rejects_non_finite():
     with pytest.raises(InvalidParameterError):
         SteeringConfig(np.nan, 0.0)
+    for bad in NOT_REAL:
+        with pytest.raises(InvalidParameterError, match=r"^delta1 "):
+            SteeringConfig(bad, 0.0)
+        with pytest.raises(InvalidParameterError, match=r"^delta2 "):
+            SteeringConfig(0.0, bad)
 
 
 def test_state_arrays_are_read_only():
@@ -300,8 +323,29 @@ def test_body_state_rejects_bad_shapes():
         BodyState(np.zeros(2), np.zeros(3))
     with pytest.raises(InvalidParameterError):
         BodyState(np.array([np.inf, 0.0, 0.0]), np.zeros(3))
+    for bad in NOT_REAL:
+        with pytest.raises(InvalidParameterError, match=r"^attitude\[0\] "):
+            BodyState([bad, 0.0, 0.0], np.zeros(3))
+        with pytest.raises(InvalidParameterError, match=r"^rate\[2\] "):
+            BodyState(np.zeros(3), (0.0, 0.0, bad))
+    with pytest.raises(InvalidParameterError, match=r"^rate\[0\] "):
+        BodyState(np.zeros(3), np.array([False, True, False]))
+
+
+def test_body_state_spreads_a_scalar():
+    assert BodyState(0.0, 0.0) == BodyState.zero()
+    state = BodyState(0.1, np.int64(2))
+    np.testing.assert_array_equal(state.attitude, [0.1, 0.1, 0.1])
+    assert state.rate.dtype == float and (state.rate == 2.0).all()
+    with pytest.raises(ValueError):
+        state.attitude[0] = 1.0  # a spread scalar is frozen too
 
 
 def test_effective_inertias_type_validates():
     with pytest.raises(DegenerateInertiaError):
         EffectiveInertias(np.array([1.0, 0.0, 1.0]), np.zeros(3))
+    for bad in NOT_REAL:
+        with pytest.raises(InvalidParameterError, match=r"^j1\[0\] "):
+            EffectiveInertias([bad, 1.0, 1.0], np.zeros(3))
+        with pytest.raises(InvalidParameterError, match=r"^j2\[0\] "):
+            EffectiveInertias(np.ones(3), [bad, 0.0, 0.0])

@@ -47,6 +47,9 @@ from agrosim.presets import (
 
 ISO = SteeringConfig.isotropic()
 
+#: Values that are no real number: each is rejected by name, not converted.
+NOT_REAL = (True, np.False_, "0.5", object())
+
 
 def _plain_config(**overrides) -> ScenarioConfig:
     base = dict(
@@ -88,7 +91,7 @@ def _deterministic(spec, t):
 
 
 def test_disturbance_all_zero():
-    spec = DisturbanceSpec.zero()
+    spec = DisturbanceSpec(0.0, 0.0, 0.0, 0.0, 0.0, seed=0)
     for t in (0.0, 0.3, 2.0):
         assert (_deterministic(spec, t) == 0.0).all()
 
@@ -184,6 +187,9 @@ def test_saturate_clamp_property(u, u_max):
 def test_saturate_rejects_bad_limit():
     with pytest.raises(InvalidParameterError):
         saturate(np.zeros(3), 0.0)
+    for bad in (*NOT_REAL, "5"):
+        with pytest.raises(InvalidParameterError, match=r"^u_max "):
+            saturate(np.zeros(3), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +215,33 @@ def test_config_validation():
         _plain_config(disturbance=DisturbanceSpec(
             np.full(3, 0.5 * PAPER_U_MAX), np.zeros(3), 0.0, np.zeros(3),
             np.zeros(3), seed=0))
+    # a bool or a numeric string is rejected, not converted: dt=True once ran at 1 s
+    for bad in NOT_REAL:
+        for name in ("u_max", "dt", "horizon"):
+            with pytest.raises(InvalidParameterError, match=rf"^{name} "):
+                dataclasses.replace(preset("fl-paper"), **{name: bad})
+        with pytest.raises(InvalidParameterError, match=r"^dt "):
+            dataclasses.replace(preset("fl-paper"), dt=bad, horizon=1.0)
+
+
+@pytest.mark.parametrize("field", ["offset", "sine_amp", "sine_freq", "sine_phase",
+                                   "noise_sigma"])
+@pytest.mark.parametrize("bad", NOT_REAL)
+def test_disturbance_rejects_non_real(field, bad):
+    kwargs = dict(offset=0.0, sine_amp=0.0, sine_freq=0.0, sine_phase=0.0, noise_sigma=0.0,
+                  seed=0)
+    kwargs[field] = bad if field == "sine_freq" else [0.0, 0.0, bad]
+    entry = "" if field == "sine_freq" else r"\[2\]"
+    with pytest.raises(InvalidParameterError, match=rf"^{field}{entry} "):
+        DisturbanceSpec(**kwargs)
+
+
+def test_disturbance_spreads_a_scalar():
+    spec = DisturbanceSpec(1.0, 0.5, 2.0, 0.0, 0.1, seed=3)
+    assert spec == DisturbanceSpec(np.full(3, 1.0), np.full(3, 0.5), 2.0, np.zeros(3),
+                                   np.full(3, 0.1), seed=3)
+    with pytest.raises(InvalidParameterError, match=r"^noise_sigma "):
+        DisturbanceSpec(0.0, 0.0, 0.0, 0.0, -0.1, seed=0)
 
 
 def test_adaptation_flag_must_be_boolean():
@@ -398,6 +431,14 @@ def test_fl_runs_have_nan_v2_and_bs_runs_do_not():
 # ---------------------------------------------------------------------------
 # settle time and estimate metrics
 # ---------------------------------------------------------------------------
+
+def test_settle_time_rejects_bad_band():
+    rec = _record_from_error(np.arange(3) * 1e-3, np.zeros((3, 3)))
+    for bad in (0.0, math.nan, *NOT_REAL, "x"):
+        with pytest.raises(InvalidParameterError, match=r"^band "):
+            settle_time(rec, bad)
+    np.testing.assert_array_equal(settle_time(rec, math.inf), 0.0)
+
 
 def test_settle_time_zero_error():
     t = np.arange(101) * 1e-3
@@ -596,13 +637,13 @@ def test_metrics_to_dict_converts_nan():
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True])
 def test_disturbance_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(InvalidParameterError, match=re.escape(repr(seed))):
-        DisturbanceSpec.zero(seed)
+        DisturbanceSpec(0.0, 0.0, 0.0, 0.0, 0.0, seed)
     # the noise streams run the same check: 1.5 is not truncated to 1
     with pytest.raises(InvalidParameterError, match=re.escape(repr(seed))):
         NoiseStreams(seed)
 
 
 def test_disturbance_seed_accepts_numpy_integers():
-    spec = DisturbanceSpec.zero(np.int64(7))
+    spec = DisturbanceSpec(0.0, 0.0, 0.0, 0.0, 0.0, np.int64(7))
     assert spec.seed == 7 and type(spec.seed) is int
     assert np.array_equal(NoiseStreams(np.int64(7)).draw(4), NoiseStreams(7).draw(4))
