@@ -143,14 +143,12 @@ def lqr_double_integrator(q_pos: float, q_vel: float, r: float) -> LqrGains:
     Raises
     ------
     InvalidParameterError
-        If ``r <= 0``, ``q_pos <= 0`` or ``q_vel < 0``.
+        Unless ``q_pos`` and ``r`` are positive and ``q_vel`` non-negative
+        finite real numbers (a bool is not one).
     """
-    if not r > 0.0:
-        raise InvalidParameterError(f"control weight r must be positive, got {r}")
-    if not q_pos > 0.0:
-        raise InvalidParameterError(f"position weight must be positive, got {q_pos}")
-    if q_vel < 0.0:
-        raise InvalidParameterError(f"velocity weight must be non-negative, got {q_vel}")
+    q_pos = _real(q_pos, "position weight q_pos", "positive")
+    q_vel = _real(q_vel, "velocity weight q_vel", "non-negative")
+    r = _real(r, "control weight r", "positive")
     k2 = np.sqrt(q_pos / r)
     k1 = np.sqrt((q_vel + 2.0 * np.sqrt(q_pos * r)) / r)
     return LqrGains(float(k2), float(k1))

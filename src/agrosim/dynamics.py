@@ -134,7 +134,8 @@ class SteeringConfig:
 
     @classmethod
     def from_degrees(cls, delta1_deg: float, delta2_deg: float) -> "SteeringConfig":
-        return cls(np.deg2rad(delta1_deg), np.deg2rad(delta2_deg))
+        return cls(np.deg2rad(_real(delta1_deg, "delta1_deg")),
+                   np.deg2rad(_real(delta2_deg, "delta2_deg")))
 
     @classmethod
     def isotropic(cls) -> "SteeringConfig":

@@ -15,9 +15,14 @@ Layout: a 3-vector is a tuple of three floats and the augmented state
 inertias, reference, disturbance) is converted to ``float`` once, when a law
 or a step is built, together with the ratios the laws use (``j2/j1``,
 ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``, ``dt/6``).  On 3-vectors
-a numpy call costs far more than the arithmetic it does, so this layout
-runs a closed-loop step about five times faster than numpy arrays did (see
-the README's Performance section).
+a numpy call costs far more than the arithmetic it does, and on 9-tuples a
+``zip`` comprehension costs more than the nine sums it builds, so the RK4
+step unpacks the state and each stage derivative into named floats and
+writes every stage state and the final combination as one 9-tuple.  A step
+takes about 6 µs (FL) to 10 µs (adaptive backstepping) on a 2-core x86-64
+host (see the README's Performance section).  The state operands see only
+``+``, ``-``, ``*`` and unpacking, so the same step can run on arrays of
+many scenarios at once.
 
 Bit-identity: every expression evaluates the formula in its docstring in
 the order numpy evaluates the vectorised form, left to right (e.g.
@@ -216,13 +221,28 @@ def closed_loop(
             da, dh, db = dist(t), dist(t + h), dist(t + dt)
             (d0, d1, d2), (n0, n1, n2) = da, n
             l = g0 * (d0 + n0), g1 * (d1 + n1), g2 * (d2 + n2)
+        y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
         k1, u = stage(y, da, n)
-        k2, _ = stage(tuple([a + h * b for a, b in zip(y, k1)]), dh, n)
-        k3, _ = stage(tuple([a + h * b for a, b in zip(y, k2)]), dh, n)
-        k4, _ = stage(tuple([a + dt * b for a, b in zip(y, k3)]), db, n)
-        return tuple([
-            a + s6 * (((b + 2.0 * c) + 2.0 * d) + e)
-            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        ]), u, l
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = k1
+        k2, _ = stage((y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4,
+                       y5 + h * a5, y6 + h * a6, y7 + h * a7, y8 + h * a8), dh, n)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = k2
+        k3, _ = stage((y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4,
+                       y5 + h * b5, y6 + h * b6, y7 + h * b7, y8 + h * b8), dh, n)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = k3
+        k4, _ = stage((y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
+                       y5 + dt * c5, y6 + dt * c6, y7 + dt * c7, y8 + dt * c8), db, n)
+        w0, w1, w2, w3, w4, w5, w6, w7, w8 = k4
+        return (
+            y0 + s6 * (((a0 + 2.0 * b0) + 2.0 * c0) + w0),
+            y1 + s6 * (((a1 + 2.0 * b1) + 2.0 * c1) + w1),
+            y2 + s6 * (((a2 + 2.0 * b2) + 2.0 * c2) + w2),
+            y3 + s6 * (((a3 + 2.0 * b3) + 2.0 * c3) + w3),
+            y4 + s6 * (((a4 + 2.0 * b4) + 2.0 * c4) + w4),
+            y5 + s6 * (((a5 + 2.0 * b5) + 2.0 * c5) + w5),
+            y6 + s6 * (((a6 + 2.0 * b6) + 2.0 * c6) + w6),
+            y7 + s6 * (((a7 + 2.0 * b7) + 2.0 * c7) + w7),
+            y8 + s6 * (((a8 + 2.0 * b8) + 2.0 * c8) + w8),
+        ), u, l
 
     return step

@@ -350,6 +350,15 @@ def test_lqr_rejects_bad_weights():
         lqr_double_integrator(0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, *NOT_REAL])
+@pytest.mark.parametrize("position", range(3))
+def test_lqr_rejects_non_real_or_non_finite_weights(bad, position):
+    weights = [1.0, 0.0, 1.0]
+    weights[position] = bad
+    with pytest.raises(InvalidParameterError, match=("q_pos", "q_vel", "weight r")[position]):
+        lqr_double_integrator(*weights)
+
+
 def test_preset_fl_gains_are_not_a_double_integrator_solution():
     # the shipped FL gains come from the reference parameterization, not from
     # this solver: no per-axis weight assignment over the documented weights

@@ -305,6 +305,17 @@ def test_steering_rejects_non_finite():
             SteeringConfig(0.0, bad)
 
 
+def test_steering_from_degrees_checks_before_converting():
+    # a valid angle converts exactly as np.deg2rad does
+    assert SteeringConfig.from_degrees(30.0, -45.0) == SteeringConfig(np.deg2rad(30.0),
+                                                                      np.deg2rad(-45.0))
+    for bad in (*NOT_REAL, "x", math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match=r"^delta1_deg "):
+            SteeringConfig.from_degrees(bad, -45.0)
+        with pytest.raises(InvalidParameterError, match=r"^delta2_deg "):
+            SteeringConfig.from_degrees(45.0, bad)
+
+
 def test_state_arrays_are_read_only():
     state = BodyState(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):

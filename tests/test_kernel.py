@@ -306,3 +306,29 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
         assert np.array_equal(e, _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, gains.k1))
         assert np.array_equal(np.array(kernel.adaptation(gains.lam, gains.sigma)(e2(y))),
                               _adaptation_rate(e, gains.lam, gains.sigma))
+
+
+#: A state entry: in the range the finite property draws from, any float
+#: (huge magnitudes that saturate every command, subnormals, +/-inf, NaN), or
+#: a non-finite value outright, so each stage sees saturated and NaN commands.
+_EDGE_ENTRY = st.one_of(st.floats(-2.0, 2.0), st.floats(),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@given(cfg=scenarios(), y=st.tuples(*[_EDGE_ENTRY for _ in range(9)]),
+       t=st.floats(0.0, 5.0), noise=_vec(-1.0, 1.0))
+@_PROPERTY
+def test_step_matches_numpy_reference_at_edge_values(cfg, y, t, noise):
+    # every term of every component must reach the result: a NaN or an inf
+    # that a reordered or dropped term would lose shows here, where the
+    # finite range of the property above can hide it
+    loop = _ReferenceLoop(cfg)
+    y_next, u, l = sim._loop(cfg)(t, y, kernel.floats(noise))
+    with np.errstate(all="ignore"):
+        want = loop.rk4_step(t, np.array(y), noise)
+        want_u = loop.command(np.array(y))
+        want_l = (np.zeros(3) if loop.dist_torque is None
+                  else loop.g * (loop.dist_torque(t) + noise))
+    assert np.array_equal(np.array(y_next), want, equal_nan=True)
+    assert np.array_equal(np.array(u), want_u, equal_nan=True)
+    assert np.array_equal(np.array(l), want_l, equal_nan=True)
