@@ -8,11 +8,15 @@
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
-``--no-svg``.  The output directory defaults to ``$AGROSIM_OUT``,
-then the current directory.  ``--dt``, ``--horizon`` and ``--seed`` are
-applied together, by :func:`agrosim.presets.override`, to the preset or the
-``--config`` file.  Exit status is 0 exactly when every requested artifact
-was written; each artifact replaces its target only once it is complete
+``--no-svg``.  A sweep spreads its values over the usable CPUs, running
+one share itself and each other share in a forked child; its table and
+JSON do not depend on how many CPUs there are, and a failing sweep reports
+the error of its first failing value, as a serial loop would.  The output
+directory defaults to ``$AGROSIM_OUT``, then the current directory.
+``--dt``, ``--horizon`` and ``--seed`` are applied together, by
+:func:`agrosim.presets.override`, to the preset or the ``--config`` file.
+Exit status is 0 exactly when every requested artifact was written; each
+artifact replaces its target only once it is complete
 (:func:`agrosim.atomic.atomic_write`).
 """
 
@@ -23,7 +27,11 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import threading
+import traceback
 from typing import Iterable, Optional
 
 import numpy as np
@@ -149,7 +157,9 @@ def cmd_compare(a: tuple[str, ScenarioConfig], b: tuple[str, ScenarioConfig],
 
 def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
               values: list[float]) -> int:
-    """Grid over one gain, all axes together, and tabulate the metrics."""
+    """Grid over one gain, all axes together, and tabulate the metrics.
+
+    Every value's scenario is built, and so checked, before any is run."""
     if param not in GAIN_FIELDS:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {sorted(GAIN_FIELDS)}")
     if not values:
@@ -159,13 +169,13 @@ def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
         raise ConfigError(
             f"parameter {param!r} does not apply to {type(base_cfg.gains).__name__}"
         )
-    table, rows = [], []
-    for value in values:
-        gains = dataclasses.replace(base_cfg.gains, **{field: value})
-        _, m = run_scenario(dataclasses.replace(base_cfg, gains=gains))
-        # repr tells any two values apart; %g does not (1e-07 and 1.00000001e-07)
-        table.append((f"{param}={value!r}", m))
-        rows.append({"value": value, **m.to_dict()})
+    configs = [dataclasses.replace(base_cfg, gains=dataclasses.replace(base_cfg.gains,
+                                                                       **{field: value}))
+               for value in values]
+    metrics = _sweep_metrics(configs)
+    # repr tells any two values apart; %g does not (1e-07 and 1.00000001e-07)
+    table = [(f"{param}={value!r}", m) for value, m in zip(values, metrics)]
+    rows = [{"value": value, **m.to_dict()} for value, m in zip(values, metrics)]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.sweep.{param}.metrics.json")
     with atomic_write(path) as fh:
@@ -174,6 +184,103 @@ def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
     print(_metrics_table(table))
     print(f"wrote {path}")
     return 0
+
+
+def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
+    """The metrics of each scenario, in order, run on up to one forked
+    worker per usable CPU.
+
+    Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
+    stops at its first failure; the parent is worker 0 and each child sends
+    its ``(index, Metrics or AgroSimError)`` pairs down a pipe.  The failure
+    with the lowest index is raised, which is the one a serial loop would
+    raise, so the result does not depend on ``W``.  ``W`` is 1, and nothing
+    is forked, without ``os.fork`` or ``os.sched_getaffinity``, or while
+    another thread runs (a forked child would hold only this one).  Every
+    child is reaped before this returns or raises; on an interrupt or an
+    unexpected error in the parent's share they are killed first.
+    """
+    workers = 1
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        workers = min(len(configs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [run_scenario(cfg)[1] for cfg in configs]
+    children = []  # (worker, pid, read end of its pipe)
+    replies = []  # (worker, pid, bytes sent, wait status)
+    done = False
+    try:
+        for j in range(1, workers):
+            children.append((j, *_fork_share(configs, j, workers)))
+        results = dict(_run_share(configs, 0, workers))
+        done = True
+    finally:
+        for j, pid, fd in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+        for j, pid, fd in children:
+            data = b""
+            try:
+                with open(fd, "rb") as fh:
+                    data = fh.read()
+            finally:
+                replies.append((j, pid, data, os.waitpid(pid, 0)[1]))
+    for j, pid, data, status in replies:
+        try:
+            results.update(pickle.loads(data))
+        except (pickle.UnpicklingError, EOFError):
+            # a child that sent nothing whole fails from its first index
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            results[j] = AgroSimError(
+                f"sweep worker {pid} {how} before sending all of its results")
+    metrics = []
+    for i in range(len(configs)):
+        # a worker that stopped early did so at a failure of a lower index
+        if isinstance(results[i], AgroSimError):
+            raise results[i]
+        metrics.append(results[i])
+    return metrics
+
+
+def _run_share(configs: list[ScenarioConfig], j: int, workers: int) -> list[tuple]:
+    """``(index, Metrics or AgroSimError)`` of worker ``j``'s scenarios, up
+    to and including its first failure."""
+    share = []
+    for i in range(j, len(configs), workers):
+        try:
+            share.append((i, run_scenario(configs[i])[1]))
+        except AgroSimError as exc:
+            share.append((i, exc))
+            break
+    return share
+
+
+def _fork_share(configs: list[ScenarioConfig], j: int, workers: int) -> tuple[int, int]:
+    """Fork a child that runs worker ``j``'s share and pickles it down a pipe;
+    return its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child leaves only through os._exit: it must not flush the
+        # parent's stdio buffers or run its atexit handlers a second time
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(_run_share(configs, j, workers), fh)
+            status = 0
+        except Exception:
+            os.write(2, traceback.format_exc().encode())
+        finally:  # also on KeyboardInterrupt, which the parent reports
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 def _default_out() -> str:

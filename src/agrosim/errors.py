@@ -19,10 +19,15 @@ class AllocationSingularityError(AgroSimError):
     def __init__(self, delta1: float, delta2: float, tol: float):
         self.delta1 = delta1
         self.delta2 = delta2
+        self.tol = tol
         super().__init__(
             f"singular steering configuration: delta1={delta1!r} rad, "
             f"delta2={delta2!r} rad, |sin(delta1 - delta2)| < {tol:g}"
         )
+
+    def __reduce__(self):
+        # pickle rebuilds from the constructor's arguments, not from args
+        return type(self), (self.delta1, self.delta2, self.tol)
 
 
 class DivergenceError(AgroSimError):
@@ -32,6 +37,9 @@ class DivergenceError(AgroSimError):
         self.step = step
         self.t = t
         super().__init__(f"non-finite state after step {step} (t = {t:.6g} s)")
+
+    def __reduce__(self):
+        return type(self), (self.step, self.t)
 
 
 class InvalidWindowError(AgroSimError):

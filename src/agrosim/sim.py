@@ -36,7 +36,8 @@ target only once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
-scenario-local, so independent scenarios can execute in parallel.
+scenario-local, so independent scenarios can execute in parallel, as the
+values of an ``agrosim sweep`` do (:mod:`agrosim.cli`).
 """
 
 from __future__ import annotations
@@ -340,7 +341,9 @@ def _csv_blocks(data: np.ndarray) -> Iterator[str]:
 
     Each block is one ``%`` call on a ``"%.17g,...,%.17g\\n"`` template;
     ``"%.17g" % x`` gives the bytes of ``f"{x:.17g}"`` (nan, inf and -0
-    included), the shortest text that reads back as the same double.
+    included): 17 significant digits, which always read back as the same
+    double, though not always the shortest such text (``0.1`` is written
+    ``0.10000000000000001``).
     """
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     full = row * _CSV_BLOCK
@@ -404,10 +407,12 @@ def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]
 
     Raises
     ------
+    InvalidParameterError
+        If a bound is not a finite real number.
     InvalidWindowError
         If the window is empty, reversed, or beyond the recorded horizon.
     """
-    t0, t1 = float(window[0]), float(window[1])
+    t0, t1 = _real(window[0], "window[0]"), _real(window[1], "window[1]")
     if not t0 < t1:
         raise InvalidWindowError(f"window must satisfy t0 < t1, got [{t0}, {t1}]")
     if t1 > record.t[-1] * (1.0 + 1e-12) + 1e-15:

@@ -134,3 +134,23 @@ def test_source_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_error_survives_pickle():
+    # scenarios run in worker processes send their failures back pickled
+    import pickle
+
+    from agrosim import errors
+
+    args = {errors.AllocationSingularityError: (0.5, 0.5, 1e-6),
+            errors.DivergenceError: (3, 0.003)}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.AgroSimError)]
+    assert len(classes) == 9
+    for cls in classes:
+        exc = cls(*args.get(cls, ("a message",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        for attr in ("step", "t", "delta1", "delta2", "tol"):
+            assert getattr(back, attr, None) == getattr(exc, attr, None)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -274,3 +277,119 @@ def test_no_svg_builds_no_chart(tmp_path, monkeypatch):
     assert main(["run", "--preset", "bs-adaptive-paper"] + flags) == 0
     assert main(["compare", "--preset", "fl-paper", "--preset", "bs-paper"] + flags) == 0
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".svg")]
+
+
+# ---------------------------------------------------------------------------
+# a sweep's values spread over forked workers, one per usable CPU
+# ---------------------------------------------------------------------------
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _diverging_config(tmp_path):
+    doc = json.loads(serialize_config(preset("fl-paper")))
+    doc["u_max"] = None  # unlimited torque: a large k2 drives the state to inf
+    path = tmp_path / "unlimited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# None: the host's own CPUs; 3: three workers forked on any host
+@pytest.mark.parametrize("cpus", [None, 3])
+def test_sweep_output_does_not_depend_on_cpus(cpus, tmp_path, capsys, monkeypatch):
+    args = ["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "5,10,20,40,80",
+            "--horizon", "0.1", "--out", str(tmp_path)]
+    path = tmp_path / "bs-paper.sweep.k1.metrics.json"
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        assert main(args) == 0
+    serial_json, serial_out = path.read_bytes(), capsys.readouterr().out
+    path.unlink()
+    if cpus is not None:
+        _usable_cpus(monkeypatch, cpus)
+    assert main(args) == 0
+    assert path.read_bytes() == serial_json
+    assert capsys.readouterr().out == serial_out
+    _assert_no_child_left()
+
+
+# k2 = 1e10 diverges at step 6 and 1e8 at step 14, 1e9 and 100 not at all
+@pytest.mark.parametrize("values", ["100,1e9,1e10", "100,1e10,1e8"])
+@pytest.mark.parametrize("cpus", [None, 3])
+def test_sweep_divergence_reported_as_serially(values, cpus, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    args = ["sweep", "--config", _diverging_config(tmp_path), "--param", "k2",
+            "--values", values, "--out", str(out_dir)]
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        assert main(args) == 1
+    serial_err = capsys.readouterr().err
+    assert serial_err == "agrosim: error: non-finite state after step 6 (t = 0.006 s)\n"
+    if cpus is not None:
+        _usable_cpus(monkeypatch, cpus)
+    assert main(args) == 1
+    assert capsys.readouterr().err == serial_err
+    assert not out_dir.exists()
+    _assert_no_child_left()
+
+
+def test_sweep_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a sweep forked while another thread was running")
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
+                     "--horizon", "0.05", "--out", str(tmp_path)]) == 0
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
+    parent, run_scenario = os.getpid(), cli.run_scenario
+
+    def die_in_child(cfg):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_scenario(cfg)
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "run_scenario", die_in_child)
+    assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
+                 "--horizon", "0.05", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("agrosim: error: sweep worker ")
+    assert f"was killed by signal {int(signal.SIGKILL)} before sending all of its results" in err
+    assert not os.listdir(tmp_path)
+    _assert_no_child_left()
+
+
+def test_sweep_interrupted_in_the_parent_kills_its_workers(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def interrupt_in_parent(cfg):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "run_scenario", interrupt_in_parent)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
+              "--horizon", "0.05", "--out", str(tmp_path)])
+    assert time.monotonic() - start < 30
+    assert not os.listdir(tmp_path)
+    _assert_no_child_left()

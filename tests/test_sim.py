@@ -506,6 +506,15 @@ def test_estimate_error_metrics_invalid_windows():
         estimate_error_metrics(rec, (0.0, 0.5))  # beyond horizon
     with pytest.raises(InvalidWindowError):
         estimate_error_metrics(rec, (0.00031, 0.00042))  # between samples
+    with pytest.raises(InvalidWindowError):
+        estimate_error_metrics(rec, (0.08, 0.02))  # reversed
+    # a bound that is no finite real number is named, never converted
+    for window, name in [(("0.05", "0.1"), "window[0]"), ((0.0, "0.1"), "window[1]"),
+                         ((True, 0.1), "window[0]"), ((0.0, None), "window[1]"),
+                         ((math.nan, 0.1), "window[0]"), ((0.0, math.inf), "window[1]"),
+                         ((-math.inf, 0.1), "window[0]"), (("x", 0.1), "window[0]")]:
+        with pytest.raises(InvalidParameterError, match=re.escape(name)):
+            estimate_error_metrics(rec, window)
 
 
 # ---------------------------------------------------------------------------
