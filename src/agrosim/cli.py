@@ -23,7 +23,9 @@ artifact replaces its target only once it is complete
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -32,7 +34,7 @@ import signal
 import sys
 import threading
 import traceback
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -192,48 +194,38 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
 
     Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
     stops at its first failure; the parent is worker 0 and each child sends
-    its ``(index, Metrics or AgroSimError)`` pairs down a pipe.  The failure
-    with the lowest index is raised, which is the one a serial loop would
-    raise, so the result does not depend on ``W``.  ``W`` is 1, and nothing
-    is forked, without ``os.fork`` or ``os.sched_getaffinity``, or while
-    another thread runs (a forked child would hold only this one).  Every
-    child is reaped before this returns or raises; on an interrupt or an
-    unexpected error in the parent's share they are killed first.
+    each ``(index, Metrics or AgroSimError)`` pair down a pipe as soon as it
+    has it.  The failure with the lowest index is raised, which is the one a
+    serial loop would raise, so the result does not depend on ``W``.  ``W``
+    is 1, and nothing is forked, without ``os.fork`` or
+    ``os.sched_getaffinity``, or while another thread runs (a forked child
+    would hold only this one); if a pipe or a fork fails, the parent runs
+    every value itself.  Every child is reaped before this returns or
+    raises; one not yet reaped when anything is raised is killed first.
     """
     workers = 1
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
         workers = min(len(configs), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return [run_scenario(cfg)[1] for cfg in configs]
-    children = []  # (worker, pid, read end of its pipe)
-    replies = []  # (worker, pid, bytes sent, wait status)
-    done = False
+    children: list[_Worker] = []
     try:
-        for j in range(1, workers):
-            children.append((j, *_fork_share(configs, j, workers)))
-        results = dict(_run_share(configs, 0, workers))
-        done = True
-    finally:
-        for j, pid, fd in children:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-        for j, pid, fd in children:
-            data = b""
-            try:
-                with open(fd, "rb") as fh:
-                    data = fh.read()
-            finally:
-                replies.append((j, pid, data, os.waitpid(pid, 0)[1]))
-    for j, pid, data, status in replies:
         try:
-            results.update(pickle.loads(data))
-        except (pickle.UnpicklingError, EOFError):
-            # a child that sent nothing whole fails from its first index
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            results[j] = AgroSimError(
-                f"sweep worker {pid} {how} before sending all of its results")
+            for j in range(1, workers):
+                children.append(_Worker(configs, j, workers))
+        except OSError:
+            # no process or pipe to spare: the values run here, serially
+            _stop(children)
+            workers = 1
+        results = {}
+        for i, result in _run_share(configs, 0, workers):
+            results[i] = result
+            for child in children:
+                child.drain()  # a child blocked on a full pipe runs nothing
+        while children:
+            results.update(children[0].finish())
+            children.pop(0)
+    finally:
+        _stop(children)  # only those that an exception left unread
     metrics = []
     for i in range(len(configs)):
         # a worker that stopped early did so at a failure of a lower index
@@ -243,44 +235,107 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     return metrics
 
 
-def _run_share(configs: list[ScenarioConfig], j: int, workers: int) -> list[tuple]:
-    """``(index, Metrics or AgroSimError)`` of worker ``j``'s scenarios, up
-    to and including its first failure."""
-    share = []
+def _run_share(configs: list[ScenarioConfig], j: int, workers: int) -> Iterator[tuple]:
+    """Yield ``(index, Metrics or AgroSimError)`` for worker ``j``'s
+    scenarios, up to and including its first failure."""
     for i in range(j, len(configs), workers):
         try:
-            share.append((i, run_scenario(configs[i])[1]))
+            result = run_scenario(configs[i])[1]
         except AgroSimError as exc:
-            share.append((i, exc))
-            break
-    return share
+            result = exc
+        yield i, result
+        if isinstance(result, AgroSimError):
+            return
 
 
-def _fork_share(configs: list[ScenarioConfig], j: int, workers: int) -> tuple[int, int]:
-    """Fork a child that runs worker ``j``'s share and pickles it down a pipe;
-    return its pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # the child leaves only through os._exit: it must not flush the
-        # parent's stdio buffers or run its atexit handlers a second time
-        status = 1
+class _Worker:
+    """A forked child that runs worker ``j``'s share of a sweep, and the
+    read end of the pipe it pickles its results down."""
+
+    def __init__(self, configs: list[ScenarioConfig], j: int, workers: int):
+        self.share = range(j, len(configs), workers)
+        read_fd, write_fd = os.pipe()
         try:
+            self.pid = os.fork()
+        except OSError:
             os.close(read_fd)
-            with open(write_fd, "wb") as fh:
-                pickle.dump(_run_share(configs, j, workers), fh)
-            status = 0
-        except Exception:
-            os.write(2, traceback.format_exc().encode())
-        finally:  # also on KeyboardInterrupt, which the parent reports
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _child_main(configs, j, workers, write_fd)
+        os.close(write_fd)
+        os.set_blocking(read_fd, False)
+        self.pipe = open(read_fd, "rb", buffering=0)
+        self.sent = bytearray()
+        self.reaped = False
+
+    def drain(self) -> None:
+        """Keep what the child has sent so far, without waiting."""
+        while chunk := self.pipe.read(1 << 16):  # None: nothing yet; b"": end
+            self.sent += chunk
+
+    def finish(self) -> dict:
+        """Wait for the child and return its results.  A child that ended
+        before its share did fails at the first index it sent nothing for."""
+        os.set_blocking(self.pipe.fileno(), True)
+        self.sent += self.pipe.readall()
+        self.pipe.close()
+        status = os.waitpid(self.pid, 0)[1]
+        self.reaped = True
+        results = {}
+        stream = io.BytesIO(self.sent)
+        try:
+            while True:
+                index, result = pickle.load(stream)
+                results[index] = result
+        except (EOFError, pickle.UnpicklingError):
+            pass  # the end of what was sent, whole or cut short
+        for i in self.share:
+            if i not in results:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                results[i] = AgroSimError(
+                    f"sweep worker {self.pid} {how} before sending all of its results")
+                break
+            if isinstance(results[i], AgroSimError):
+                break
+        return results
+
+    def stop(self) -> None:
+        """Kill and reap the child, unless it is reaped already."""
+        if not self.reaped:
+            # an interrupt may land between waitpid and the flag
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.reaped = True
+        self.pipe.close()
+
+
+def _stop(children: list[_Worker]) -> None:
+    """Kill and reap every child in ``children`` and empty the list."""
+    for child in children:
+        child.stop()
+    children.clear()
+
+
+def _child_main(configs: list[ScenarioConfig], j: int, workers: int, write_fd: int):
+    """Run worker ``j``'s share in a forked child, pickling each result
+    down ``write_fd`` as it comes, and exit."""
+    # the child leaves only through os._exit: it must not flush the
+    # parent's stdio buffers or run its atexit handlers a second time
+    status = 1
+    try:
+        with open(write_fd, "wb") as fh:
+            for pair in _run_share(configs, j, workers):
+                fh.write(pickle.dumps(pair))
+                fh.flush()
+        status = 0
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:  # also on KeyboardInterrupt, which the parent reports
+        os._exit(status)
 
 
 def _default_out() -> str:

@@ -393,3 +393,87 @@ def test_sweep_interrupted_in_the_parent_kills_its_workers(tmp_path, monkeypatch
     assert time.monotonic() - start < 30
     assert not os.listdir(tmp_path)
     _assert_no_child_left()
+
+
+def test_sweep_interrupted_while_reading_its_workers_kills_them(tmp_path, monkeypatch):
+    parent, run_scenario = os.getpid(), cli.run_scenario
+
+    def interrupt_soon_after_own_share(cfg):
+        if os.getpid() != parent:
+            time.sleep(60)
+        result = run_scenario(cfg)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)  # lands while the parent reads
+        return result
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "run_scenario", interrupt_soon_after_own_share)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
+                  "--horizon", "0.05", "--out", str(tmp_path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert not os.listdir(tmp_path)
+    _assert_no_child_left()
+
+
+# 0: no fork succeeds; 1: the first child forks, the second does not
+@pytest.mark.parametrize("forks_before_failing", [0, 1])
+def test_sweep_runs_serially_when_it_cannot_fork(forks_before_failing, tmp_path, capsys,
+                                                 monkeypatch):
+    args = ["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "5,10,20,40,80",
+            "--horizon", "0.1", "--out", str(tmp_path)]
+    path = tmp_path / "bs-paper.sweep.k1.metrics.json"
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        assert main(args) == 0
+    serial_json, serial_out = path.read_bytes(), capsys.readouterr().out
+    path.unlink()
+    real_fork, forks = os.fork, []
+
+    def fork_until_out_of_processes():
+        if len(forks) == forks_before_failing:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(real_fork())
+        return forks[-1]
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork_until_out_of_processes)
+    assert main(args) == 0
+    assert path.read_bytes() == serial_json
+    assert capsys.readouterr().out == serial_out
+    _assert_no_child_left()
+
+
+def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, monkeypatch):
+    # two workers: the child sends k2 = 101 (index 1), then dies at 102
+    # (index 3); the parent diverges at 1e10 (index 2), which a serial loop
+    # reports first
+    parent, run_scenario = os.getpid(), cli.run_scenario
+
+    def die_in_child_at_102(cfg):
+        if os.getpid() != parent and (cfg.gains.k2 == 102).all():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", die_in_child_at_102)
+    out_dir = tmp_path / "out"
+    args = ["sweep", "--config", _diverging_config(tmp_path), "--param", "k2",
+            "--values", "100,101,1e10,102", "--out", str(out_dir)]
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        assert main(args) == 1
+    serial_err = capsys.readouterr().err
+    assert serial_err == "agrosim: error: non-finite state after step 6 (t = 0.006 s)\n"
+    _usable_cpus(monkeypatch, 2)
+    assert main(args) == 1
+    assert capsys.readouterr().err == serial_err
+    assert not out_dir.exists()
+    _assert_no_child_left()
