@@ -477,3 +477,31 @@ def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, mo
     assert capsys.readouterr().err == serial_err
     assert not out_dir.exists()
     _assert_no_child_left()
+
+
+def test_sweep_worker_is_not_stalled_by_a_full_pipe(tmp_path, monkeypatch):
+    # 300 results of a child overfill a 64 KiB pipe unless the parent reads
+    # them while it runs its own share, here 5 ms a value
+    n = 300
+    parent, result = os.getpid(), cli.run_scenario(preset("bs-paper", horizon=0.01))
+    child_done = tmp_path / "child-done"
+    seen_by_last_own_value = []
+
+    def instant_in_child(cfg):
+        k1 = cfg.gains.k1[0]
+        if os.getpid() != parent:
+            if k1 == 2 * n:
+                child_done.touch()
+        else:
+            time.sleep(0.005)
+            if k1 == 2 * n - 1:
+                seen_by_last_own_value.append(child_done.exists())
+        return result
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_scenario", instant_in_child)
+    values = ",".join(str(v) for v in range(1, 2 * n + 1))
+    assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", values,
+                 "--out", str(tmp_path)]) == 0
+    assert seen_by_last_own_value == [True]
+    _assert_no_child_left()
