@@ -9,15 +9,16 @@ Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
 ``--no-svg``.  A sweep spreads its values over the usable CPUs, running
-one share itself and each other share in a forked child; its table and
-JSON do not depend on how many CPUs there are, and a failing sweep reports
-the error of its first failing value, as a serial loop would.  The output
-directory defaults to ``$AGROSIM_OUT``, then the current directory.
-``--dt``, ``--horizon`` and ``--seed`` are applied together, by
-:func:`agrosim.presets.override`, to the preset or the ``--config`` file.
-Exit status is 0 exactly when every requested artifact was written; each
-artifact replaces its target only once it is complete
-(:func:`agrosim.atomic.atomic_write`).
+one share itself and each other share in a forked child that writes its
+results to an unlinked temporary file; a share whose file or child cannot
+be made runs in the process too.  Its table and JSON do not depend on how
+many CPUs there are, and a failing sweep reports the error of its first
+failing value, as a serial loop would.  The output directory defaults to
+``$AGROSIM_OUT``, then the current directory.  ``--dt``, ``--horizon`` and
+``--seed`` are applied together, by :func:`agrosim.presets.override`, to
+the preset or the ``--config`` file.  Exit status is 0 exactly when every
+requested artifact was written; each artifact replaces its target only
+once it is complete (:func:`agrosim.atomic.atomic_write`).
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
 import pickle
 import signal
 import sys
+import tempfile
 import threading
 import traceback
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -193,39 +194,36 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     worker per usable CPU.
 
     Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
-    stops at its first failure; the parent is worker 0 and each child sends
-    each ``(index, Metrics or AgroSimError)`` pair down a pipe as soon as it
-    has it.  The failure with the lowest index is raised, which is the one a
-    serial loop would raise, so the result does not depend on ``W``.  ``W``
-    is 1, and nothing is forked, without ``os.fork`` or
-    ``os.sched_getaffinity``, or while another thread runs (a forked child
-    would hold only this one); if a pipe or a fork fails, the parent runs
-    every value itself.  Every child is reaped before this returns or
-    raises; one not yet reaped when anything is raised is killed first.
+    stops at its first failure.  The parent is worker 0; each child pickles
+    each ``(index, Metrics or AgroSimError)`` pair into an unlinked
+    temporary file as it comes, which the parent reads once the child has
+    ended.  The failure with the lowest index is raised, as a serial loop
+    would raise it, so the result does not depend on ``W``.  ``W`` is 1
+    without ``os.fork`` or ``os.sched_getaffinity``, or while another
+    thread runs (a forked child would hold only this one); a share whose
+    file or fork fails runs in the parent.  Every child is reaped before
+    this returns or raises, and killed first if anything is raised.
     """
     workers = 1
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
         workers = min(len(configs), len(os.sched_getaffinity(0)))
     children: list[_Worker] = []
+    own = [0]
+    results = {}
     try:
-        try:
-            for j in range(1, workers):
+        for j in range(1, workers):
+            try:
                 children.append(_Worker(configs, j, workers))
-        except OSError:
-            # no process or pipe to spare: the values run here, serially
-            _stop(children)
-            workers = 1
-        results = {}
-        for i, result in _run_share(configs, 0, workers):
-            results[i] = result
-            for child in children:
-                child.drain()  # a child blocked on a full pipe runs nothing
-        while children:
-            results.update(children[0].finish())
-            children.pop(0)
+            except OSError:
+                own.append(j)  # no file or process to spare: the share runs here
+        for j in own:
+            results.update(_run_share(configs, j, workers))
+        for child in children:
+            results.update(child.finish())
     finally:
-        _stop(children)  # only those that an exception left unread
+        for child in children:
+            child.stop()
     metrics = []
     for i in range(len(configs)):
         # a worker that stopped early did so at a failure of a lower index
@@ -250,47 +248,33 @@ def _run_share(configs: list[ScenarioConfig], j: int, workers: int) -> Iterator[
 
 class _Worker:
     """A forked child that runs worker ``j``'s share of a sweep, and the
-    read end of the pipe it pickles its results down."""
+    unlinked temporary file it pickles its results into."""
 
     def __init__(self, configs: list[ScenarioConfig], j: int, workers: int):
         self.share = range(j, len(configs), workers)
-        read_fd, write_fd = os.pipe()
+        self.file = tempfile.TemporaryFile()
         try:
             self.pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            self.file.close()
             raise
         if self.pid == 0:
-            os.close(read_fd)
-            _child_main(configs, j, workers, write_fd)
-        os.close(write_fd)
-        os.set_blocking(read_fd, False)
-        self.pipe = open(read_fd, "rb", buffering=0)
-        self.sent = bytearray()
+            _child_main(configs, j, workers, self.file)
         self.reaped = False
-
-    def drain(self) -> None:
-        """Keep what the child has sent so far, without waiting."""
-        while chunk := self.pipe.read(1 << 16):  # None: nothing yet; b"": end
-            self.sent += chunk
 
     def finish(self) -> dict:
         """Wait for the child and return its results.  A child that ended
-        before its share did fails at the first index it sent nothing for."""
-        os.set_blocking(self.pipe.fileno(), True)
-        self.sent += self.pipe.readall()
-        self.pipe.close()
+        before its share did fails at the first index it wrote nothing for."""
         status = os.waitpid(self.pid, 0)[1]
         self.reaped = True
+        self.file.seek(0)  # the child's writes moved the offset it shares with us
         results = {}
-        stream = io.BytesIO(self.sent)
         try:
             while True:
-                index, result = pickle.load(stream)
+                index, result = pickle.load(self.file)
                 results[index] = result
         except (EOFError, pickle.UnpicklingError):
-            pass  # the end of what was sent, whole or cut short
+            pass  # the end of what was written, whole or cut short
         for i in self.share:
             if i not in results:
                 code = os.waitstatus_to_exitcode(status)
@@ -303,34 +287,26 @@ class _Worker:
         return results
 
     def stop(self) -> None:
-        """Kill and reap the child, unless it is reaped already."""
+        """Kill and reap the child, unless it is reaped already; close its file."""
         if not self.reaped:
             # an interrupt may land between waitpid and the flag
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
             self.reaped = True
-        self.pipe.close()
+        self.file.close()
 
 
-def _stop(children: list[_Worker]) -> None:
-    """Kill and reap every child in ``children`` and empty the list."""
-    for child in children:
-        child.stop()
-    children.clear()
-
-
-def _child_main(configs: list[ScenarioConfig], j: int, workers: int, write_fd: int):
+def _child_main(configs: list[ScenarioConfig], j: int, workers: int, fh: BinaryIO) -> None:
     """Run worker ``j``'s share in a forked child, pickling each result
-    down ``write_fd`` as it comes, and exit."""
+    into ``fh`` as it comes, and exit."""
     # the child leaves only through os._exit: it must not flush the
     # parent's stdio buffers or run its atexit handlers a second time
     status = 1
     try:
-        with open(write_fd, "wb") as fh:
-            for pair in _run_share(configs, j, workers):
-                fh.write(pickle.dumps(pair))
-                fh.flush()
+        for pair in _run_share(configs, j, workers):
+            pickle.dump(pair, fh)
+            fh.flush()  # os._exit drops what is left in a buffer
         status = 0
     except Exception:
         os.write(2, traceback.format_exc().encode())
@@ -404,10 +380,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             return cmd_run(*_scenario(args, args.preset, args.config), args.out,
                            not args.no_svg)
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
+        values = []
+        for position, entry in enumerate(args.values.split(","), 1):
+            if not entry.strip():
+                raise ConfigError(f"--values entry {position} is empty, got {args.values!r}")
+            try:
+                values.append(float(entry))
+            except ValueError:
+                raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
         return cmd_sweep(*_scenario(args, args.preset, args.config), args.out,
                          args.param, values)
     except (AgroSimError, OSError) as exc:

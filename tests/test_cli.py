@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import os
 import signal
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -223,6 +225,20 @@ def test_sweep_rejects_unknown_param(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("values, reason", [
+    ("10,x", "must be comma-separated numbers"),
+    ("10,,20", "entry 2 is empty"),
+    ("10,20,", "entry 3 is empty"),
+    (",", "entry 1 is empty"),
+])
+def test_sweep_rejects_malformed_values(values, reason, tmp_path, capsys):
+    rc = main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", values,
+               "--horizon", "0.05", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"agrosim: error: --values {reason}, got {values!r}\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_sweep_rejects_fl_only_mismatch(tmp_path):
     # sigma and lambda apply to backstepping only
     for param in ("sigma", "lambda"):
@@ -287,9 +303,15 @@ def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _assert_no_child_left():
+def _open_fds():
+    """How many file descriptors this process has open; None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_no_child_left(fds_before):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds_before  # no worker's file is left open
 
 
 def _diverging_config(tmp_path):
@@ -303,6 +325,7 @@ def _diverging_config(tmp_path):
 # None: the host's own CPUs; 3: three workers forked on any host
 @pytest.mark.parametrize("cpus", [None, 3])
 def test_sweep_output_does_not_depend_on_cpus(cpus, tmp_path, capsys, monkeypatch):
+    fds = _open_fds()
     args = ["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "5,10,20,40,80",
             "--horizon", "0.1", "--out", str(tmp_path)]
     path = tmp_path / "bs-paper.sweep.k1.metrics.json"
@@ -316,13 +339,14 @@ def test_sweep_output_does_not_depend_on_cpus(cpus, tmp_path, capsys, monkeypatc
     assert main(args) == 0
     assert path.read_bytes() == serial_json
     assert capsys.readouterr().out == serial_out
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 # k2 = 1e10 diverges at step 6 and 1e8 at step 14, 1e9 and 100 not at all
 @pytest.mark.parametrize("values", ["100,1e9,1e10", "100,1e10,1e8"])
 @pytest.mark.parametrize("cpus", [None, 3])
 def test_sweep_divergence_reported_as_serially(values, cpus, tmp_path, capsys, monkeypatch):
+    fds = _open_fds()
     out_dir = tmp_path / "out"
     args = ["sweep", "--config", _diverging_config(tmp_path), "--param", "k2",
             "--values", values, "--out", str(out_dir)]
@@ -336,7 +360,7 @@ def test_sweep_divergence_reported_as_serially(values, cpus, tmp_path, capsys, m
     assert main(args) == 1
     assert capsys.readouterr().err == serial_err
     assert not out_dir.exists()
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 def test_sweep_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
@@ -358,6 +382,7 @@ def test_sweep_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
 
 
 def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
+    fds = _open_fds()
     parent, run_scenario = os.getpid(), cli.run_scenario
 
     def die_in_child(cfg):
@@ -373,10 +398,11 @@ def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
     assert err.startswith("agrosim: error: sweep worker ")
     assert f"was killed by signal {int(signal.SIGKILL)} before sending all of its results" in err
     assert not os.listdir(tmp_path)
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 def test_sweep_interrupted_in_the_parent_kills_its_workers(tmp_path, monkeypatch):
+    fds = _open_fds()
     parent = os.getpid()
 
     def interrupt_in_parent(cfg):
@@ -392,10 +418,11 @@ def test_sweep_interrupted_in_the_parent_kills_its_workers(tmp_path, monkeypatch
               "--horizon", "0.05", "--out", str(tmp_path)])
     assert time.monotonic() - start < 30
     assert not os.listdir(tmp_path)
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 def test_sweep_interrupted_while_reading_its_workers_kills_them(tmp_path, monkeypatch):
+    fds = _open_fds()
     parent, run_scenario = os.getpid(), cli.run_scenario
 
     def interrupt_soon_after_own_share(cfg):
@@ -421,13 +448,22 @@ def test_sweep_interrupted_while_reading_its_workers_kills_them(tmp_path, monkey
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
     assert not os.listdir(tmp_path)
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
-# 0: no fork succeeds; 1: the first child forks, the second does not
-@pytest.mark.parametrize("forks_before_failing", [0, 1])
-def test_sweep_runs_serially_when_it_cannot_fork(forks_before_failing, tmp_path, capsys,
-                                                 monkeypatch):
+# 0: no fork succeeds; 1: the first child forks, the second does not;
+# tempfile: the first child gets its file, the second does not
+@pytest.mark.parametrize("module, name, calls_before_failing, error", [
+    pytest.param(os, "fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
+                 id="0"),
+    pytest.param(os, "fork", 1, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
+                 id="1"),
+    pytest.param(tempfile, "TemporaryFile", 1, OSError(errno.EMFILE, "Too many open files"),
+                 id="tempfile"),
+])
+def test_sweep_runs_serially_when_it_cannot_fork(module, name, calls_before_failing, error,
+                                                 tmp_path, capsys, monkeypatch):
+    fds = _open_fds()
     args = ["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "5,10,20,40,80",
             "--horizon", "0.1", "--out", str(tmp_path)]
     path = tmp_path / "bs-paper.sweep.k1.metrics.json"
@@ -436,26 +472,28 @@ def test_sweep_runs_serially_when_it_cannot_fork(forks_before_failing, tmp_path,
         assert main(args) == 0
     serial_json, serial_out = path.read_bytes(), capsys.readouterr().out
     path.unlink()
-    real_fork, forks = os.fork, []
+    real, calls = getattr(module, name), []
 
-    def fork_until_out_of_processes():
-        if len(forks) == forks_before_failing:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        forks.append(real_fork())
-        return forks[-1]
+    def fail_when_out_of_resources(*args, **kwargs):
+        if len(calls) == calls_before_failing:
+            raise error
+        calls.append(name)
+        return real(*args, **kwargs)
 
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", fork_until_out_of_processes)
+    monkeypatch.setattr(module, name, fail_when_out_of_resources)
     assert main(args) == 0
+    assert len(calls) == calls_before_failing  # the failing call was made
     assert path.read_bytes() == serial_json
     assert capsys.readouterr().out == serial_out
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, monkeypatch):
     # two workers: the child sends k2 = 101 (index 1), then dies at 102
     # (index 3); the parent diverges at 1e10 (index 2), which a serial loop
     # reports first
+    fds = _open_fds()
     parent, run_scenario = os.getpid(), cli.run_scenario
 
     def die_in_child_at_102(cfg):
@@ -476,12 +514,14 @@ def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, mo
     assert main(args) == 1
     assert capsys.readouterr().err == serial_err
     assert not out_dir.exists()
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 def test_sweep_worker_is_not_stalled_by_a_full_pipe(tmp_path, monkeypatch):
-    # 300 results of a child overfill a 64 KiB pipe unless the parent reads
-    # them while it runs its own share, here 5 ms a value
+    # a child's 300 results (over 64 KiB, what a pipe holds) all reach the
+    # parent, and the child finishes while the parent runs its own share,
+    # here 5 ms a value
+    fds = _open_fds()
     n = 300
     parent, result = os.getpid(), cli.run_scenario(preset("bs-paper", horizon=0.01))
     child_done = tmp_path / "child-done"
@@ -504,4 +544,4 @@ def test_sweep_worker_is_not_stalled_by_a_full_pipe(tmp_path, monkeypatch):
     assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", values,
                  "--out", str(tmp_path)]) == 0
     assert seen_by_last_own_value == [True]
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
