@@ -8,12 +8,14 @@
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
-``--no-svg``.  A sweep spreads its values over the usable CPUs, running
-one share itself and each other share in a forked child that writes its
-results to an unlinked temporary file; a share whose file or child cannot
-be made runs in the process too.  Its table and JSON do not depend on how
-many CPUs there are, and a failing sweep reports the error of its first
-failing value, as a serial loop would.  The output directory defaults to
+``--no-svg``.  A sweep spreads its values over the usable CPUs, and each
+CSV its rows (when every CPU gets at least 512 of them), through the
+forked workers of :mod:`agrosim.workers`: the process runs one share itself
+and each other share runs in a forked child that writes to an unlinked
+temporary file; a share whose file or child cannot be made runs in the
+process too.  No output depends on how many CPUs there are, and a failing
+sweep reports the error of its first failing value, as a serial loop
+would.  The output directory defaults to
 ``$AGROSIM_OUT``, then the current directory.  ``--dt``, ``--horizon`` and
 ``--seed`` are applied together, by :func:`agrosim.presets.override`, to
 the preset or the ``--config`` file.  Exit status is 0 exactly when every
@@ -24,21 +26,17 @@ once it is complete (:func:`agrosim.atomic.atomic_write`).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
 import os
 import pickle
-import signal
 import sys
-import tempfile
-import threading
-import traceback
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import workers
 from .atomic import atomic_write
 from .config import GAIN_FIELDS, load_config
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
@@ -191,39 +189,34 @@ def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
 
 def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     """The metrics of each scenario, in order, run on up to one forked
-    worker per usable CPU.
+    worker per usable CPU (:mod:`agrosim.workers`).
 
     Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
-    stops at its first failure.  The parent is worker 0; each child pickles
-    each ``(index, Metrics or AgroSimError)`` pair into an unlinked
-    temporary file as it comes, which the parent reads once the child has
-    ended.  The failure with the lowest index is raised, as a serial loop
-    would raise it, so the result does not depend on ``W``.  ``W`` is 1
-    without ``os.fork`` or ``os.sched_getaffinity``, or while another
-    thread runs (a forked child would hold only this one); a share whose
-    file or fork fails runs in the parent.  Every child is reaped before
-    this returns or raises, and killed first if anything is raised.
+    stops at its first failure.  The process is worker 0; each child pickles
+    each ``(index, Metrics or AgroSimError)`` pair into its file as it
+    comes, which the process reads once the child has ended.  The failure
+    with the lowest index is raised, as a serial loop would raise it, so the
+    result does not depend on ``W``; a child that ended before its share
+    did fails at the first index it wrote nothing for.  A share whose file
+    or fork fails runs in the process.  Every child is reaped before this
+    returns or raises, and killed first if anything is raised.
     """
-    workers = 1
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
-        workers = min(len(configs), len(os.sched_getaffinity(0)))
-    children: list[_Worker] = []
-    own = [0]
+    n = workers.count(len(configs))
+    shares = [range(j, len(configs), n) for j in range(n)]
+
+    def task(share: range, fh: BinaryIO) -> None:
+        for pair in _run_share(configs, share):
+            pickle.dump(pair, fh)
+            fh.flush()  # what a child killed later wrote stays readable
+
     results = {}
-    try:
-        for j in range(1, workers):
-            try:
-                children.append(_Worker(configs, j, workers))
-            except OSError:
-                own.append(j)  # no file or process to spare: the share runs here
-        for j in own:
-            results.update(_run_share(configs, j, workers))
-        for child in children:
-            results.update(child.finish())
-    finally:
-        for child in children:
-            child.stop()
+    with workers.forked(task, shares) as children:
+        for share, child in zip(shares, children):
+            if child is None:
+                results.update(_run_share(configs, share))
+        for share, child in zip(shares, children):
+            if child is not None:
+                results.update(_read_share(child, share))
     metrics = []
     for i in range(len(configs)):
         # a worker that stopped early did so at a failure of a lower index
@@ -233,10 +226,10 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     return metrics
 
 
-def _run_share(configs: list[ScenarioConfig], j: int, workers: int) -> Iterator[tuple]:
-    """Yield ``(index, Metrics or AgroSimError)`` for worker ``j``'s
-    scenarios, up to and including its first failure."""
-    for i in range(j, len(configs), workers):
+def _run_share(configs: list[ScenarioConfig], share: range) -> Iterator[tuple]:
+    """Yield ``(index, Metrics or AgroSimError)`` for the scenarios of
+    ``share``, up to and including its first failure."""
+    for i in share:
         try:
             result = run_scenario(configs[i])[1]
         except AgroSimError as exc:
@@ -246,72 +239,25 @@ def _run_share(configs: list[ScenarioConfig], j: int, workers: int) -> Iterator[
             return
 
 
-class _Worker:
-    """A forked child that runs worker ``j``'s share of a sweep, and the
-    unlinked temporary file it pickles its results into."""
-
-    def __init__(self, configs: list[ScenarioConfig], j: int, workers: int):
-        self.share = range(j, len(configs), workers)
-        self.file = tempfile.TemporaryFile()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            self.file.close()
-            raise
-        if self.pid == 0:
-            _child_main(configs, j, workers, self.file)
-        self.reaped = False
-
-    def finish(self) -> dict:
-        """Wait for the child and return its results.  A child that ended
-        before its share did fails at the first index it wrote nothing for."""
-        status = os.waitpid(self.pid, 0)[1]
-        self.reaped = True
-        self.file.seek(0)  # the child's writes moved the offset it shares with us
-        results = {}
-        try:
-            while True:
-                index, result = pickle.load(self.file)
-                results[index] = result
-        except (EOFError, pickle.UnpicklingError):
-            pass  # the end of what was written, whole or cut short
-        for i in self.share:
-            if i not in results:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                results[i] = AgroSimError(
-                    f"sweep worker {self.pid} {how} before sending all of its results")
-                break
-            if isinstance(results[i], AgroSimError):
-                break
-        return results
-
-    def stop(self) -> None:
-        """Kill and reap the child, unless it is reaped already; close its file."""
-        if not self.reaped:
-            # an interrupt may land between waitpid and the flag
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            self.reaped = True
-        self.file.close()
-
-
-def _child_main(configs: list[ScenarioConfig], j: int, workers: int, fh: BinaryIO) -> None:
-    """Run worker ``j``'s share in a forked child, pickling each result
-    into ``fh`` as it comes, and exit."""
-    # the child leaves only through os._exit: it must not flush the
-    # parent's stdio buffers or run its atexit handlers a second time
-    status = 1
+def _read_share(child: workers.Worker, share: range) -> dict:
+    """Wait for a sweep worker and return its results, with a dead-worker
+    error at the first index of ``share`` that it wrote nothing for."""
+    code = child.wait()
+    results = {}
     try:
-        for pair in _run_share(configs, j, workers):
-            pickle.dump(pair, fh)
-            fh.flush()  # os._exit drops what is left in a buffer
-        status = 0
-    except Exception:
-        os.write(2, traceback.format_exc().encode())
-    finally:  # also on KeyboardInterrupt, which the parent reports
-        os._exit(status)
+        while True:
+            index, result = pickle.load(child.file)
+            results[index] = result
+    except (EOFError, pickle.UnpicklingError):
+        pass  # the end of what was written, whole or cut short
+    for i in share:
+        if i not in results:
+            results[i] = AgroSimError(f"sweep worker {child.pid} {workers.how(code)} "
+                                      "before sending all of its results")
+            break
+        if isinstance(results[i], AgroSimError):
+            break
+    return results
 
 
 def _default_out() -> str:

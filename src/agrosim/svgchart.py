@@ -8,6 +8,7 @@ into one document.  Output is a pure function of the input data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,13 +23,27 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 44.0
 _TICKS = 6
 
 
+def _resolvable(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)``, widened about its ends where it is narrower than 1e-9 of
+    its magnitude, and kept finite.
+
+    At 1e17, ``lo + 1.0 == lo``; a span of a few units there would give a
+    tick step that adding to a tick does not move.
+    """
+    least = 1e-9 * max(abs(lo), abs(hi))
+    if hi - lo >= least:
+        return lo, hi
+    return max(lo - least, -sys.float_info.max), min(hi + least, sys.float_info.max)
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], about :data:`_TICKS` of them."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _resolvable(lo, hi if hi > lo else lo + 1.0)
     raw = (hi - lo) / (_TICKS - 1)
+    if math.isinf(raw):  # hi - lo overflows: (-1e308, 1e308)
+        raw = hi / (_TICKS - 1) - lo / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -37,7 +52,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + step * 1e-9:
+    while math.isfinite(v) and v <= hi + step * 1e-9:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
         v += step
     return ticks or [lo, hi]
@@ -83,7 +98,10 @@ class LineChart:
         if y_hi == y_lo:
             y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
         pad = 0.04 * (y_hi - y_lo)
-        return x_lo, max(x_hi, x_lo + 1e-12), y_lo - pad, y_hi + pad
+        if math.isinf(pad):  # y_hi - y_lo overflows
+            pad = 0.04 * y_hi - 0.04 * y_lo
+        return (*_resolvable(x_lo, max(x_hi, x_lo + 1e-12)),
+                *_resolvable(y_lo - pad, y_hi + pad))
 
     def render_group(self, y_offset: float = 0.0) -> str:
         """SVG fragment for this chart, translated down by ``y_offset``."""

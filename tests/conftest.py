@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import pytest
 
 
 def underdamped_error(t, k1: float, k2: float, e0: float, v0: float) -> np.ndarray:
@@ -12,3 +15,22 @@ def underdamped_error(t, k1: float, k2: float, e0: float, v0: float) -> np.ndarr
     return np.exp(-sigma * t) * (
         e0 * np.cos(omega * t) + (v0 + sigma * e0) / omega * np.sin(omega * t)
     )
+
+
+# ---------------------------------------------------------------------------
+# forked workers (agrosim.workers): a sweep's values and a CSV's rows
+# ---------------------------------------------------------------------------
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _open_fds():
+    """How many file descriptors this process has open; None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_no_child_left(fds_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds_before  # no worker's file is left open

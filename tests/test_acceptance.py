@@ -104,6 +104,33 @@ def test_abstract_250ms_claim(fl_run, bs_run, adaptive_run):
     assert ok, line
 
 
+def test_abstract_robustness_contrast(adaptive_run):
+    # the abstract: FL "does not guarantee stability" under disturbance, and
+    # adaptive backstepping compensates for it.  The three runs share
+    # bs-adaptive-paper's disturbance, seed and torque limit; the residual is
+    # the largest |error| once the transient is over (t >= 1 s)
+    adaptive = bs_adaptive_paper()
+    runs = {
+        "fl + disturbance": run_scenario(
+            dataclasses.replace(fl_paper(), disturbance=adaptive.disturbance))[0],
+        "bs, adaptation off": run_scenario(
+            dataclasses.replace(adaptive, adaptation_enabled=False))[0],
+        "bs, adaptive": adaptive_run[0],
+    }
+    residual = {name: np.rad2deg(np.abs(rec.error()[rec.t >= 1.0]).max(axis=0))
+                for name, rec in runs.items()}
+    fl_outside = bool((residual["fl + disturbance"][:2] > BAND_DEG).all())
+    ratio = residual["bs, adaptation off"] / residual["bs, adaptive"]
+    ok = fl_outside and bool((ratio >= 5.0).all())
+    detail = "; ".join(f"{name} {r:.3f}/{p:.3f}/{y:.3f} deg"
+                       for name, (r, p, y) in residual.items())
+    line = (f"ABSTRACT robustness: {'PASS' if ok else 'FAIL'} - max |error| at t >= 1 s "
+            f"(roll/pitch/yaw): {detail}; adaptation gains x{ratio.min():.1f} at least "
+            f"(needs fl roll/pitch outside +/-{BAND_DEG} deg, adaptive 5x below non-adaptive)")
+    print(line)
+    assert ok, line
+
+
 def test_criterion_2_saturation_respected(fl_run, bs_run):
     peaks = {}
     ok = True

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import _assert_no_child_left, _open_fds, _usable_cpus
 
 from agrosim import ComparisonInvalidError, load_config, parse_config, preset, serialize_config
 from agrosim import cli
@@ -65,6 +66,18 @@ def test_run_config_file(tmp_path):
     assert rc == 0
     assert (tmp_path / "myrun.csv").exists()
     assert (tmp_path / "myrun.metrics.json").exists()
+
+
+def test_run_far_from_zero_writes_its_chart(tmp_path):
+    # an accepted finite attitude whose degrees (5.7e17) no unit can widen
+    doc = json.loads(serialize_config(preset("fl-paper", horizon=0.05)))
+    doc["initial"]["attitude"] = [1e16, 1e16, 1e16]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["far.csv", "far.json", "far.metrics.json",
+                                            "far.svg"]
+    assert "nan" not in (tmp_path / "far.svg").read_text()
 
 
 def test_run_invalid_horizon_fails_before_output(tmp_path, capsys):
@@ -298,21 +311,6 @@ def test_no_svg_builds_no_chart(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # a sweep's values spread over forked workers, one per usable CPU
 # ---------------------------------------------------------------------------
-
-def _usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def _open_fds():
-    """How many file descriptors this process has open; None without /proc."""
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-def _assert_no_child_left(fds_before):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds_before  # no worker's file is left open
-
 
 def _diverging_config(tmp_path):
     doc = json.loads(serialize_config(preset("fl-paper")))

@@ -1,17 +1,22 @@
 import dataclasses
+import errno
 import io
 import math
 import os
 import re
+import signal
 import tempfile
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from conftest import _assert_no_child_left, _open_fds, _usable_cpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrosim import (
+    AgroSimError,
     AllocationSingularityError,
     BodyState,
     DisturbanceBudgetError,
@@ -629,6 +634,137 @@ def test_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     rec.to_csv(buf)
     assert path.read_text(encoding="utf-8") == buf.getvalue()
     assert os.listdir(tmp_path) == ["run.csv"]
+
+
+# ---------------------------------------------------------------------------
+# a CSV's rows spread over forked workers (agrosim.workers)
+# ---------------------------------------------------------------------------
+
+_W = sim._CSV_WORKER_ROWS
+
+
+def _random_record(n, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def pick(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+
+    return TrajectoryRecord(
+        t=np.arange(n) * 1e-3, attitude=pick(n, 3), rate=pick(n, 3), u_cmd=pick(n, 3),
+        u_sat=pick(n, 3), wheel=pick(n, 3), l_true=pick(n, 3), l_hat=pick(n, 3),
+        v1=pick(n), v2=pick(n), reference=Reference.zero(),
+    )
+
+
+def _csv_of(rec, tmp_path):
+    """The CSV of ``rec`` written to a text stream and to a path, which must agree."""
+    buf = io.StringIO()
+    rec.to_csv(buf)
+    path = tmp_path / "rec.csv"
+    rec.to_csv(str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == buf.getvalue()
+    path.unlink()
+    return buf.getvalue()
+
+
+# each worker takes at least _W rows, in whole blocks: 1, 2 or 3 shares on
+# either side of 2 * _W and 3 * _W rows, the last share with a partial block
+@pytest.mark.parametrize("n", [2 * _W - 1, 2 * _W, 2 * _W + 1, 3 * _W - 1, 3 * _W,
+                               3 * _W + _B + 7])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_csv_output_does_not_depend_on_cpus(n, cpus, tmp_path, monkeypatch):
+    fds = _open_fds()
+    rec = _random_record(n)
+    want = _csv_reference(rec)
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        assert _csv_of(rec, tmp_path) == want
+    real, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return real()
+
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert _csv_of(rec, tmp_path) == want
+    assert len(forks) == 2 * (min(cpus, n // _W) - 1)  # one set per target
+    _assert_no_child_left(fds)
+
+
+def test_csv_worker_killed_keeps_previous_file(tmp_path, monkeypatch):
+    fds = _open_fds()
+    rec = _random_record(3 * _W)
+    path = tmp_path / "run.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    parent, blocks = os.getpid(), sim._csv_blocks
+
+    def die_in_child(data):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return blocks(data)
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(sim, "_csv_blocks", die_in_child)
+    with pytest.raises(AgroSimError, match=r"^CSV worker \d+ was killed by signal "
+                                           f"{int(signal.SIGKILL)} before writing all"):
+        rec.to_csv(str(path))
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["run.csv"]
+    _assert_no_child_left(fds)
+
+
+# 0: no fork succeeds; 1: the first child forks, the second does not;
+# tempfile: the first child gets its file, the second does not
+@pytest.mark.parametrize("module, name, calls_before_failing, error", [
+    pytest.param(os, "fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
+                 id="0"),
+    pytest.param(os, "fork", 1, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
+                 id="1"),
+    pytest.param(tempfile, "TemporaryFile", 1, OSError(errno.EMFILE, "Too many open files"),
+                 id="tempfile"),
+])
+def test_csv_written_in_process_when_it_cannot_fork(module, name, calls_before_failing, error,
+                                                    tmp_path, monkeypatch):
+    fds = _open_fds()
+    rec = _random_record(3 * _W + 1)
+    want = _csv_reference(rec)
+    real, calls = getattr(module, name), []
+
+    def fail_when_out_of_resources(*args, **kwargs):
+        if len(calls) == calls_before_failing:
+            raise error
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(module, name, fail_when_out_of_resources)
+    path = tmp_path / "rec.csv"
+    rec.to_csv(str(path))
+    assert len(calls) == calls_before_failing  # the failing call was made
+    assert path.read_text(encoding="utf-8") == want
+    _assert_no_child_left(fds)
+
+
+def test_csv_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("to_csv forked while another thread was running")
+
+    rec = _random_record(3 * _W)
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        buf = io.StringIO()
+        rec.to_csv(buf)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert buf.getvalue() == _csv_reference(rec)
 
 
 def test_metrics_to_dict_converts_nan():

@@ -40,6 +40,26 @@ def test_non_finite_points_are_dropped():
     assert "nan" not in svg
 
 
+# (1e17, 1e17): 1e17 + 1.0 == 1e17, so a unit either side is no span at
+# all; (-1e308, 1e308): hi - lo overflows
+@pytest.mark.parametrize("lo, hi", [(1e17, 1e17), (-1e308, 1e308)])
+def test_ticks_of_degenerate_spans_are_finite(lo, hi):
+    ticks = svgchart._nice_ticks(lo, hi)
+    assert len(ticks) >= 2
+    assert all(math.isfinite(v) for v in ticks)
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert ticks[0] <= hi and ticks[-1] >= lo
+
+
+def test_flat_series_far_from_zero_renders():
+    chart = LineChart("flat")
+    chart.add_series("a", [0.0, 1.0], [5.7e17, 5.7e17])
+    x_lo, x_hi, y_lo, y_hi = chart._bounds()
+    assert x_lo < x_hi and y_lo < 5.7e17 < y_hi
+    svg = render_svg([chart])
+    assert "nan" not in svg and "inf" not in svg
+
+
 def test_mismatched_series_lengths_rejected():
     chart = LineChart("bad")
     with pytest.raises(ValueError):
