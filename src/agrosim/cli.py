@@ -9,18 +9,18 @@ Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
 ``--no-svg``.  A sweep spreads its values over the usable CPUs, and each
-CSV its rows (when every CPU gets at least 512 of them), through the
-forked workers of :mod:`agrosim.workers`: the process runs one share itself
-and each other share runs in a forked child that writes to an unlinked
-temporary file; a share whose file or child cannot be made runs in the
-process too.  No output depends on how many CPUs there are, and a failing
-sweep reports the error of its first failing value, as a serial loop
-would.  The output directory defaults to
-``$AGROSIM_OUT``, then the current directory.  ``--dt``, ``--horizon`` and
-``--seed`` are applied together, by :func:`agrosim.presets.override`, to
-the preset or the ``--config`` file.  Exit status is 0 exactly when every
-requested artifact was written; each artifact replaces its target only
-once it is complete (:func:`agrosim.atomic.atomic_write`).
+CSV its rows (as long as every share keeps 1024 of them), through the forked
+workers of :mod:`agrosim.workers`: the process runs one share itself and a
+forked child each other share, writing to an unlinked temporary file; a
+share whose file or child cannot be made runs in the process too.  No
+output depends on how many CPUs there are, and a failing sweep reports the
+error of its first failing value, as a serial loop would.  The output
+directory defaults to ``$AGROSIM_OUT``, then the current directory.
+``--dt``, ``--horizon`` and ``--seed`` are applied together, by
+:func:`agrosim.presets.override`, to the preset or the ``--config`` file.
+Exit status is 0 exactly when every requested artifact was written; each
+artifact replaces its target only once it is complete
+(:func:`agrosim.atomic.atomic_write`).
 """
 
 from __future__ import annotations

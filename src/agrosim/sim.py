@@ -31,7 +31,7 @@ whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and splits the blocks into contiguous shares, one per usable CPU while each
-share keeps at least 512 rows (:mod:`agrosim.workers`).  The process writes
+share keeps at least 1024 rows (:mod:`agrosim.workers`).  The process writes
 its own share block by block and copies each forked child's share from the
 child's temporary file in 64 KiB pieces, so the whole text never sits in
 memory; a file target is written to a temporary file that replaces the
@@ -251,11 +251,14 @@ def _loop(config: ScenarioConfig):
 #: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
 _CSV_BLOCK = 256
 
-#: The fewest rows :meth:`TrajectoryRecord.to_csv` gives each worker.  Measured
-#: on a 2-CPU x86-64 host (38 MB process): fork + waitpid 2.5-3.7 ms, a
-#: 256-row block 3-5 ms; 768 rows on 2 workers (256 + 512) took as long as
-#: on 1, 1024 rows (512 + 512) took 0.75x.
-_CSV_WORKER_ROWS = 512
+#: The fewest rows :meth:`TrajectoryRecord.to_csv` gives each worker.  A fork
+#: costs more than fork + waitpid (2.5-3.7 ms for a 40 MB process): every
+#: page the process writes afterwards, to its exit, takes a fault, about
+#: 4500 more faults for an ``agrosim run``.  Whole ``agrosim run --no-svg``
+#: processes on a 2-CPU x86-64 host, 2 workers against 1 (median of 30
+#: paired differences): 1501 rows +4.3 ms, 2501 rows -8.9 ms, 4001 rows
+#: -29.9 ms, so the break-even is near 900 rows a worker.
+_CSV_WORKER_ROWS = 1024
 
 #: Bytes of a worker's CSV text copied into the target at a time.
 _CSV_COPY_BYTES = 1 << 16
@@ -328,7 +331,7 @@ class TrajectoryRecord(_ArrayEqMixin):
         double.  Rows are formatted in blocks of :data:`_CSV_BLOCK`, one
         ``%`` call each.  The blocks are cut into contiguous shares, one per
         usable CPU as long as each share keeps :data:`_CSV_WORKER_ROWS`
-        (512) rows, below which a fork costs more than it saves
+        (1024) rows, below which a fork costs more than it saves
         (:mod:`agrosim.workers`).  The process writes the first share's
         blocks as it makes them; a forked child formats each other share
         into an unlinked temporary file, which the process copies into
