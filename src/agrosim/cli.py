@@ -9,13 +9,14 @@ Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
 ``--no-svg``.  A sweep spreads its values over the usable CPUs, and each
-CSV its rows (as long as every share keeps 1024 of them), through the forked
-workers of :mod:`agrosim.workers`: the process runs one share itself and a
-forked child each other share, writing to an unlinked temporary file; a
-share whose file or child cannot be made runs in the process too.  No
-output depends on how many CPUs there are, and a failing sweep reports the
-error of its first failing value, as a serial loop would.  The output
-directory defaults to ``$AGROSIM_OUT``, then the current directory.
+CSV its rows (as long as every share keeps 1024 of them), through
+:func:`agrosim.workers.run`: the process runs one share itself and a forked
+child each other share, which sends back its sweep results or CSV blocks as
+pickled items, one at a time, so the process never holds a child's whole
+output; a share whose file or child cannot be made runs in the process
+too.  No output depends on how many CPUs there are, and a failing sweep
+reports the error of its first failing value, as a serial loop would.  The
+output directory defaults to ``$AGROSIM_OUT``, then the current directory.
 ``--dt``, ``--horizon`` and ``--seed`` are applied together, by
 :func:`agrosim.presets.override`, to the preset or the ``--config`` file.
 Exit status is 0 exactly when every requested artifact was written; each
@@ -30,9 +31,8 @@ import dataclasses
 import json
 import math
 import os
-import pickle
 import sys
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -189,34 +189,29 @@ def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
 
 def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     """The metrics of each scenario, in order, run on up to one forked
-    worker per usable CPU (:mod:`agrosim.workers`).
+    worker per usable CPU (:func:`agrosim.workers.run`).
 
     Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
-    stops at its first failure.  The process is worker 0; each child pickles
-    each ``(index, Metrics or AgroSimError)`` pair into its file as it
-    comes, which the process reads once the child has ended.  The failure
-    with the lowest index is raised, as a serial loop would raise it, so the
-    result does not depend on ``W``; a child that ended before its share
-    did fails at the first index it wrote nothing for.  A share whose file
-    or fork fails runs in the process.  Every child is reaped before this
-    returns or raises, and killed first if anything is raised.
+    stops at its first failure, sending back one ``(index, Metrics or
+    AgroSimError)`` pair at a time.  The failure with the lowest index is
+    raised, as a serial loop would raise it, so the result does not depend
+    on ``W``; a child that ended before its share did fails at the first
+    index it sent nothing for.  Every child is reaped before this returns or
+    raises, and killed first if anything is raised.
     """
     n = workers.count(len(configs))
     shares = [range(j, len(configs), n) for j in range(n)]
-
-    def task(share: range, fh: BinaryIO) -> None:
-        for pair in _run_share(configs, share):
-            pickle.dump(pair, fh)
-            fh.flush()  # what a child killed later wrote stays readable
-
     results = {}
-    with workers.forked(task, shares) as children:
-        for share, child in zip(shares, children):
-            if child is None:
-                results.update(_run_share(configs, share))
-        for share, child in zip(shares, children):
-            if child is not None:
-                results.update(_read_share(child, share))
+    with workers.run(lambda share: _run_share(configs, share), shares) as parts:
+        for share, part in zip(shares, parts):
+            try:
+                results.update(part)
+            except workers.WorkerDied as died:
+                for i in share:
+                    if i not in results:
+                        results[i] = AgroSimError(f"sweep worker {died.pid} {died.how} "
+                                                  "before sending all of its results")
+                        break
     metrics = []
     for i in range(len(configs)):
         # a worker that stopped early did so at a failure of a lower index
@@ -237,27 +232,6 @@ def _run_share(configs: list[ScenarioConfig], share: range) -> Iterator[tuple]:
         yield i, result
         if isinstance(result, AgroSimError):
             return
-
-
-def _read_share(child: workers.Worker, share: range) -> dict:
-    """Wait for a sweep worker and return its results, with a dead-worker
-    error at the first index of ``share`` that it wrote nothing for."""
-    code = child.wait()
-    results = {}
-    try:
-        while True:
-            index, result = pickle.load(child.file)
-            results[index] = result
-    except (EOFError, pickle.UnpicklingError):
-        pass  # the end of what was written, whole or cut short
-    for i in share:
-        if i not in results:
-            results[i] = AgroSimError(f"sweep worker {child.pid} {workers.how(code)} "
-                                      "before sending all of its results")
-            break
-        if isinstance(results[i], AgroSimError):
-            break
-    return results
 
 
 def _default_out() -> str:

@@ -31,11 +31,11 @@ whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and splits the blocks into contiguous shares, one per usable CPU while each
-share keeps at least 1024 rows (:mod:`agrosim.workers`).  The process writes
-its own share block by block and copies each forked child's share from the
-child's temporary file in 64 KiB pieces, so the whole text never sits in
-memory; a file target is written to a temporary file that replaces the
-target only once it is complete.
+share keeps at least 1024 rows (:mod:`agrosim.workers`).  It writes each
+share in order, one block at a time: the process's own as it formats them,
+each forked child's as the child's pickled blocks are read back, so the
+whole text never sits in memory; a file target is written to a temporary
+file that replaces the target only once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
@@ -260,9 +260,6 @@ _CSV_BLOCK = 256
 #: -29.9 ms, so the break-even is near 900 rows a worker.
 _CSV_WORKER_ROWS = 1024
 
-#: Bytes of a worker's CSV text copied into the target at a time.
-_CSV_COPY_BYTES = 1 << 16
-
 _CSV_COLUMNS = (
     "t,phi,theta,psi,phi_dot,theta_dot,psi_dot,"
     "u1_cmd,u2_cmd,u3_cmd,u1_sat,u2_sat,u3_sat,"
@@ -332,12 +329,11 @@ class TrajectoryRecord(_ArrayEqMixin):
         ``%`` call each.  The blocks are cut into contiguous shares, one per
         usable CPU as long as each share keeps :data:`_CSV_WORKER_ROWS`
         (1024) rows, below which a fork costs more than it saves
-        (:mod:`agrosim.workers`).  The process writes the first share's
-        blocks as it makes them; a forked child formats each other share
-        into an unlinked temporary file, which the process copies into
-        ``target`` in order, 64 KiB at a time, once the child has ended.  A
-        share whose file or fork fails is formatted in the process, and a
-        child that does not finish its share raises
+        (:func:`agrosim.workers.run`).  The process writes the first share's
+        blocks as it makes them, then each forked child's blocks, in order,
+        as it reads them back one pickled block at a time.  A share whose
+        file or fork fails is formatted in the process, and a child that
+        does not finish its share raises
         :class:`~agrosim.errors.AgroSimError`.  The text does not depend on
         the number of workers.  ``target`` is a path or a text stream; a
         path is written through a temporary file beside it, so on failure
@@ -362,24 +358,14 @@ class TrajectoryRecord(_ArrayEqMixin):
         cuts = [j * n_blocks // n * _CSV_BLOCK for j in range(n + 1)]
         shares = [data[a:b] for a, b in zip(cuts, cuts[1:])]
         opened = atomic_write(target) if isinstance(target, str) else nullcontext(target)
-        with workers.forked(_write_csv_share, shares) as children, opened as fh:
+        with workers.run(_csv_blocks, shares) as parts, opened as fh:
             fh.write(_CSV_COLUMNS + "\n")
-            for share, child in zip(shares, children):
-                if child is None:
-                    fh.writelines(_csv_blocks(share))
-                    continue
-                code = child.wait()
-                if code:
-                    raise AgroSimError(f"CSV worker {child.pid} {workers.how(code)} "
-                                       "before writing all of its rows")
-                while chunk := child.file.read(_CSV_COPY_BYTES):
-                    fh.write(chunk.decode("ascii"))
-
-
-def _write_csv_share(share: np.ndarray, fh: IO[bytes]) -> None:
-    """Write the CSV lines of the rows ``share`` to ``fh``, in a worker."""
-    for text in _csv_blocks(share):
-        fh.write(text.encode("ascii"))
+            try:
+                for part in parts:
+                    fh.writelines(part)
+            except workers.WorkerDied as died:
+                raise AgroSimError(f"CSV worker {died.pid} {died.how} "
+                                   "before writing all of its rows") from None
 
 
 def _csv_blocks(data: np.ndarray) -> Iterator[str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .atomic import atomic_write
 
@@ -56,6 +56,16 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
         v += step
     return ticks or [lo, hi]
+
+
+def _axis(lo: float, hi: float, start: float, end: float) -> Callable[[float], float]:
+    """The pixel of a value on an axis that maps ``lo`` to ``start`` and
+    ``hi`` to ``end``.  Where ``hi - lo`` overflows (-1e308 to 1e308), the
+    value and the ends are halved first, as :meth:`LineChart._bounds` scales
+    its pad."""
+    if math.isinf(hi - lo):
+        return lambda v: start + (v / 2 - lo / 2) / (hi / 2 - lo / 2) * (end - start)
+    return lambda v: start + (v - lo) / (hi - lo) * (end - start)
 
 
 def _fmt(v: float) -> str:
@@ -109,11 +119,7 @@ class LineChart:
         px_l, px_r = _MARGIN_L, _WIDTH - _MARGIN_R
         px_t, px_b = _MARGIN_T, _HEIGHT - _MARGIN_B
 
-        def sx(x: float) -> float:
-            return px_l + (x - x_lo) / (x_hi - x_lo) * (px_r - px_l)
-
-        def sy(y: float) -> float:
-            return px_b - (y - y_lo) / (y_hi - y_lo) * (px_b - px_t)
+        sx, sy = _axis(x_lo, x_hi, px_l, px_r), _axis(y_lo, y_hi, px_b, px_t)
 
         out = [f'<g transform="translate(0,{y_offset:g})">']
         out.append(

@@ -1,26 +1,30 @@
 """Forked workers, one per usable CPU, for work that splits into shares.
 
-A caller cuts its work into shares, runs the first itself and hands the
-others to :func:`forked`, which forks one child per share.  Each child runs
-``task(share, file)`` into its own unlinked temporary file, made before the
-fork, and leaves through :func:`os._exit`; the process reaps it with
-:meth:`Worker.wait` and then reads the file.  A share whose file or fork
-fails gets no child, and the process runs it too.  Every child is killed, if
-still running, and reaped when the ``with`` block is left, however it is
-left.  ``agrosim sweep`` (striped shares of its values) and
-:meth:`agrosim.sim.TrajectoryRecord.to_csv` (contiguous shares of its rows)
-run on this module.
+:func:`run` runs a generator function ``task`` on each share.  The process
+runs the first share itself, as the caller consumes its items; a forked
+child runs each other share and pickles each item into its own unlinked
+temporary file, made before the fork.  The caller reads every share's items
+in order, one at a time, so it never holds a child's whole output: a
+child's come once it is reaped, followed by :class:`WorkerDied` if it did
+not finish.  A share whose file or fork fails runs in the process, in its
+place in the order.  No child outlives the ``with`` block, however it is
+left.  ``agrosim sweep`` (striped shares of its values, one result an item)
+and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (contiguous shares of its
+rows, one block of CSV lines an item) run on this module.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import signal
 import tempfile
 import threading
 import traceback
-from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+
+Task = Callable[[Any], Iterable]
 
 
 def count(items: int) -> int:
@@ -36,17 +40,23 @@ def count(items: int) -> int:
     return 1
 
 
-def how(code: int) -> str:
-    """How a child with exit code ``code`` (as from
-    :func:`os.waitstatus_to_exitcode`) ended."""
-    return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+class WorkerDied(Exception):
+    """A forked child ended before its task did: ``pid`` is the child's,
+    and ``how`` says how it ended ("was killed by signal 9", "exited with
+    status 1")."""
+
+    def __init__(self, pid: int, code: int):
+        self.pid = pid
+        self.how = (f"was killed by signal {-code}" if code < 0
+                    else f"exited with status {code}")
+        super().__init__(f"worker {pid} {self.how}")
 
 
-class Worker:
-    """A forked child that runs ``task(share, file)``, and the unlinked
-    temporary file it writes into."""
+class _Child:
+    """A forked child that runs ``task(share)``, and the unlinked temporary
+    file it pickles the items into."""
 
-    def __init__(self, task: Callable[[Any, BinaryIO], None], share: Any):
+    def __init__(self, task: Task, share: Any):
         self.file = tempfile.TemporaryFile()
         try:
             self.pid = os.fork()
@@ -57,13 +67,19 @@ class Worker:
             _child_main(task, share, self.file)
         self.reaped = False
 
-    def wait(self) -> int:
-        """Reap the child, rewind its file and return its exit code (0 when
-        its task returned, negative for the signal that killed it)."""
-        status = os.waitpid(self.pid, 0)[1]
+    def items(self) -> Iterator:
+        """Reap the child, then yield the items it wrote, in order; raise
+        :class:`WorkerDied` after the last whole one if it did not finish."""
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.reaped = True
         self.file.seek(0)  # the child's writes moved the offset it shares with us
-        return os.waitstatus_to_exitcode(status)
+        try:
+            while True:
+                yield pickle.load(self.file)
+        except (EOFError, pickle.UnpicklingError):
+            pass  # the end of what was written, whole or cut short
+        if code:
+            raise WorkerDied(self.pid, code)
 
     def stop(self) -> None:
         """Kill and reap the child, unless it is reaped already; close its file."""
@@ -77,38 +93,40 @@ class Worker:
 
 
 @contextlib.contextmanager
-def forked(task: Callable[[Any, BinaryIO], None],
-           shares: Sequence) -> Iterator[list[Optional[Worker]]]:
-    """Fork a :class:`Worker` for each share but the first.
+def run(task: Task, shares: Sequence) -> Iterator[Iterator[Iterator]]:
+    """Run the generator function ``task`` on each share, all but the first
+    in a forked :class:`_Child`, forked on entry.
 
-    Yields one entry per share, in order: ``None`` for a share the process
-    runs itself (the first, and any whose file or fork failed), else its
-    worker.  On leaving the block, each worker is killed if it has not been
-    reaped, then reaped, and its file closed.
+    Yields the items of each share, one iterator per share, in order: the
+    first share, and any whose file or fork failed, runs in the process as
+    its iterator is consumed.  On leaving the block, each child is killed if
+    it has not been reaped, then reaped, and its file closed.
     """
-    children: list[Optional[Worker]] = [None]
+    children: list[Optional[_Child]] = [None]
     try:
         for share in shares[1:]:
             try:
-                children.append(Worker(task, share))
+                children.append(_Child(task, share))
             except OSError:
                 children.append(None)  # no file or process to spare: the share runs here
-        yield children
+        yield (task(share) if child is None else child.items()
+               for share, child in zip(shares, children))
     finally:
         for child in children:
             if child is not None:
                 child.stop()
 
 
-def _child_main(task: Callable[[Any, BinaryIO], None], share: Any, fh: BinaryIO) -> None:
-    """Run ``task(share, fh)`` in a forked child, flush ``fh`` and exit:
-    status 0 when the task returned, 1 when it raised."""
+def _child_main(task: Task, share: Any, fh: BinaryIO) -> None:
+    """Pickle each item of ``task(share)`` into ``fh`` in a forked child,
+    then exit: status 0 when the task finished, 1 when it raised."""
     # the child leaves only through os._exit: it must not flush the
     # parent's stdio buffers or run its atexit handlers a second time
     status = 1
     try:
-        task(share, fh)
-        fh.flush()  # os._exit drops what is left in a buffer
+        for item in task(share):
+            pickle.dump(item, fh)
+            fh.flush()  # os._exit drops buffers; a child killed later keeps what it sent
         status = 0
     except Exception:
         os.write(2, traceback.format_exc().encode())

@@ -131,6 +131,23 @@ def test_abstract_robustness_contrast(adaptive_run):
     assert ok, line
 
 
+def test_settle_times_are_not_a_step_size_artifact(fl_run, bs_run, adaptive_run):
+    # criterion 1's miss belongs to the model: a 4x finer step moves no
+    # +/-2 deg settle time of any preset (every axis) by as much as 2 ms
+    runs = {"fl": (fl_paper, fl_run[1]), "bs": (bs_paper, bs_run[1]),
+            "bs-adaptive": (bs_adaptive_paper, adaptive_run[1])}
+    moves = {}
+    for name, (build, coarse) in runs.items():
+        fine = run_scenario(dataclasses.replace(build(), dt=0.00025))[1]
+        moves[name] = np.abs(fine.settle_time - coarse.settle_time).max()
+    ok = all(move < 0.002 for move in moves.values())
+    detail = ", ".join(f"{name} {move * 1e3:.2f} ms" for name, move in moves.items())
+    line = (f"REFINEMENT: {'PASS' if ok else 'FAIL'} - largest +/-{BAND_DEG} deg settle "
+            f"time move from dt = 1 ms to 0.25 ms: {detail} (limit 2 ms)")
+    print(line)
+    assert ok, line
+
+
 def test_criterion_2_saturation_respected(fl_run, bs_run):
     peaks = {}
     ok = True

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import signal
 import tempfile
 import threading
@@ -12,7 +13,7 @@ import pytest
 from conftest import _assert_no_child_left, _open_fds, _usable_cpus
 
 from agrosim import ComparisonInvalidError, load_config, parse_config, preset, serialize_config
-from agrosim import cli
+from agrosim import cli, sim
 from agrosim.cli import cmd_compare, cmd_run, main
 
 
@@ -396,6 +397,38 @@ def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
     assert err.startswith("agrosim: error: sweep worker ")
     assert f"was killed by signal {int(signal.SIGKILL)} before sending all of its results" in err
     assert not os.listdir(tmp_path)
+    _assert_no_child_left(fds)
+
+
+# a task that raises an ordinary exception in a worker: the child exits with
+# status 1, and the command fails naming it, writing nothing
+@pytest.mark.parametrize("owner, name, args, message", [
+    pytest.param(cli, "run_scenario",
+                 ["sweep", "--param", "k1", "--values", "10,20,40", "--horizon", "0.05"],
+                 "sweep worker \\d+ exited with status 1 before sending all of its results",
+                 id="sweep"),
+    pytest.param(sim, "_csv_blocks", ["run", "--horizon", "4", "--no-svg"],
+                 "CSV worker \\d+ exited with status 1 before writing all of its rows",
+                 id="csv"),
+])
+def test_worker_that_raises_is_named(owner, name, args, message, tmp_path, capsys,
+                                     monkeypatch):
+    fds = _open_fds()
+    parent, real = os.getpid(), getattr(owner, name)
+
+    def raise_in_child(arg):
+        if os.getpid() != parent:
+            raise RuntimeError("task failed in a worker")
+        return real(arg)
+
+    previous = tmp_path / "bs-adaptive-paper.csv"
+    previous.write_text("previous\n", encoding="utf-8")
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(owner, name, raise_in_child)
+    assert main(args + ["--preset", "bs-adaptive-paper", "--out", str(tmp_path)]) == 1
+    assert re.fullmatch(f"agrosim: error: {message}\n", capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["bs-adaptive-paper.csv"]
+    assert previous.read_text(encoding="utf-8") == "previous\n"
     _assert_no_child_left(fds)
 
 

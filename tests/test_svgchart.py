@@ -51,6 +51,19 @@ def test_ticks_of_degenerate_spans_are_finite(lo, hi):
     assert ticks[0] <= hi and ticks[-1] >= lo
 
 
+def test_points_of_overflowing_spans_are_finite():
+    # x and y from -1e308 to 1e308: hi - lo overflows on both axes
+    chart = LineChart("wide")
+    chart.add_series("a", [-1e308, 0.0, 1e308], [-1e308, 0.0, 1e308])
+    svg = render_svg([chart])
+    points = svg.split('<polyline points="')[1].split('"')[0].split()
+    assert "nan" not in svg and "inf" not in svg
+    xy = [tuple(map(float, p.split(","))) for p in points]
+    assert [x for x, _ in xy] == [64.0, 344.0, 624.0]  # the plot's left, middle, right
+    assert xy[1][1] == 155.0  # 0 sits midway between the symmetric y bounds
+    assert all(34.0 <= y <= 276.0 for _, y in xy)
+
+
 def test_flat_series_far_from_zero_renders():
     chart = LineChart("flat")
     chart.add_series("a", [0.0, 1.0], [5.7e17, 5.7e17])
