@@ -1,45 +1,55 @@
 """Closed-loop stage kernel on plain Python floats.
 
 This module is the one place where the gyroscopic drift term ``f``, the
-feedback-linearization and backstepping control laws, the adaptation law,
-the torque clamp, the disturbance torque and the classical RK4 step are
-written.  The simulator in :mod:`agrosim.sim` runs on it, and anything else
-that needs one of these (a test, a demo, the V2 column of a record) calls
-the function here rather than a copy of it.  :func:`closed_loop` is the one
-entry point of a run: its step returns the next state together with the
-unclamped command and L_true at the step's start, so every recorded row,
+feedback-linearization and backstepping control laws, the velocity error
+e2, the adaptation law, the disturbance torque, the torque clamp and the
+classical RK4 step are written: each once, as a per-axis expression over
+named floats (``_DRIFT``, ``_FL``, ...).  The factories (:func:`drift`,
+:func:`fl_law`, ...) compile those expressions into small functions that a
+test, a demo or the V2 column of a record calls.  :func:`closed_loop`, the
+one entry point of a run, assembles them into one straight-line RK4 step
+with all four stages inlined: no call per stage, law or axis, only float
+arithmetic on local names.  Its step returns the next state together with
+the unclamped command and L_true at the step's start, so every recorded row,
 the last included, comes from one call of it.
 
-Layout: a 3-vector is a tuple of three floats and the augmented state
-``[attitude, rate, L_hat]`` a tuple of nine.  Every constant (gains,
-inertias, reference, disturbance) is converted to ``float`` once, when a law
-or a step is built, together with the ratios the laws use (``j2/j1``,
-``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``, ``dt/6``).  On 3-vectors
-a numpy call costs far more than the arithmetic it does, and on 9-tuples a
-``zip`` comprehension costs more than the nine sums it builds, so the RK4
-step unpacks the state and each stage derivative into named floats and
-writes every stage state and the final combination as one 9-tuple.  A step
-takes about 6 µs (FL) to 10 µs (adaptive backstepping) on a 2-core x86-64
-host (see the README's Performance section).  The state operands see only
-``+``, ``-``, ``*`` and unpacking, so the same step can run on arrays of
-many scenarios at once.
+Compiling: the source of a factory's function, or of a step, depends only on
+its structure, never on a scenario's numbers.  A step has one of six
+structures (FL or backstepping, the latter with or without adaptation, each
+with or without a disturbance).  Each is compiled on first use, once per
+process, under a filename that names it (e.g. ``<agrosim.kernel step:
+bs+adaptation+disturbance>``, registered with :mod:`linecache`, so a
+traceback or a profile shows the formula line), and every later function of
+that structure shares the code object: ``types.FunctionType(code, consts)``
+binds the scenario's constants as the function's globals.  Nothing is
+compiled at import.  The constants (gains, inertias, reference, disturbance,
+and the ratios ``j2/j1``, ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``,
+``dt/6``) are converted to ``float`` once, when a function is built.  A step
+takes about 5.5 µs (FL) to 7.5 µs (adaptive backstepping with a disturbance)
+on a 2-core x86-64 host (see the README's Performance section).
 
-Bit-identity: every expression evaluates the formula in its docstring in
-the order numpy evaluates the vectorised form, left to right (e.g.
-``(xd_dd + k1 e_d) + k2 e``), and IEEE-754 double arithmetic on Python
-floats is that of numpy float64, so results are bit-for-bit those of the
-vectorised formulas.  The one transcendental function, the disturbance sine,
-is :func:`math.sin`.
+Layout: a 3-vector is a tuple of three floats and the augmented state
+``[attitude, rate, L_hat]`` a tuple of nine.  The factories' functions see
+only ``+``, ``-``, ``*`` and unpacking on their operands, so they also run
+on arrays of many rows at once.
+
+Bit-identity: every expression evaluates the formula in its factory's
+docstring in the order numpy evaluates the vectorised form, left to right
+(e.g. ``(xd_dd + k1 e_d) + k2 e``), and keeps every term, zero noise and a
+zero L_hat derivative included (``u + 0.0`` turns ``-0.0`` into ``0.0``).
+IEEE-754 double arithmetic on Python floats is that of numpy float64, so
+results are bit-for-bit those of the vectorised formulas.  The one
+transcendental function, the disturbance sine, is :func:`math.sin`.
 
 Python float arithmetic raises no warning when it overflows: a diverging
 loop yields ``inf``/``nan`` quietly and the caller decides what to report.
-
-Nothing here holds mutable state; everything built is safe to share.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
+from types import CodeType, FunctionType
 from typing import Callable, Optional
 
 #: Three floats, one per body axis.
@@ -52,6 +62,47 @@ Law = Callable[[State, Vec, Optional[Vec]], Vec]
 
 ZERO: Vec = (0.0, 0.0, 0.0)
 
+# Every formula of the closed loop, per axis {i} ({j}, {k}: the other two, in
+# order).  The operands: the state a (attitude), r (rate), l (L_hat), the
+# drift f, the velocity error z, the command u and the held noise n.  The
+# constants: fc = j2/j1, m = j1, x, v, w = x_d, xd_dot, xd_ddot, p, q = k1,
+# k2, gl = gamma/lam, ls = -lam/sigma, o, b, ph = offset, sine amplitude and
+# phase, om = sine frequency, and hi, lo = +/-u_max.
+_DRIFT = "fc{i} * r{j} * r{k}"
+_FL = "m{i} * (((w{i} + p{i} * (v{i} - r{i})) + q{i} * (x{i} - a{i})) - f{i})"
+_E2 = "(v{i} - r{i}) + p{i} * (x{i} - a{i})"
+_BS = ("m{i} * (((((gl{i} * (x{i} - a{i}) - f{i}) - l{i}) + w{i}) + p{i} * (v{i} - r{i}))"
+       " + q{i} * z{i})")
+_RATE = "ls{i} * z{i}"
+_TORQUE = "o{i} + b{i} * sin(om * {t} + ph{i})"
+_CLAMP = "hi if u{i} > hi else lo if u{i} < lo else u{i}"
+_UNPACK = "    a0, a1, a2, r0, r1, r2, l0, l1, l2 = y"
+
+#: The fields of each axis in a per-axis line.
+_AXES = ({"i": 0, "j": 1, "k": 2}, {"i": 1, "j": 0, "k": 2}, {"i": 2, "j": 0, "k": 1})
+
+#: The code object of each factory's function and of each step structure
+#: compiled in this process so far.
+_CODE: dict[str, CodeType] = {}
+
+
+def _function(name: str, source: Callable[[], list[str]], consts=(), **vectors) -> FunctionType:
+    """The one function whose source lines ``source()`` gives, a line with
+    ``{i}`` standing for one line per axis, bound to ``consts`` and to each
+    3-vector of ``vectors`` as floats (``p=k1`` binds ``p0``, ``p1``, ``p2``).
+    The source is compiled only on the first call for ``name`` in a process."""
+    code = _CODE.get(name)
+    if code is None:
+        text = "".join(line.format_map(axis) + "\n" for line in source()
+                       for axis in (_AXES if "{i}" in line else _AXES[:1]))
+        filename = f"<agrosim.kernel {name}>"
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+        code = _CODE[name] = compile(text, filename, "exec").co_consts[0]
+    env = dict(consts)
+    for k, vec in vectors.items():
+        env[k + "0"], env[k + "1"], env[k + "2"] = floats(vec)
+    return FunctionType(code, env)
+
 
 def floats(v) -> Vec:
     """A 3-vector (array, list or tuple) as three Python floats."""
@@ -62,48 +113,25 @@ def floats(v) -> Vec:
 def drift(j1, j2) -> Callable[[float, float, float], Vec]:
     """Gyroscopic drift term f(xd) of the attitude dynamics: per axis,
     ``f_i = j2_i / j1_i * (product of the other two rates)``."""
-    c0, c1, c2 = (float(b) / float(a) for a, b in zip(j1, j2))
-
-    def f(r0: float, r1: float, r2: float) -> Vec:
-        return c0 * r1 * r2, c1 * r0 * r2, c2 * r0 * r1
-
-    return f
+    return _function("drift", lambda: ["def f(r0, r1, r2):", "    f{i} = " + _DRIFT,
+                                       "    return f0, f1, f2"],
+                     fc=[float(b) / float(a) for a, b in zip(j1, j2)])
 
 
 def fl_law(k1, k2, j1, x_d, xd_dot, xd_ddot) -> Law:
     """PD + feedback linearization ``u = j1 * (v - f)`` with the pseudo-input
     ``v = xd_dd + k1 e_d + k2 e``, ``e = x_d - x``, ``e_d = xd_d - xd``."""
-    p0, p1, p2 = floats(k1)
-    q0, q1, q2 = floats(k2)
-    m0, m1, m2 = floats(j1)
-    x0, x1, x2 = floats(x_d)
-    v0, v1, v2 = floats(xd_dot)
-    w0, w1, w2 = floats(xd_ddot)
-
-    def law(y: State, f: Vec, e: Optional[Vec]) -> Vec:
-        a0, a1, a2, r0, r1, r2, _, _, _ = y
-        f0, f1, f2 = f
-        return (
-            m0 * (((w0 + p0 * (v0 - r0)) + q0 * (x0 - a0)) - f0),
-            m1 * (((w1 + p1 * (v1 - r1)) + q1 * (x1 - a1)) - f1),
-            m2 * (((w2 + p2 * (v2 - r2)) + q2 * (x2 - a2)) - f2),
-        )
-
-    return law
+    return _function("fl_law", lambda: ["def law(y, f, e):", _UNPACK, "    f0, f1, f2 = f",
+                                        "    u{i} = " + _FL, "    return u0, u1, u2"],
+                     p=k1, q=k2, m=j1, x=x_d, v=xd_dot, w=xd_ddot)
 
 
 def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
     """Backstepping velocity error ``e2 = (xd_d - xd) + K1 (x_d - x)``: the
     deviation of the rate from the virtual control."""
-    k0, k1_, k2_ = floats(k1)
-    x0, x1, x2 = floats(x_d)
-    v0, v1, v2 = floats(xd_dot)
-
-    def e2(y: State) -> Vec:
-        a0, a1, a2, r0, r1, r2, _, _, _ = y
-        return (v0 - r0) + k0 * (x0 - a0), (v1 - r1) + k1_ * (x1 - a1), (v2 - r2) + k2_ * (x2 - a2)
-
-    return e2
+    return _function("velocity_error", lambda: ["def e2(y):", _UNPACK, "    z{i} = " + _E2,
+                                                "    return z0, z1, z2"],
+                     p=k1, x=x_d, v=xd_dot)
 
 
 def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
@@ -112,51 +140,27 @@ def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
     ``e1 = x_d - x``, ``e1_d = xd_d - xd`` and e2 from :func:`velocity_error`,
     summed left to right.  The law takes e2 as its third argument, so that a
     stage which also feeds e2 to the adaptation law computes it once."""
-    k0, k1_, k2_ = floats(k1)
-    s0, s1, s2 = floats(k2)
-    c0, c1, c2 = (float(g) / float(m) for g, m in zip(gamma, lam))
-    m0, m1, m2 = floats(j1)
-    x0, x1, x2 = floats(x_d)
-    v0, v1, v2 = floats(xd_dot)
-    w0, w1, w2 = floats(xd_ddot)
-
-    def law(y: State, f: Vec, e: Vec) -> Vec:
-        a0, a1, a2, r0, r1, r2, l0, l1, l2 = y
-        f0, f1, f2 = f
-        z0, z1, z2 = e
-        return (
-            m0 * (((((c0 * (x0 - a0) - f0) - l0) + w0) + k0 * (v0 - r0)) + s0 * z0),
-            m1 * (((((c1 * (x1 - a1) - f1) - l1) + w1) + k1_ * (v1 - r1)) + s1 * z1),
-            m2 * (((((c2 * (x2 - a2) - f2) - l2) + w2) + k2_ * (v2 - r2)) + s2 * z2),
-        )
-
-    return law
+    return _function("bs_law", lambda: ["def law(y, f, e):", _UNPACK, "    f0, f1, f2 = f",
+                                        "    z0, z1, z2 = e", "    u{i} = " + _BS,
+                                        "    return u0, u1, u2"],
+                     p=k1, q=k2, m=j1, x=x_d, v=xd_dot, w=xd_ddot,
+                     gl=[float(g) / float(m) for g, m in zip(gamma, lam)])
 
 
 def adaptation(lam, sigma) -> Callable[[Vec], Vec]:
     """Adaptation law ``L_hat_dot = -lam/sigma * e2``, per axis."""
-    c0, c1, c2 = (-float(m) / float(s) for m, s in zip(lam, sigma))
-
-    def rate(e: Vec) -> Vec:
-        e0, e1, e2 = e
-        return c0 * e0, c1 * e1, c2 * e2
-
-    return rate
+    return _function("adaptation", lambda: ["def rate(e):", "    z0, z1, z2 = e",
+                                            "    z{i} = " + _RATE, "    return z0, z1, z2"],
+                     ls=[-float(m) / float(s) for m, s in zip(lam, sigma)])
 
 
 def disturbance(offset, sine_amp, sine_freq, sine_phase) -> Callable[[float], Vec]:
     """Deterministic disturbance torque ``offset + amp * sin(freq t + phase)``."""
-    o0, o1, o2 = floats(offset)
-    b0, b1, b2 = floats(sine_amp)
-    p0, p1, p2 = floats(sine_phase)
-    w = float(sine_freq)
-    sin = math.sin
-
-    def torque(t: float) -> Vec:
-        s = w * t
-        return o0 + b0 * sin(s + p0), o1 + b1 * sin(s + p1), o2 + b2 * sin(s + p2)
-
-    return torque
+    return _function("disturbance", lambda: ["def torque(t):",
+                                             "    d{i} = " + _TORQUE.replace("{t}", "t"),
+                                             "    return d0, d1, d2"],
+                     {"om": float(sine_freq), "sin": math.sin},
+                     o=offset, b=sine_amp, ph=sine_phase)
 
 
 def closed_loop(
@@ -166,20 +170,23 @@ def closed_loop(
     u_max: float,
     dt: float,
     dist: Optional[Callable[[float], Vec]] = None,
-    e2: Optional[Callable[[State], Vec]] = None,
     l_rate: Optional[Callable[[Vec], Vec]] = None,
 ) -> Callable[[float, State, Vec], tuple[State, Vec, Vec]]:
     """The RK4 step of the augmented state, ``step(t, y, noise) -> (y_next,
     u, l)``: every recorded row of a run comes from one call.
 
-    At every stage the velocity error ``e2`` (if given) is computed once and
-    fed to the law and, when ``l_rate`` (the adaptation law) is given, to
-    the L_hat derivative; without ``l_rate`` L_hat has zero derivative.  The
-    command is clamped to ``[-u_max, u_max]`` (NaN passes through, as with
-    ``np.clip``), the deterministic disturbance and the held noise are
-    added, and the rates follow ``f + g * tau`` with the input gain
-    ``g = 1/j1``.  A step evaluates ``dist`` once at each of ``t``,
-    ``t + dt/2`` and ``t + dt``.
+    ``law`` is one built by :func:`fl_law` or :func:`bs_law`, ``dist`` one
+    by :func:`disturbance` and ``l_rate`` one by :func:`adaptation` (with
+    :func:`bs_law` only); anything else raises ``TypeError``.  The step runs
+    their formulas on their constants.  At every stage a backstepping law's
+    velocity error e2 (from its own K1 and reference) is computed once and
+    fed to the law and, with ``l_rate``, to the L_hat derivative; without
+    ``l_rate`` L_hat has zero derivative.  The command is clamped to
+    ``[-u_max, u_max]`` (NaN passes through, as with ``np.clip``), the
+    deterministic disturbance and the held noise are added, and the rates
+    follow ``f + g * tau`` with the input gain ``g = 1/j1``.  A step
+    evaluates the disturbance once at each of ``t``, ``t + dt/2`` and
+    ``t + dt``.
 
     Besides ``y_next`` the step returns ``u``, the unclamped command at
     ``y`` (its first stage evaluates it), and ``l = g * (dist(t) + noise)``,
@@ -187,62 +194,46 @@ def closed_loop(
     which the adaptive law's L_hat estimates.  Without ``dist``, ``l`` is
     ZERO.
     """
-    f = drift(j1, j2)
-    g0, g1, g2 = (1.0 / float(a) for a in j1)
-    hi = float(u_max)
-    lo = -hi
+    given = {"fl_law": law, "bs_law": law, "adaptation": l_rate, "disturbance": dist}
+    kinds = [k for k, fn in given.items() if getattr(fn, "__code__", None) is _CODE.get(k, ZERO)]
+    if (len(kinds) != 1 + (l_rate is not None) + (dist is not None)
+            or kinds[:2] == ["fl_law", "adaptation"]):
+        raise TypeError("closed_loop takes the laws of fl_law or bs_law, disturbance and, "
+                        "with bs_law, adaptation")
+    bs = kinds[0] == "bs_law"
+
+    def source() -> list[str]:
+        # y unpacked as ya, yr, yl; stage s's state as a, r, l (stage 1's is
+        # y) and its derivative as ksa, ksr, ksl; the disturbance at t,
+        # t + dt/2 and t + dt as da, dh, db
+        lines = ["def step(t, y, n):", "    ya0, ya1, ya2, yr0, yr1, yr2, yl0, yl1, yl2 = y",
+                 _UNPACK, "    n0, n1, n2 = n"]
+        if dist:
+            lines += ["    th = t + h", "    tb = t + dt"]
+            lines += [f"    d{d}{{i}} = " + _TORQUE.replace("{t}", t)
+                      for d, t in (("a", "t"), ("h", "th"), ("b", "tb"))]
+        for s, d, h in ((1, "a", None), (2, "h", "h"), (3, "h", "h"), (4, "b", "dt")):
+            if h:  # y + h k(s - 1); an FL law never reads L_hat
+                lines += [f"    {p}{{i}} = y{p}{{i}} + {h} * k{s - 1}{p}{{i}}"
+                          for p in "arl"[:2 + bs]]
+            tau = f"(c{{i}} + d{d}{{i}}) + n{{i}}" if dist else "c{i} + n{i}"
+            lines += ["    f{i} = " + _DRIFT, *(["    z{i} = " + _E2] if bs else []),
+                      "    u{i} = " + (_BS if bs else _FL), "    c{i} = " + _CLAMP,
+                      f"    k{s}a{{i}} = r{{i}}", f"    k{s}r{{i}} = f{{i}} + g{{i}} * ({tau})",
+                      f"    k{s}l{{i}} = " + (_RATE if l_rate else "0.0")]
+            if s == 1:
+                lines.append("    u = u0, u1, u2")
+        lines.append("    return (")
+        lines += [f"        y{p}{{i}} + s6 * (((k1{p}{{i}} + 2.0 * k2{p}{{i}}) + 2.0 * k3{p}{{i}})"
+                  f" + k4{p}{{i}})," for p in "arl"]
+        if dist:
+            return lines + ["    ), u, (", "        g{i} * (da{i} + n{i}),", "    )"]
+        return lines + ["    ), u, (0.0, 0.0, 0.0)"]
+
     dt = float(dt)
-    h = dt / 2.0
-    s6 = dt / 6.0
-
-    def stage(y: State, d: Vec, n: Vec) -> tuple[State, Vec]:
-        r0, r1, r2 = y[3], y[4], y[5]
-        f0, f1, f2 = fy = f(r0, r1, r2)
-        e = None if e2 is None else e2(y)
-        u = law(y, fy, e)
-        u0, u1, u2 = u
-        u0 = hi if u0 > hi else lo if u0 < lo else u0
-        u1 = hi if u1 > hi else lo if u1 < lo else u1
-        u2 = hi if u2 > hi else lo if u2 < lo else u2
-        n0, n1, n2 = n
-        if dist is None:
-            t0, t1, t2 = u0 + n0, u1 + n1, u2 + n2
-        else:
-            d0, d1, d2 = d
-            t0, t1, t2 = (u0 + d0) + n0, (u1 + d1) + n1, (u2 + d2) + n2
-        p0, p1, p2 = ZERO if l_rate is None else l_rate(e)
-        return (r0, r1, r2, f0 + g0 * t0, f1 + g1 * t1, f2 + g2 * t2, p0, p1, p2), u
-
-    def step(t: float, y: State, n: Vec) -> tuple[State, Vec, Vec]:
-        # y + h * k per component, then y + dt/6 * (((k1 + 2 k2) + 2 k3) + k4)
-        if dist is None:
-            da = dh = db = l = ZERO
-        else:
-            da, dh, db = dist(t), dist(t + h), dist(t + dt)
-            (d0, d1, d2), (n0, n1, n2) = da, n
-            l = g0 * (d0 + n0), g1 * (d1 + n1), g2 * (d2 + n2)
-        y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
-        k1, u = stage(y, da, n)
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = k1
-        k2, _ = stage((y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4,
-                       y5 + h * a5, y6 + h * a6, y7 + h * a7, y8 + h * a8), dh, n)
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = k2
-        k3, _ = stage((y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4,
-                       y5 + h * b5, y6 + h * b6, y7 + h * b7, y8 + h * b8), dh, n)
-        c0, c1, c2, c3, c4, c5, c6, c7, c8 = k3
-        k4, _ = stage((y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
-                       y5 + dt * c5, y6 + dt * c6, y7 + dt * c7, y8 + dt * c8), db, n)
-        w0, w1, w2, w3, w4, w5, w6, w7, w8 = k4
-        return (
-            y0 + s6 * (((a0 + 2.0 * b0) + 2.0 * c0) + w0),
-            y1 + s6 * (((a1 + 2.0 * b1) + 2.0 * c1) + w1),
-            y2 + s6 * (((a2 + 2.0 * b2) + 2.0 * c2) + w2),
-            y3 + s6 * (((a3 + 2.0 * b3) + 2.0 * c3) + w3),
-            y4 + s6 * (((a4 + 2.0 * b4) + 2.0 * c4) + w4),
-            y5 + s6 * (((a5 + 2.0 * b5) + 2.0 * c5) + w5),
-            y6 + s6 * (((a6 + 2.0 * b6) + 2.0 * c6) + w6),
-            y7 + s6 * (((a7 + 2.0 * b7) + 2.0 * c7) + w7),
-            y8 + s6 * (((a8 + 2.0 * b8) + 2.0 * c8) + w8),
-        ), u, l
-
-    return step
+    consts = {**drift(j1, j2).__globals__, **law.__globals__, "hi": float(u_max),
+              "lo": -float(u_max), "h": dt / 2.0, "dt": dt, "s6": dt / 6.0}
+    for fn in (dist, l_rate):
+        consts.update(fn.__globals__ if fn else ())
+    name = "step: " + "+".join(kinds).replace("_law", "")
+    return _function(name, source, consts, g=[1.0 / float(a) for a in j1])

@@ -10,22 +10,23 @@ the continuous closed loop; the Gaussian noise component is sampled once per
 step and held across stages to keep runs reproducible and refinement studies
 meaningful.
 
-The loop runs on the stage kernel of :mod:`agrosim.kernel`, which holds the
-state, the command and the disturbance as plain Python floats.  A step makes
-four control evaluations, one per RK4 stage; the first stage's command at
-the step's start is the one recorded.  The deterministic disturbance is
-evaluated once at each of ``t``, ``t + dt/2`` and ``t + dt`` per step (the
-two middle stages share one value).  The noise of a whole run is drawn
-before the loop, one ``standard_normal`` call per axis stream, which gives
-the same numbers as one draw per step.  Every sample's row (state, command
-and L_true: 15 floats) is what the kernel's step returns at the sample's
-time, the last row included: it comes from one more step from the final
-state, whose next state is discarded.  The rows are appended to one flat
-``array('d')``, which becomes the record's arrays after the loop; the clamp
+The loop calls one function per step: the scenario's RK4 step, which
+:func:`agrosim.kernel.closed_loop` compiles once per structure and process
+as straight-line float code with the four control evaluations, one per
+stage, inlined; the first stage's command is the one recorded.  The
+deterministic disturbance is evaluated at ``t``, ``t + dt/2`` and ``t + dt``
+(the middle stages share one value).  The noise of a run is drawn before
+the loop, one ``standard_normal`` call per axis stream (the same numbers as
+one draw per step).  Every sample's row (state, command and L_true: 15
+floats) is what the step returns at the sample's time, the last row
+included: it comes from one more step from the final state, whose next
+state is discarded.  The rows go into one flat ``array('d')``; after the
+loop, one vectorised check finds the first non-finite state (the step that
+diverged), the rows become the record's arrays, and the clamp
 (:func:`saturate`), the wheel allocation
 (:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
-(:func:`agrosim.control.lyapunov`, with the loop's own
-:func:`agrosim.kernel.velocity_error` applied to the columns) and the
+(:func:`agrosim.control.lyapunov`, with :func:`agrosim.kernel.velocity_error`,
+the loop's formula, applied to the columns) and the
 metrics are then computed vectorised over all rows.  The horizon must be a
 whole number of steps.
 
@@ -233,19 +234,16 @@ def _loop(config: ScenarioConfig):
     """The RK4 step of one scenario (:func:`agrosim.kernel.closed_loop`)."""
     eff = effective_inertias(config.inertias, config.steering)
     ref, gains = config.reference, config.gains
-    e2 = l_rate = None
     if isinstance(gains, BsGains):
         law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
                             ref.x_d, ref.xd_dot, ref.xd_ddot)
-        e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
     else:
         law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-    if config.adaptation_enabled:
-        l_rate = kernel.adaptation(gains.lam, gains.sigma)
+    l_rate = kernel.adaptation(gains.lam, gains.sigma) if config.adaptation_enabled else None
     spec, dist = config.disturbance, None
     if spec is not None:
         dist = kernel.disturbance(spec.offset, spec.sine_amp, spec.sine_freq, spec.sine_phase)
-    return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt, dist, e2, l_rate)
+    return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt, dist, l_rate)
 
 
 #: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
@@ -485,7 +483,10 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     AllocationSingularityError
         If wheel torques cannot be allocated at this steering configuration.
     DivergenceError
-        If the state leaves the finite range, naming the failing step.
+        If the state leaves the finite range, naming the failing step.  The
+        check runs once, on the recorded states after the loop, so a
+        diverging run costs its full horizon: its arithmetic runs on in
+        inf/nan, which Python floats do quietly.
     """
     step = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
@@ -499,25 +500,27 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         held = [kernel.ZERO] * (n + 1)
     else:
         held = (dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
-    isfinite = math.isfinite
 
     # one row of 15 floats per sample, all from step: attitude, rate, l_hat,
     # u_cmd and L_true at the sample's time
     rows = array("d")
     y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
     for k in range(n):
-        t = k * dt
-        y_next, u_k, l_k = step(t, y, held[k])
+        y_next, u_k, l_k = step(k * dt, y, held[k])
         rows.extend(y + u_k + l_k)
-        if not all(map(isfinite, y_next)):
-            raise DivergenceError(step=k + 1, t=t + dt)
         y = y_next
     # the last row: one more step from the final state, whose y_next is unused
     _, u_n, l_n = step(n * dt, y, held[n])
     rows.extend(y + u_n + l_n)
 
+    table = np.frombuffer(rows).reshape(n + 1, 5, 3)
+    # row i's state is step i's result; the first non-finite one names the step
+    diverged = ~np.isfinite(table[1:, :3]).all(axis=(1, 2))
+    if diverged.any():
+        i = int(diverged.argmax()) + 1
+        raise DivergenceError(step=i, t=(i - 1) * dt + dt)
     t_grid = np.arange(n + 1) * dt
-    att, rate, l_hat, u_cmd, l_true = np.frombuffer(rows).reshape(n + 1, 5, 3).transpose(1, 0, 2)
+    att, rate, l_hat, u_cmd, l_true = table.transpose(1, 0, 2)
     u_sat = saturate(u_cmd, config.u_max)
 
     wheel = allocate_wheel_torques(u_sat, config.steering)

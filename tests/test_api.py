@@ -69,8 +69,10 @@ def test_public_names_are_pinned():
 #: The functions agrosim.kernel defines; it defines no classes.  closed_loop
 #: returns the step every recorded row comes from, so a second path to a
 #: row (a command-only helper, a loop object around the step) is a change to
-#: this list.
+#: this list.  ``_function`` compiles the per-axis formulas into the
+#: factories' functions and the step.
 KERNEL_FUNCTIONS = [
+    "_function",
     "adaptation",
     "bs_law",
     "closed_loop",

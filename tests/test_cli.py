@@ -548,10 +548,10 @@ def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, mo
     _assert_no_child_left(fds)
 
 
-def test_sweep_worker_is_not_stalled_by_a_full_pipe(tmp_path, monkeypatch):
-    # a child's 300 results (over 64 KiB, what a pipe holds) all reach the
-    # parent, and the child finishes while the parent runs its own share,
-    # here 5 ms a value
+def test_sweep_worker_finishes_while_the_process_runs_its_share(tmp_path, monkeypatch):
+    # a child's 300 results all reach the parent through the child's
+    # temporary file, and the child finishes while the parent runs its own
+    # share, here 5 ms a value
     fds = _open_fds()
     n = 300
     parent, result = os.getpid(), cli.run_scenario(preset("bs-paper", horizon=0.01))

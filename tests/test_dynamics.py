@@ -166,7 +166,8 @@ def _input_gain(eff):
     """The diagonal of g, acceleration per unit body torque: the step's L_true
     under a unit offset torque and zero noise, ``g * (1 + 0)``."""
     unit = kernel.disturbance((1.0, 1.0, 1.0), kernel.ZERO, 0.0, kernel.ZERO)
-    step = kernel.closed_loop(lambda y, f, e: kernel.ZERO, eff.j1, eff.j2, math.inf, 1e-3, unit)
+    law = kernel.fl_law(kernel.ZERO, kernel.ZERO, eff.j1, kernel.ZERO, kernel.ZERO, kernel.ZERO)
+    step = kernel.closed_loop(law, eff.j1, eff.j2, math.inf, 1e-3, unit)
     _, _, l = step(0.0, (0.0,) * 9, kernel.ZERO)
     return np.array(l)
 

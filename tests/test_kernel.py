@@ -8,9 +8,14 @@ reference bit for bit.  The reference evaluates the disturbance sine with
 this host's numpy implements ``np.sin``.
 """
 
+import builtins
+import linecache
 import math
+import traceback
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -332,3 +337,78 @@ def test_step_matches_numpy_reference_at_edge_values(cfg, y, t, noise):
     assert np.array_equal(np.array(y_next), want, equal_nan=True)
     assert np.array_equal(np.array(u), want_u, equal_nan=True)
     assert np.array_equal(np.array(l), want_l, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the compiled step
+# ---------------------------------------------------------------------------
+
+
+def _bs_adaptive(k1=6.0, k2=30.0, u_max=PAPER_U_MAX, horizon=0.05):
+    return ScenarioConfig(
+        inertias=paper_inertias(),
+        steering=SteeringConfig.isotropic(),
+        initial=BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3)),
+        reference=Reference.zero(),
+        gains=BsGains(np.full(3, k1), np.full(3, k2), np.ones(3), np.ones(3), np.full(3, 0.1)),
+        u_max=u_max,
+        dt=1e-3,
+        horizon=horizon,
+        disturbance=DisturbanceSpec(offset=np.array([0.5, -0.3, 0.2]),
+                                    sine_amp=np.array([0.4, 0.4, 0.1]), sine_freq=6.0,
+                                    sine_phase=np.zeros(3), noise_sigma=np.full(3, 0.05), seed=3),
+        adaptation_enabled=True,
+    )
+
+
+def test_scenarios_of_one_structure_share_one_compiled_step(monkeypatch):
+    first = sim._loop(_bs_adaptive(k1=6.0))
+    compiled, real_compile = [], builtins.compile
+
+    def counting_compile(*args, **kwargs):
+        compiled.append(args[1])
+        return real_compile(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    second = sim._loop(_bs_adaptive(k1=9.0))
+    assert compiled == []
+    assert second.__code__ is first.__code__
+    assert second.__globals__["p0"] == 9.0 and first.__globals__["p0"] == 6.0
+    y = (0.1,) * 9
+    assert second(0.0, y, kernel.ZERO) != first(0.0, y, kernel.ZERO)
+
+
+def test_compiled_step_names_its_structure_in_tracebacks():
+    step = sim._loop(_bs_adaptive())
+    name = "<agrosim.kernel step: bs+adaptation+disturbance>"
+    assert step.__code__.co_filename == name
+    try:
+        step(0.0, (0.0,) * 9, None)  # the noise is not a 3-vector
+    except TypeError as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+    assert (frame.filename, frame.name, frame.line) == (name, "step", "n0, n1, n2 = n")
+    # every formula line is there to read, e.g. the backstepping law
+    assert "u0 = m0 * (((((gl0 * (x0 - a0) - f0) - l0)" in "".join(linecache.getlines(name))
+
+
+def test_closed_loop_takes_only_the_kernels_laws():
+    eff = effective_inertias(paper_inertias(), SteeringConfig.isotropic())
+    fl = kernel.fl_law(kernel.ZERO, kernel.ZERO, eff.j1, kernel.ZERO, kernel.ZERO, kernel.ZERO)
+    rate = kernel.adaptation((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    for law, l_rate in [(lambda y, f, e: kernel.ZERO, None), (fl, rate), (fl, lambda e: e)]:
+        with pytest.raises(TypeError, match="closed_loop takes"):
+            kernel.closed_loop(law, eff.j1, eff.j2, 1.0, 1e-3, None, l_rate)
+
+
+def test_divergence_on_the_disturbance_path_matches_the_reference():
+    # the loop runs on past the step where the state left the finite range,
+    # through math.sin and the clamp, and the check after it names that step
+    cfg = _bs_adaptive(k2=1e12, u_max=math.inf, horizon=0.2)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as want:
+        _reference_rollout(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as got:
+            run_scenario(cfg)
+    assert (got.value.step, got.value.t) == (want.value.step, want.value.t)
+    assert 1 < got.value.step < cfg.n_steps

@@ -294,8 +294,11 @@ def test_step_constant_torque_matches_kinematics():
     j1 = 0.662 + 0.3055 + 2.0 * 0.006565 * np.sqrt(2.0)
     tau = 3.7
     y0 = (0.25,) + (0.0,) * 8  # initial roll angle
-    step = kernel.closed_loop(lambda y, f, e2: (tau, 0.0, 0.0), eff.j1, eff.j2,
-                              cfg.u_max, cfg.dt)
+    # FL with zero gains, unit inertia and xd_dd = (tau, 0, 0) commands tau
+    # exactly while pitch and yaw rates, and so the drift, stay zero
+    law = kernel.fl_law(kernel.ZERO, kernel.ZERO, (1.0, 1.0, 1.0), kernel.ZERO, kernel.ZERO,
+                        (tau, 0.0, 0.0))
+    step = kernel.closed_loop(law, eff.j1, eff.j2, cfg.u_max, cfg.dt)
     out = np.array(step(0.0, y0, kernel.ZERO)[0])
     dt = cfg.dt
     acc = tau / j1
