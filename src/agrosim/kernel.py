@@ -25,8 +25,8 @@ binds the scenario's constants as the function's globals.  Nothing is
 compiled at import.  The constants (gains, inertias, reference, disturbance,
 and the ratios ``j2/j1``, ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``,
 ``dt/6``) are converted to ``float`` once, when a function is built.  A step
-takes about 5.5 µs (FL) to 7.5 µs (adaptive backstepping with a disturbance)
-on a 2-core x86-64 host (see the README's Performance section).
+takes about 3.5 µs (fl-paper) to 5.7 µs (bs-adaptive-paper) on a 2-core
+x86-64 host (see the README's Performance section).
 
 Layout: a 3-vector is a tuple of three floats and the augmented state
 ``[attitude, rate, L_hat]`` a tuple of nine.  The factories' functions see
@@ -87,10 +87,11 @@ _CODE: dict[str, CodeType] = {}
 
 
 def _function(name: str, source: Callable[[], list[str]], consts=(), **vectors) -> FunctionType:
-    """The one function whose source lines ``source()`` gives, a line with
-    ``{i}`` standing for one line per axis, bound to ``consts`` and to each
-    3-vector of ``vectors`` as floats (``p=k1`` binds ``p0``, ``p1``, ``p2``).
-    The source is compiled only on the first call for ``name`` in a process."""
+    """The function whose source lines ``source()`` returns (a line with
+    ``{i}`` stands for one per axis), with ``consts`` and the floats of each
+    3-vector in ``vectors`` (``p=k1`` binds ``p0``, ``p1``, ``p2``) as its
+    globals.  Only the first call for ``name`` in a process calls ``source``
+    and compiles its text; later calls share that code object."""
     code = _CODE.get(name)
     if code is None:
         text = "".join(line.format_map(axis) + "\n" for line in source()
@@ -150,7 +151,7 @@ def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
 def adaptation(lam, sigma) -> Callable[[Vec], Vec]:
     """Adaptation law ``L_hat_dot = -lam/sigma * e2``, per axis."""
     return _function("adaptation", lambda: ["def rate(e):", "    z0, z1, z2 = e",
-                                            "    z{i} = " + _RATE, "    return z0, z1, z2"],
+                                            "    l{i} = " + _RATE, "    return l0, l1, l2"],
                      ls=[-float(m) / float(s) for m, s in zip(lam, sigma)])
 
 
@@ -195,7 +196,8 @@ def closed_loop(
     ZERO.
     """
     given = {"fl_law": law, "bs_law": law, "adaptation": l_rate, "disturbance": dist}
-    kinds = [k for k, fn in given.items() if getattr(fn, "__code__", None) is _CODE.get(k, ZERO)]
+    kinds = [k for k, fn in given.items()
+             if k in _CODE and getattr(fn, "__code__", None) is _CODE[k]]
     if (len(kinds) != 1 + (l_rate is not None) + (dist is not None)
             or kinds[:2] == ["fl_law", "adaptation"]):
         raise TypeError("closed_loop takes the laws of fl_law or bs_law, disturbance and, "
