@@ -102,7 +102,22 @@ def _same(value: Any) -> Any:
     return value
 
 
-def _read_keys(keys: dict, obj: dict, prefix: str, settings: dict) -> dict:
+class _Document(dict):
+    """A JSON object of a document, and a key it gives twice (None if none),
+    which :func:`_read_keys` rejects: JSON would keep the last value."""
+
+    repeated = None
+
+
+def _document(pairs: list) -> _Document:
+    obj = _Document(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
+
+
+def _read_keys(keys: dict, obj: _Document, prefix: str, settings: dict) -> dict:
     """The keyword arguments that document object ``obj`` gives its type.
 
     ``keys`` maps each key to its kind and the value an omitted key takes:
@@ -111,6 +126,8 @@ def _read_keys(keys: dict, obj: dict, prefix: str, settings: dict) -> dict:
     also reads ``null`` as None.  A setting's value goes into ``settings``
     (keyed by the setting), where the keys after it read it.
     """
+    if obj.repeated is not None:
+        raise ConfigError(f"duplicate key {prefix + obj.repeated!r}")
     for key in obj:
         if key not in keys:
             raise ConfigError(f"unknown key {prefix}{key!r}")
@@ -253,13 +270,14 @@ def parse_config(text: str) -> ScenarioConfig:
     Raises
     ------
     ConfigError
-        For malformed JSON, unknown keys, wrong types, or missing fields.
+        For malformed JSON, duplicate or unknown keys, wrong types, or
+        missing fields.
     InvalidParameterError, DisturbanceBudgetError
         Propagated from scenario construction when a value violates an
         invariant (non-positive u_max, over-budget disturbance, ...).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_document)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -271,8 +289,17 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the scenario document in the UTF-8 file at ``path``
+    (:func:`parse_config`); a file that is not UTF-8 raises
+    :class:`ConfigError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte offset {exc.start} "
+                          f"({exc.reason})") from None
+    return parse_config(text)
 
 
 def serialize_config(config: ScenarioConfig) -> str:

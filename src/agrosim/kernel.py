@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import linecache
 import math
+from array import array
 from types import CodeType, FunctionType
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 #: Three floats, one per body axis.
 Vec = tuple[float, float, float]
@@ -64,15 +65,17 @@ ZERO: Vec = (0.0, 0.0, 0.0)
 
 # Every formula of the closed loop, per axis {i} ({j}, {k}: the other two, in
 # order).  The operands: the state a (attitude), r (rate), l (L_hat), the
-# drift f, the velocity error z, the command u and the held noise n.  The
-# constants: fc = j2/j1, m = j1, x, v, w = x_d, xd_dot, xd_ddot, p, q = k1,
-# k2, gl = gamma/lam, ls = -lam/sigma, o, b, ph = offset, sine amplitude and
-# phase, om = sine frequency, and hi, lo = +/-u_max.
+# drift f, the errors e = x_d - x and ed = xd_dot - xd, the velocity error z,
+# the command u and the held noise n.  The constants: fc = j2/j1, m = j1, x,
+# v, w = x_d, xd_dot, xd_ddot, p, q = k1, k2, gl = gamma/lam, ls =
+# -lam/sigma, o, b, ph = offset, sine amplitude and phase, om = sine
+# frequency, and hi, lo = +/-u_max.
 _DRIFT = "fc{i} * r{j} * r{k}"
-_FL = "m{i} * (((w{i} + p{i} * (v{i} - r{i})) + q{i} * (x{i} - a{i})) - f{i})"
-_E2 = "(v{i} - r{i}) + p{i} * (x{i} - a{i})"
-_BS = ("m{i} * (((((gl{i} * (x{i} - a{i}) - f{i}) - l{i}) + w{i}) + p{i} * (v{i} - r{i}))"
-       " + q{i} * z{i})")
+_E1 = "x{i} - a{i}"
+_E1D = "v{i} - r{i}"
+_FL = "m{i} * (((w{i} + p{i} * ed{i}) + q{i} * e{i}) - f{i})"
+_E2 = "ed{i} + p{i} * e{i}"
+_BS = "m{i} * (((((gl{i} * e{i} - f{i}) - l{i}) + w{i}) + p{i} * ed{i}) + q{i} * z{i})"
 _RATE = "ls{i} * z{i}"
 _TORQUE = "o{i} + b{i} * sin(om * {t} + ph{i})"
 _CLAMP = "hi if u{i} > hi else lo if u{i} < lo else u{i}"
@@ -81,7 +84,7 @@ _UNPACK = "    a0, a1, a2, r0, r1, r2, l0, l1, l2 = y"
 #: The fields of each axis in a per-axis line.
 _AXES = ({"i": 0, "j": 1, "k": 2}, {"i": 1, "j": 0, "k": 2}, {"i": 2, "j": 0, "k": 1})
 
-#: The code object of each factory's function and of each step structure
+#: The code object of each factory's function and of each rollout structure
 #: compiled in this process so far.
 _CODE: dict[str, CodeType] = {}
 
@@ -122,7 +125,8 @@ def drift(j1, j2) -> Callable[[float, float, float], Vec]:
 def fl_law(k1, k2, j1, x_d, xd_dot, xd_ddot) -> Law:
     """PD + feedback linearization ``u = j1 * (v - f)`` with the pseudo-input
     ``v = xd_dd + k1 e_d + k2 e``, ``e = x_d - x``, ``e_d = xd_d - xd``."""
-    return _function("fl_law", lambda: ["def law(y, f, e):", _UNPACK, "    f0, f1, f2 = f",
+    return _function("fl_law", lambda: ["def law(y, f, z):", _UNPACK, "    f0, f1, f2 = f",
+                                        "    e{i} = " + _E1, "    ed{i} = " + _E1D,
                                         "    u{i} = " + _FL, "    return u0, u1, u2"],
                      p=k1, q=k2, m=j1, x=x_d, v=xd_dot, w=xd_ddot)
 
@@ -130,7 +134,8 @@ def fl_law(k1, k2, j1, x_d, xd_dot, xd_ddot) -> Law:
 def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
     """Backstepping velocity error ``e2 = (xd_d - xd) + K1 (x_d - x)``: the
     deviation of the rate from the virtual control."""
-    return _function("velocity_error", lambda: ["def e2(y):", _UNPACK, "    z{i} = " + _E2,
+    return _function("velocity_error", lambda: ["def e2(y):", _UNPACK, "    e{i} = " + _E1,
+                                                "    ed{i} = " + _E1D, "    z{i} = " + _E2,
                                                 "    return z0, z1, z2"],
                      p=k1, x=x_d, v=xd_dot)
 
@@ -141,8 +146,9 @@ def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
     ``e1 = x_d - x``, ``e1_d = xd_d - xd`` and e2 from :func:`velocity_error`,
     summed left to right.  The law takes e2 as its third argument, so that a
     stage which also feeds e2 to the adaptation law computes it once."""
-    return _function("bs_law", lambda: ["def law(y, f, e):", _UNPACK, "    f0, f1, f2 = f",
-                                        "    z0, z1, z2 = e", "    u{i} = " + _BS,
+    return _function("bs_law", lambda: ["def law(y, f, z):", _UNPACK, "    f0, f1, f2 = f",
+                                        "    z0, z1, z2 = z", "    e{i} = " + _E1,
+                                        "    ed{i} = " + _E1D, "    u{i} = " + _BS,
                                         "    return u0, u1, u2"],
                      p=k1, q=k2, m=j1, x=x_d, v=xd_dot, w=xd_ddot,
                      gl=[float(g) / float(m) for g, m in zip(gamma, lam)])
@@ -150,7 +156,7 @@ def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
 
 def adaptation(lam, sigma) -> Callable[[Vec], Vec]:
     """Adaptation law ``L_hat_dot = -lam/sigma * e2``, per axis."""
-    return _function("adaptation", lambda: ["def rate(e):", "    z0, z1, z2 = e",
+    return _function("adaptation", lambda: ["def rate(z):", "    z0, z1, z2 = z",
                                             "    l{i} = " + _RATE, "    return l0, l1, l2"],
                      ls=[-float(m) / float(s) for m, s in zip(lam, sigma)])
 
@@ -172,28 +178,34 @@ def closed_loop(
     dt: float,
     dist: Optional[Callable[[float], Vec]] = None,
     l_rate: Optional[Callable[[Vec], Vec]] = None,
-) -> Callable[[float, State, Vec], tuple[State, Vec, Vec]]:
-    """The RK4 step of the augmented state, ``step(t, y, noise) -> (y_next,
-    u, l)``: every recorded row of a run comes from one call.
+) -> Callable[[float, int, State, Optional[Sequence[Vec]]], array]:
+    """The RK4 rollout of the augmented state, ``rollout(t0, n, y, noise) ->
+    rows``: the ``n + 1`` samples, at ``t0 + k * dt`` for k = 0..n, of the
+    run that starts from the nine floats ``y`` at ``t0``.
+
+    ``rows`` is one ``array('d')`` of ``15 * (n + 1)`` floats, one row per
+    sample: the state (attitude, rate, L_hat), ``u``, the unclamped command
+    at that state (the first stage of the step from it evaluates it), and
+    ``l = g * (dist(t) + noise)``, L_true at ``t``: the acceleration-domain
+    image of the injected torque, which the adaptive law's L_hat estimates.
+    The last row comes from one more step, whose next state is discarded.
+    ``noise`` holds the held noise of every sample, ``n + 1`` 3-vectors;
+    without ``dist`` it is not read (pass None), the noise is 0.0 and ``l``
+    is 0.0 in every row.
 
     ``law`` is one built by :func:`fl_law` or :func:`bs_law`, ``dist`` one
     by :func:`disturbance` and ``l_rate`` one by :func:`adaptation` (with
-    :func:`bs_law` only); anything else raises ``TypeError``.  The step runs
-    their formulas on their constants.  At every stage a backstepping law's
-    velocity error e2 (from its own K1 and reference) is computed once and
-    fed to the law and, with ``l_rate``, to the L_hat derivative; without
-    ``l_rate`` L_hat has zero derivative.  The command is clamped to
-    ``[-u_max, u_max]`` (NaN passes through, as with ``np.clip``), the
-    deterministic disturbance and the held noise are added, and the rates
-    follow ``f + g * tau`` with the input gain ``g = 1/j1``.  A step
-    evaluates the disturbance once at each of ``t``, ``t + dt/2`` and
-    ``t + dt``.
-
-    Besides ``y_next`` the step returns ``u``, the unclamped command at
-    ``y`` (its first stage evaluates it), and ``l = g * (dist(t) + noise)``,
-    L_true at ``t``: the acceleration-domain image of the injected torque,
-    which the adaptive law's L_hat estimates.  Without ``dist``, ``l`` is
-    ZERO.
+    :func:`bs_law` only); anything else raises ``TypeError``.  The rollout
+    runs their formulas on their constants.  At every stage the errors
+    ``x_d - x`` and ``xd_d - xd`` are computed once, a backstepping law's
+    velocity error e2 (from its own K1 and reference) once, and fed to the
+    law and, with ``l_rate``, to the L_hat derivative.  Without ``l_rate``
+    L_hat has zero derivative and is not integrated: every row keeps the
+    L_hat of ``y``.  The command is clamped to ``[-u_max, u_max]`` (NaN
+    passes through, as with ``np.clip``), the deterministic disturbance and
+    the held noise are added, and the rates follow ``f + g * tau`` with the
+    input gain ``g = 1/j1``.  A step evaluates the disturbance once at each
+    of ``t``, ``t + dt/2`` and ``t + dt``.
     """
     given = {"fl_law": law, "bs_law": law, "adaptation": l_rate, "disturbance": dist}
     kinds = [k for k, fn in given.items()
@@ -203,39 +215,44 @@ def closed_loop(
         raise TypeError("closed_loop takes the laws of fl_law or bs_law, disturbance and, "
                         "with bs_law, adaptation")
     bs = kinds[0] == "bs_law"
-
-    def source() -> list[str]:
-        # y unpacked as ya, yr, yl; stage s's state as a, r, l (stage 1's is
-        # y) and its derivative as ksa, ksr, ksl; the disturbance at t,
-        # t + dt/2 and t + dt as da, dh, db
-        lines = ["def step(t, y, n):", "    ya0, ya1, ya2, yr0, yr1, yr2, yl0, yl1, yl2 = y",
-                 _UNPACK, "    n0, n1, n2 = n"]
-        if dist:
-            lines += ["    th = t + h", "    tb = t + dt"]
-            lines += [f"    d{d}{{i}} = " + _TORQUE.replace("{t}", t)
-                      for d, t in (("a", "t"), ("h", "th"), ("b", "tb"))]
-        for s, d, h in ((1, "a", None), (2, "h", "h"), (3, "h", "h"), (4, "b", "dt")):
-            if h:  # y + h k(s - 1); an FL law never reads L_hat
-                lines += [f"    {p}{{i}} = y{p}{{i}} + {h} * k{s - 1}{p}{{i}}"
-                          for p in "arl"[:2 + bs]]
-            tau = f"(c{{i}} + d{d}{{i}}) + n{{i}}" if dist else "c{i} + n{i}"
-            lines += ["    f{i} = " + _DRIFT, *(["    z{i} = " + _E2] if bs else []),
-                      "    u{i} = " + (_BS if bs else _FL), "    c{i} = " + _CLAMP,
-                      f"    k{s}a{{i}} = r{{i}}", f"    k{s}r{{i}} = f{{i}} + g{{i}} * ({tau})",
-                      f"    k{s}l{{i}} = " + (_RATE if l_rate else "0.0")]
-            if s == 1:
-                lines.append("    u = u0, u1, u2")
-        lines.append("    return (")
-        lines += [f"        y{p}{{i}} + s6 * (((k1{p}{{i}} + 2.0 * k2{p}{{i}}) + 2.0 * k3{p}{{i}})"
-                  f" + k4{p}{{i}})," for p in "arl"]
-        if dist:
-            return lines + ["    ), u, (", "        g{i} * (da{i} + n{i}),", "    )"]
-        return lines + ["    ), u, (0.0, 0.0, 0.0)"]
-
     dt = float(dt)
     consts = {**drift(j1, j2).__globals__, **law.__globals__, "hi": float(u_max),
-              "lo": -float(u_max), "h": dt / 2.0, "dt": dt, "s6": dt / 6.0}
+              "lo": -float(u_max), "h": dt / 2.0, "dt": dt, "s6": dt / 6.0,
+              **{f"g{i}": 1.0 / float(a) for i, a in enumerate(j1)}}
     for fn in (dist, l_rate):
         consts.update(fn.__globals__ if fn else ())
-    name = "step: " + "+".join(kinds).replace("_law", "")
-    return _function(name, source, consts, g=[1.0 / float(a) for a in j1])
+    names = sorted(consts)
+
+    def source() -> list[str]:
+        # the state a step starts from is stage 1's a, r, l, kept as ya, yr,
+        # yl for the later stages and the update; stage s's state is a, r, l
+        # and its derivative ksa, ksr, ksl; the disturbance at t, t + dt/2
+        # and t + dt is da, dh, db.  Without l_rate, l is y's throughout.
+        live = "arl"[:2 + (l_rate is not None)]
+        body = []
+        if dist:
+            body += ["n0, n1, n2 = noise[k]", "t = t0 + k * dt", "th = t + h", "tb = t + dt"]
+            body += [f"d{d}{{i}} = " + _TORQUE.replace("{t}", t)
+                     for d, t in (("a", "t"), ("h", "th"), ("b", "tb"))]
+        body += [f"y{p}{{i}} = {p}{{i}}" for p in live]
+        l_true = [f"g{i} * (da{i} + n{i})" if dist else "0.0" for i in range(3)]
+        row = ", ".join([f"{p}{i}" for p in "arlu" for i in range(3)] + l_true)
+        for s, d, h in ((1, "a", None), (2, "h", "h"), (3, "h", "h"), (4, "b", "dt")):
+            if h:
+                body += [f"{p}{{i}} = y{p}{{i}} + {h} * k{s - 1}{p}{{i}}" for p in live]
+            body += ["f{i} = " + _DRIFT, "e{i} = " + _E1, "ed{i} = " + _E1D,
+                     *(["z{i} = " + _E2] if bs else []), "u{i} = " + (_BS if bs else _FL)]
+            if s == 1:
+                body.append(f"ext(({row}))")
+            tau = f"(c{{i}} + d{d}{{i}}) + n{{i}}" if dist else "c{i} + 0.0"
+            body += ["c{i} = " + _CLAMP, f"k{s}a{{i}} = r{{i}}",
+                     f"k{s}r{{i}} = f{{i}} + g{{i}} * ({tau})",
+                     *([f"k{s}l{{i}} = " + _RATE] if l_rate else [])]
+        body += [f"{p}{{i}} = y{p}{{i}} + s6 * (((k1{p}{{i}} + 2.0 * k2{p}{{i}})"
+                 f" + 2.0 * k3{p}{{i}}) + k4{p}{{i}})" for p in live]
+        return ["def rollout(t0, n, y, noise):", f"    {', '.join(names)} = K", _UNPACK,
+                "    rows = array('d')", "    ext = rows.extend", "    for k in range(n + 1):",
+                *["        " + line for line in body], "    return rows"]
+
+    name = "rollout: " + "+".join(kinds).replace("_law", "")
+    return _function(name, source, {"K": tuple(consts[k] for k in names), "array": array})

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional, Union
@@ -231,7 +230,7 @@ class ScenarioConfig(_ArrayEqMixin):
 
 
 def _loop(config: ScenarioConfig):
-    """The RK4 step of one scenario (:func:`agrosim.kernel.closed_loop`)."""
+    """The RK4 rollout of one scenario (:func:`agrosim.kernel.closed_loop`)."""
     eff = effective_inertias(config.inertias, config.steering)
     ref, gains = config.reference, config.gains
     if isinstance(gains, BsGains):
@@ -488,7 +487,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         diverging run costs its full horizon: its arithmetic runs on in
         inf/nan, which Python floats do quietly.
     """
-    step = _loop(config)
+    rollout = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
     allocate_wheel_torques(np.zeros(3), config.steering)
 
@@ -496,24 +495,11 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     dt = config.dt
     dist = config.disturbance
     # the held noise of every sample, drawn in one call per axis stream
-    if dist is None:
-        held = [kernel.ZERO] * (n + 1)
-    else:
-        held = (dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
-
-    # one row of 15 floats per sample, all from step: attitude, rate, l_hat,
-    # u_cmd and L_true at the sample's time
-    rows = array("d")
+    noise = None if dist is None else (
+        dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
     y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
-    for k in range(n):
-        y_next, u_k, l_k = step(k * dt, y, held[k])
-        rows.extend(y + u_k + l_k)
-        y = y_next
-    # the last row: one more step from the final state, whose y_next is unused
-    _, u_n, l_n = step(n * dt, y, held[n])
-    rows.extend(y + u_n + l_n)
-
-    table = np.frombuffer(rows).reshape(n + 1, 5, 3)
+    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd and L_true
+    table = np.frombuffer(rollout(0.0, n, y, noise)).reshape(n + 1, 5, 3)
     # row i's state is step i's result; the first non-finite one names the step
     diverged = ~np.isfinite(table[1:, :3]).all(axis=(1, 2))
     if diverged.any():

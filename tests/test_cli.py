@@ -133,6 +133,16 @@ def test_run_bad_preset_exits_nonzero(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_run_config_not_utf8_is_an_error(tmp_path, capsys):
+    # UTF-16 text starts with the bytes ff fe, which UTF-8 cannot start with
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"preset": "fl-paper"}'.encode("utf-16"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"agrosim: error: {path}: not UTF-8 text at byte offset 0 (invalid start byte)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override(tmp_path):
     rc = main(["run", "--preset", "bs-adaptive-paper", "--out", str(tmp_path),
                "--horizon", "0.05", "--seed", "1", "--no-svg"])

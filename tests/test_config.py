@@ -413,6 +413,20 @@ def _reject_non_standard(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
+def test_duplicate_keys_are_rejected():
+    # JSON keeps the last of two equal keys, which would run a document other
+    # than the one written: a key given twice is named by its dotted key
+    with pytest.raises(ConfigError, match=r"^duplicate key 'preset'$"):
+        parse_config('{"preset": "bs-paper", "preset": "fl-paper"}')
+    with pytest.raises(ConfigError, match=r"^duplicate key 'horizon'$"):
+        parse_config('{"preset": "bs-paper", "horizon": 0.5, "horizon": 1.0}')
+    text = serialize_config(preset("bs-adaptive-paper"))
+    nested = text.replace('"offset": [', '"offset": [0.0, 0.0, 0.0], "offset": [')
+    assert nested.count('"offset"') == 2
+    with pytest.raises(ConfigError, match=r"^duplicate key 'disturbance\.offset'$"):
+        parse_config(nested)
+
+
 def test_legacy_infinity_token_still_parses():
     text = serialize_config(preset("fl-paper"))
     legacy = text.replace('"u_max": 32.1521', '"u_max": Infinity')

@@ -9,6 +9,7 @@ this host's numpy implements ``np.sin``.
 """
 
 import builtins
+import dataclasses
 import linecache
 import math
 import traceback
@@ -34,7 +35,7 @@ from agrosim import (
     torque_jacobian,
 )
 from agrosim import kernel, sim
-from agrosim.presets import PAPER_U_MAX, paper_inertias
+from agrosim.presets import PAPER_U_MAX, paper_inertias, preset
 
 # ---------------------------------------------------------------------------
 # numpy reference
@@ -273,20 +274,39 @@ def test_run_scenario_matches_numpy_reference_exactly(cfg):
         return
     assert isinstance(want, dict), f"reference diverged at step {want}"
     for name, expected in want.items():
-        assert np.array_equal(getattr(record, name), expected, equal_nan=True), name
+        got = getattr(record, name)
+        assert np.array_equal(got, expected, equal_nan=True), name
+        # array_equal takes -0.0 for +0.0, but the CSV writes it as -0
+        zero = expected == 0.0
+        assert np.array_equal(np.signbit(got[zero]), np.signbit(expected[zero])), name
     # the saturation bound holds on every row (a NaN command stays NaN)
     assert not (np.abs(record.u_sat) > cfg.u_max).any()
     assert np.array_equal(record.u_sat, np.clip(record.u_cmd, -cfg.u_max, cfg.u_max),
                           equal_nan=True)
 
 
+def _one_step(cfg, t, y, noise):
+    """The next state, the command and L_true of one RK4 step of ``cfg``'s
+    rollout from ``y`` at ``t`` under the held ``noise``: the second row's
+    state and the first row's command and L_true of a one-step rollout."""
+    held = None if cfg.disturbance is None else [kernel.floats(noise)] * 2
+    rows = np.frombuffer(sim._loop(cfg)(t, 1, y, held))
+    return rows[15:24], rows[9:12], rows[12:15]
+
+
+# The step properties compare with array_equal, which takes -0.0 for +0.0:
+# y may hold L_hat = -0.0, which a rollout without adaptation keeps where the
+# reference's update (-0.0 + dt/6 * 0.0) gives +0.0.  A run starts L_hat at
+# +0.0, and the rollout property above checks the sign of every zero.
 @given(cfg=scenarios(), y=st.tuples(*[st.floats(-2.0, 2.0) for _ in range(9)]),
        t=st.floats(0.0, 5.0), noise=_vec(-1.0, 1.0))
 @_PROPERTY
 def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
+    if cfg.disturbance is None:
+        noise = np.zeros(3)  # a rollout without a disturbance has no noise
     loop = _ReferenceLoop(cfg)
-    y_next, _, _ = sim._loop(cfg)(t, y, kernel.floats(noise))
-    assert np.array_equal(np.array(y_next), loop.rk4_step(t, np.array(y), noise))
+    y_next, _, _ = _one_step(cfg, t, y, noise)
+    assert np.array_equal(y_next, loop.rk4_step(t, np.array(y), noise))
 
     # each kernel function on its own, built as sim._loop builds it
     att, rate, l_hat = np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9])
@@ -327,20 +347,22 @@ def test_step_matches_numpy_reference_at_edge_values(cfg, y, t, noise):
     # every term of every component must reach the result: a NaN or an inf
     # that a reordered or dropped term would lose shows here, where the
     # finite range of the property above can hide it
+    if cfg.disturbance is None:
+        noise = np.zeros(3)  # a rollout without a disturbance has no noise
     loop = _ReferenceLoop(cfg)
-    y_next, u, l = sim._loop(cfg)(t, y, kernel.floats(noise))
+    y_next, u, l = _one_step(cfg, t, y, noise)
     with np.errstate(all="ignore"):
         want = loop.rk4_step(t, np.array(y), noise)
         want_u = loop.command(np.array(y))
         want_l = (np.zeros(3) if loop.dist_torque is None
                   else loop.g * (loop.dist_torque(t) + noise))
-    assert np.array_equal(np.array(y_next), want, equal_nan=True)
-    assert np.array_equal(np.array(u), want_u, equal_nan=True)
-    assert np.array_equal(np.array(l), want_l, equal_nan=True)
+    assert np.array_equal(y_next, want, equal_nan=True)
+    assert np.array_equal(u, want_u, equal_nan=True)
+    assert np.array_equal(l, want_l, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
-# the compiled step
+# the compiled rollout
 # ---------------------------------------------------------------------------
 
 
@@ -373,22 +395,28 @@ def test_scenarios_of_one_structure_share_one_compiled_step(monkeypatch):
     second = sim._loop(_bs_adaptive(k1=9.0))
     assert compiled == []
     assert second.__code__ is first.__code__
-    assert second.__globals__["p0"] == 9.0 and first.__globals__["p0"] == 6.0
-    y = (0.1,) * 9
-    assert second(0.0, y, kernel.ZERO) != first(0.0, y, kernel.ZERO)
+    assert _constants(second)["p0"] == 9.0 and _constants(first)["p0"] == 6.0
+    y, noise = (0.1,) * 9, [kernel.ZERO] * 2
+    assert second(0.0, 1, y, noise) != first(0.0, 1, y, noise)
+
+
+def _constants(rollout):
+    """A rollout's constants by name, as its first line binds them to locals."""
+    names = linecache.getlines(rollout.__code__.co_filename)[1].split("=")[0]
+    return dict(zip(names.replace(",", " ").split(), rollout.__globals__["K"], strict=True))
 
 
 def test_compiled_step_names_its_structure_in_tracebacks():
-    step = sim._loop(_bs_adaptive())
-    name = "<agrosim.kernel step: bs+adaptation+disturbance>"
-    assert step.__code__.co_filename == name
+    rollout = sim._loop(_bs_adaptive())
+    name = "<agrosim.kernel rollout: bs+adaptation+disturbance>"
+    assert rollout.__code__.co_filename == name
     try:
-        step(0.0, (0.0,) * 9, None)  # the noise is not a 3-vector
+        rollout(0.0, 1, (0.0,) * 9, None)  # no noise, which a disturbance needs
     except TypeError as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-    assert (frame.filename, frame.name, frame.line) == (name, "step", "n0, n1, n2 = n")
+    assert (frame.filename, frame.name, frame.line) == (name, "rollout", "n0, n1, n2 = noise[k]")
     # every formula line is there to read, e.g. the backstepping law
-    assert "u0 = m0 * (((((gl0 * (x0 - a0) - f0) - l0)" in "".join(linecache.getlines(name))
+    assert "u0 = m0 * (((((gl0 * e0 - f0) - l0)" in "".join(linecache.getlines(name))
 
 
 def test_closed_loop_takes_only_the_kernels_laws():
@@ -412,3 +440,18 @@ def test_divergence_on_the_disturbance_path_matches_the_reference():
             run_scenario(cfg)
     assert (got.value.step, got.value.t) == (want.value.step, want.value.t)
     assert 1 < got.value.step < cfg.n_steps
+
+
+@pytest.mark.parametrize("name", ["fl-paper", "bs-paper", "bs-adaptive-paper"])
+def test_columns_a_run_never_integrates_are_positive_zero(name):
+    # without adaptation L_hat is never integrated and without a disturbance
+    # L_true is the literal 0.0; the reference's updates give +0.0 on every
+    # row, and the CSV would write a -0.0 as -0
+    base = preset(name, horizon=0.2)
+    for cfg in (base, dataclasses.replace(base, disturbance=None),
+                dataclasses.replace(base, adaptation_enabled=False)):
+        record, _ = run_scenario(cfg)
+        zeros = ([record.l_hat] if not cfg.adaptation_enabled else []) + (
+            [record.l_true] if cfg.disturbance is None else [])
+        for column in zeros:
+            assert (column == 0.0).all() and not np.signbit(column).any()

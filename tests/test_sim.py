@@ -282,7 +282,7 @@ def test_config_allows_unlimited_torque():
 def test_step_zero_dynamics_is_identity():
     cfg = _plain_config()
     y = (0.0,) * 9
-    out, _, _ = sim._loop(cfg)(0.0, y, kernel.ZERO)
+    out = sim._loop(cfg)(0.0, 1, y, None)[15:24]  # the second row's state
     np.testing.assert_array_equal(out, y)
 
 
@@ -298,8 +298,8 @@ def test_step_constant_torque_matches_kinematics():
     # exactly while pitch and yaw rates, and so the drift, stay zero
     law = kernel.fl_law(kernel.ZERO, kernel.ZERO, (1.0, 1.0, 1.0), kernel.ZERO, kernel.ZERO,
                         (tau, 0.0, 0.0))
-    step = kernel.closed_loop(law, eff.j1, eff.j2, cfg.u_max, cfg.dt)
-    out = np.array(step(0.0, y0, kernel.ZERO)[0])
+    rollout = kernel.closed_loop(law, eff.j1, eff.j2, cfg.u_max, cfg.dt)
+    out = np.array(rollout(0.0, 1, y0, None)[15:24])  # the second row's state
     dt = cfg.dt
     acc = tau / j1
     assert out[0] == pytest.approx(0.25 + 0.5 * acc * dt * dt, rel=1e-14)
