@@ -14,9 +14,9 @@ This module owns the inertia bookkeeping that yields the constants J1 and
 J2 (:func:`effective_inertias`) and the Jacobian maps between body torques
 and wheel/steering torques.  The equations themselves are written once, on
 floats, in :mod:`agrosim.kernel`: the drift term f is
-:func:`agrosim.kernel.drift`, and the input gain ``g`` is applied inside the
-step that :func:`agrosim.kernel.closed_loop` returns, which also records
-L_true as ``g`` times the injected torque.
+:func:`agrosim.kernel.drift`, and the input gain ``g`` is applied inside
+each step of the rollout that :func:`agrosim.kernel.closed_loop` returns,
+which also records L_true as ``g`` times the injected torque.
 
 Every scenario type checks its values with :func:`_real` (a real number)
 and :func:`_vec3` (a 3-vector; a real number is spread over all three axes),

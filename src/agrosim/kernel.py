@@ -1,32 +1,42 @@
 """Closed-loop stage kernel on plain Python floats.
 
 This module is the one place where the gyroscopic drift term ``f``, the
-feedback-linearization and backstepping control laws, the velocity error
-e2, the adaptation law, the disturbance torque, the torque clamp and the
-classical RK4 step are written: each once, as a per-axis expression over
-named floats (``_DRIFT``, ``_FL``, ...).  The factories (:func:`drift`,
-:func:`fl_law`, ...) compile those expressions into small functions that a
-test, a demo or the V2 column of a record calls.  :func:`closed_loop`, the
-one entry point of a run, assembles them into one straight-line RK4 step
-with all four stages inlined: no call per stage, law or axis, only float
-arithmetic on local names.  Its step returns the next state together with
-the unclamped command and L_true at the step's start, so every recorded row,
-the last included, comes from one call of it.
+feedback-linearization and backstepping control laws, the tracking errors,
+the velocity error e2, the adaptation law, the disturbance torque, the
+torque clamp and the classical RK4 step are written: each once, as a
+per-axis expression over named floats (``_DRIFT``, ``_FL``, ...).  The
+factories (:func:`drift`, :func:`fl_law`, ...) compile those expressions
+into small functions that a test, a demo or the V2 column of a record calls.
+:func:`closed_loop`, the one entry point of a run, assembles them into one
+function that runs a whole rollout: a loop over the steps whose body is one
+straight-line RK4 step with all four stages inlined.  The state stays in
+local floats from one step to the next, and each sample's row (state,
+unclamped command, L_true: 15 floats) goes into one ``array('d')`` as one
+tuple: no call per step, stage, law or axis.
 
-Compiling: the source of a factory's function, or of a step, depends only on
-its structure, never on a scenario's numbers.  A step has one of six
+Compiling: the source of a factory's function, or of a rollout, depends only
+on its structure, never on a scenario's numbers.  A rollout has one of six
 structures (FL or backstepping, the latter with or without adaptation, each
 with or without a disturbance).  Each is compiled on first use, once per
-process, under a filename that names it (e.g. ``<agrosim.kernel step:
+process, under a filename that names it (e.g. ``<agrosim.kernel rollout:
 bs+adaptation+disturbance>``, registered with :mod:`linecache`, so a
 traceback or a profile shows the formula line), and every later function of
 that structure shares the code object: ``types.FunctionType(code, consts)``
-binds the scenario's constants as the function's globals.  Nothing is
+binds the scenario's constants as the function's globals, and a rollout
+copies them into locals in its first line, once per call.  Nothing is
 compiled at import.  The constants (gains, inertias, reference, disturbance,
 and the ratios ``j2/j1``, ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``,
-``dt/6``) are converted to ``float`` once, when a function is built.  A step
-takes about 3.5 µs (fl-paper) to 5.7 µs (bs-adaptive-paper) on a 2-core
-x86-64 host (see the README's Performance section).
+``dt/6``) are converted to ``float`` once, when a function is built.  A
+rollout takes about 4.1 µs a step (fl-paper) to 6.6-6.9 µs
+(bs-adaptive-paper) on a 2-core x86-64 host (see the README's Performance
+section).
+
+Live terms only: a rollout without adaptation never integrates L_hat, whose
+derivative is zero; it keeps the L_hat it starts from, a run's +0.0, which
+the RK4 update ``0.0 + dt/6 * 0.0`` would give again.  One without a
+disturbance has no noise list: its noise operand is the literal ``0.0`` and
+its L_true is 0.0 in every row.  Each stage computes the errors ``x_d - x``
+and ``xd_d - xd`` once per axis, for the law and e2 alike.
 
 Layout: a 3-vector is a tuple of three floats and the augmented state
 ``[attitude, rate, L_hat]`` a tuple of nine.  The factories' functions see
@@ -35,8 +45,8 @@ on arrays of many rows at once.
 
 Bit-identity: every expression evaluates the formula in its factory's
 docstring in the order numpy evaluates the vectorised form, left to right
-(e.g. ``(xd_dd + k1 e_d) + k2 e``), and keeps every term, zero noise and a
-zero L_hat derivative included (``u + 0.0`` turns ``-0.0`` into ``0.0``).
+(e.g. ``(xd_dd + k1 e_d) + k2 e``), and keeps every term that can change a
+bit of a run, zero noise included (``u + 0.0`` turns ``-0.0`` into ``0.0``).
 IEEE-754 double arithmetic on Python floats is that of numpy float64, so
 results are bit-for-bit those of the vectorised formulas.  The one
 transcendental function, the disturbance sine, is :func:`math.sin`.

@@ -10,25 +10,25 @@ the continuous closed loop; the Gaussian noise component is sampled once per
 step and held across stages to keep runs reproducible and refinement studies
 meaningful.
 
-The loop calls one function per step: the scenario's RK4 step, which
-:func:`agrosim.kernel.closed_loop` compiles once per structure and process
-as straight-line float code with the four control evaluations, one per
-stage, inlined; the first stage's command is the one recorded.  The
-deterministic disturbance is evaluated at ``t``, ``t + dt/2`` and ``t + dt``
-(the middle stages share one value).  The noise of a run is drawn before
-the loop, one ``standard_normal`` call per axis stream (the same numbers as
-one draw per step).  Every sample's row (state, command and L_true: 15
-floats) is what the step returns at the sample's time, the last row
-included: it comes from one more step from the final state, whose next
-state is discarded.  The rows go into one flat ``array('d')``; after the
-loop, one vectorised check finds the first non-finite state (the step that
-diverged), the rows become the record's arrays, and the clamp
-(:func:`saturate`), the wheel allocation
+A run is one call of the scenario's rollout, which
+:func:`agrosim.kernel.closed_loop` compiles once per structure and process:
+one loop over the steps, each a straight-line float RK4 step with the four
+control evaluations, one per stage, inlined; the first stage's command is
+the one recorded.  The deterministic disturbance is evaluated at ``t``,
+``t + dt/2`` and ``t + dt`` (the middle stages share one value).  The noise
+of a run is drawn before the rollout, one ``standard_normal`` call per axis
+stream (the same numbers as one draw per step); a run without a disturbance
+draws none.  Every sample's row (state, command and L_true: 15 floats) is
+recorded at the sample's time, the last row included: it comes from one
+more step from the final state, whose next state is discarded.  The rows
+go into one flat ``array('d')``; after the rollout, one vectorised check
+finds the first non-finite state (the step that diverged), the rows become
+the record's arrays, and the clamp (:func:`saturate`), the wheel allocation
 (:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
 (:func:`agrosim.control.lyapunov`, with :func:`agrosim.kernel.velocity_error`,
-the loop's formula, applied to the columns) and the
-metrics are then computed vectorised over all rows.  The horizon must be a
-whole number of steps.
+the rollout's formula, applied to the columns) and the metrics are then
+computed vectorised over all rows.  The horizon must be a whole number of
+steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and splits the blocks into contiguous shares, one per usable CPU while each
@@ -470,12 +470,13 @@ def compute_metrics(record: TrajectoryRecord) -> Metrics:
 def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     """Roll out a scenario and summarize it (:func:`compute_metrics`).
 
-    The noise of every step is drawn up front.  Per step: advance the
-    augmented state one RK4 step (stage-evaluated and clamped control,
-    deterministic disturbance at ``t``, ``t + dt/2`` and ``t + dt``, held
-    noise), and record what the step returns: the state, the unclamped
-    command of the first stage and L_true.  Wheel torques realizing the
-    applied body torque are logged for diagnostics.
+    The noise of every step is drawn up front, and one call of the
+    scenario's rollout runs every RK4 step of the augmented state
+    (stage-evaluated and clamped control, deterministic disturbance at
+    ``t``, ``t + dt/2`` and ``t + dt``, held noise) and records each
+    sample's state, the unclamped command of its first stage and L_true.
+    Wheel torques realizing the applied body torque are logged for
+    diagnostics.
 
     Raises
     ------
@@ -483,7 +484,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         If wheel torques cannot be allocated at this steering configuration.
     DivergenceError
         If the state leaves the finite range, naming the failing step.  The
-        check runs once, on the recorded states after the loop, so a
+        check runs once, on the recorded states after the rollout, so a
         diverging run costs its full horizon: its arithmetic runs on in
         inf/nan, which Python floats do quietly.
     """
@@ -515,7 +516,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
     if isinstance(config.gains, BsGains):
         g, ref = config.gains, config.reference
-        # the loop's own e2, applied to the record's columns: one value per row
+        # the rollout's own e2, applied to the record's columns: one value per row
         e2 = kernel.velocity_error(g.k1, ref.x_d, ref.xd_dot)((*att.T, *rate.T, None, None, None))
         v2 = lyapunov(e1, np.column_stack(e2), l_true - l_hat, g)
     else:

@@ -67,10 +67,10 @@ def test_public_names_are_pinned():
 
 
 #: The functions agrosim.kernel defines; it defines no classes.  closed_loop
-#: returns the step every recorded row comes from, so a second path to a
-#: row (a command-only helper, a loop object around the step) is a change to
-#: this list.  ``_function`` compiles the per-axis formulas into the
-#: factories' functions and the step.
+#: returns the rollout that records every row of a run, so a second path to
+#: a row (a command-only helper, a per-step function beside the rollout) is a
+#: change to this list.  ``_function`` compiles the per-axis formulas into
+#: the factories' functions and the rollout.
 KERNEL_FUNCTIONS = [
     "_function",
     "adaptation",

@@ -451,7 +451,7 @@ def test_columns_a_run_never_integrates_are_positive_zero(name):
     for cfg in (base, dataclasses.replace(base, disturbance=None),
                 dataclasses.replace(base, adaptation_enabled=False)):
         record, _ = run_scenario(cfg)
-        zeros = ([record.l_hat] if not cfg.adaptation_enabled else []) + (
-            [record.l_true] if cfg.disturbance is None else [])
-        for column in zeros:
-            assert (column == 0.0).all() and not np.signbit(column).any()
+        for column, zero in ((record.l_hat, not cfg.adaptation_enabled),
+                             (record.l_true, cfg.disturbance is None)):
+            if zero:
+                assert (column == 0.0).all() and not np.signbit(column).any()
