@@ -21,7 +21,8 @@ output directory defaults to ``$AGROSIM_OUT``, then the current directory.
 :func:`agrosim.presets.override`, to the preset or the ``--config`` file.
 Exit status is 0 exactly when every requested artifact was written; each
 artifact replaces its target only once it is complete
-(:func:`agrosim.atomic.atomic_write`).
+(:func:`agrosim.atomic.atomic_write`).  A failure, running out of memory
+included, is reported as one ``agrosim: error:`` line with exit status 1.
 """
 
 from __future__ import annotations
@@ -193,11 +194,11 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
 
     Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
     stops at its first failure, sending back one ``(index, Metrics or
-    AgroSimError)`` pair at a time.  The failure with the lowest index is
-    raised, as a serial loop would raise it, so the result does not depend
-    on ``W``; a child that ended before its share did fails at the first
-    index it sent nothing for.  Every child is reaped before this returns or
-    raises, and killed first if anything is raised.
+    failure)`` pair at a time (:func:`_run_share`).  The failure with the
+    lowest index is raised, as a serial loop would raise it, so the result
+    does not depend on ``W``; a child that ended before its share did fails
+    at the first index it sent nothing for.  Every child is reaped before
+    this returns or raises, and killed first if anything is raised.
     """
     n = workers.count(len(configs))
     shares = [range(j, len(configs), n) for j in range(n)]
@@ -215,22 +216,27 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     metrics = []
     for i in range(len(configs)):
         # a worker that stopped early did so at a failure of a lower index
-        if isinstance(results[i], AgroSimError):
+        if isinstance(results[i], _FAILURES):
             raise results[i]
         metrics.append(results[i])
     return metrics
 
 
+#: What a sweep value's run may fail with, reported in the value's place: a
+#: scenario's own errors, and running out of memory.
+_FAILURES = (AgroSimError, MemoryError)
+
+
 def _run_share(configs: list[ScenarioConfig], share: range) -> Iterator[tuple]:
-    """Yield ``(index, Metrics or AgroSimError)`` for the scenarios of
-    ``share``, up to and including its first failure."""
+    """Yield ``(index, Metrics or failure)`` for the scenarios of ``share``,
+    up to and including its first failure (one of ``_FAILURES``)."""
     for i in share:
         try:
             result = run_scenario(configs[i])[1]
-        except AgroSimError as exc:
+        except _FAILURES as exc:
             result = exc
         yield i, result
-        if isinstance(result, AgroSimError):
+        if isinstance(result, _FAILURES):
             return
 
 
@@ -312,6 +318,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                          args.param, values)
     except (AgroSimError, OSError) as exc:
         print(f"agrosim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's says how much it could not allocate; a bare one says nothing
+        print("agrosim: error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
 
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import struct
 from array import array
 from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
@@ -93,6 +94,9 @@ _UNPACK = "    a0, a1, a2, r0, r1, r2, l0, l1, l2 = y"
 
 #: The fields of each axis in a per-axis line.
 _AXES = ({"i": 0, "j": 1, "k": 2}, {"i": 1, "j": 0, "k": 2}, {"i": 2, "j": 0, "k": 1})
+
+#: One recorded row: the 15 doubles of a sample, in ``array('d')``'s layout.
+_ROW = struct.Struct("15d")
 
 #: The code object of each factory's function and of each rollout structure
 #: compiled in this process so far.
@@ -253,7 +257,7 @@ def closed_loop(
             body += ["f{i} = " + _DRIFT, "e{i} = " + _E1, "ed{i} = " + _E1D,
                      *(["z{i} = " + _E2] if bs else []), "u{i} = " + (_BS if bs else _FL)]
             if s == 1:
-                body.append(f"ext(({row}))")
+                body.append(f"pack_into(rows, {_ROW.size} * k, {row})")
             tau = f"(c{{i}} + d{d}{{i}}) + n{{i}}" if dist else "c{i} + 0.0"
             body += ["c{i} = " + _CLAMP, f"k{s}a{{i}} = r{{i}}",
                      f"k{s}r{{i}} = f{{i}} + g{{i}} * ({tau})",
@@ -261,8 +265,10 @@ def closed_loop(
         body += [f"{p}{{i}} = y{p}{{i}} + s6 * (((k1{p}{{i}} + 2.0 * k2{p}{{i}})"
                  f" + 2.0 * k3{p}{{i}}) + k4{p}{{i}})" for p in live]
         return ["def rollout(t0, n, y, noise):", f"    {', '.join(names)} = K", _UNPACK,
-                "    rows = array('d')", "    ext = rows.extend", "    for k in range(n + 1):",
+                "    rows = array('d', (0.0,)) * (15 * (n + 1))",
+                "    for k in range(n + 1):",
                 *["        " + line for line in body], "    return rows"]
 
     name = "rollout: " + "+".join(kinds).replace("_law", "")
-    return _function(name, source, {"K": tuple(consts[k] for k in names), "array": array})
+    return _function(name, source, {"K": tuple(consts[k] for k in names), "array": array,
+                                    "pack_into": _ROW.pack_into})

@@ -143,6 +143,40 @@ def test_run_config_not_utf8_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 1.09 PiB"), "out of memory: Unable to allocate 1.09 PiB"),
+], ids=["bare", "with-message"])
+def test_run_out_of_memory_is_an_error(error, message, tmp_path, capfd, monkeypatch):
+    # a horizon too long for memory fails in run_scenario, before any artifact
+    def out_of_memory(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+    assert main(["run", "--preset", "bs-adaptive-paper", "--out", str(tmp_path / "out")]) == 1
+    assert capfd.readouterr().err == f"agrosim: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_out_of_memory_in_a_worker_is_an_error(tmp_path, capfd, monkeypatch):
+    # the child reports it as the serial loop would, without its traceback
+    fds = _open_fds()
+    parent, run_scenario = os.getpid(), cli.run_scenario
+
+    def out_of_memory_in_child(cfg):
+        if os.getpid() != parent:
+            raise MemoryError()
+        return run_scenario(cfg)
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory_in_child)
+    assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
+                 "--horizon", "0.05", "--out", str(tmp_path)]) == 1
+    assert capfd.readouterr().err == "agrosim: error: out of memory\n"
+    assert not os.listdir(tmp_path)
+    _assert_no_child_left(fds)
+
+
 def test_seed_override(tmp_path):
     rc = main(["run", "--preset", "bs-adaptive-paper", "--out", str(tmp_path),
                "--horizon", "0.05", "--seed", "1", "--no-svg"])

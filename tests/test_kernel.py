@@ -12,6 +12,7 @@ import builtins
 import dataclasses
 import linecache
 import math
+import struct
 import traceback
 import warnings
 
@@ -455,3 +456,18 @@ def test_columns_a_run_never_integrates_are_positive_zero(name):
                              (record.l_true, cfg.disturbance is None)):
             if zero:
                 assert (column == 0.0).all() and not np.signbit(column).any()
+
+
+@pytest.mark.parametrize("name", ["fl-paper", "bs-paper"])
+def test_rows_are_copied_bit_for_bit(name):
+    # array_equal takes -0.0 for +0.0 and one NaN for another: the bytes of
+    # the state a rollout starts from, and of an L_hat it never integrates,
+    # must reach the rows as they are, sign and NaN payload included
+    nan, negative_nan = (struct.unpack("d", struct.pack("Q", bits))[0]
+                         for bits in (0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0123))
+    y = (0.1, -0.0, negative_nan, 0.2, 0.0, -0.3, -0.0, nan, 1.5)
+    rows = bytes(sim._loop(preset(name))(0.0, 2, y, None))
+    assert len(rows) == 3 * 15 * 8
+    assert rows[:72] == struct.pack("9d", *y)
+    for k in range(3):
+        assert rows[120 * k + 48:120 * k + 72] == struct.pack("3d", *y[6:9])
