@@ -11,8 +11,9 @@ into small functions that a test, a demo or the V2 column of a record calls.
 function that runs a whole rollout: a loop over the steps whose body is one
 straight-line RK4 step with all four stages inlined.  The state stays in
 local floats from one step to the next, and each sample's row (state,
-unclamped command, L_true: 15 floats) goes into one ``array('d')`` as one
-tuple: no call per step, stage, law or axis.
+unclamped command, L_true: 15 doubles) is written in place by one
+``struct.pack_into`` into an ``array('d')`` sized for the whole run before
+the first step: one call per step, none per stage, law or axis.
 
 Compiling: the source of a factory's function, or of a rollout, depends only
 on its structure, never on a scenario's numbers.  A rollout has one of six
@@ -26,10 +27,12 @@ binds the scenario's constants as the function's globals, and a rollout
 copies them into locals in its first line, once per call.  Nothing is
 compiled at import.  The constants (gains, inertias, reference, disturbance,
 and the ratios ``j2/j1``, ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``,
-``dt/6``) are converted to ``float`` once, when a function is built.  A
-rollout takes about 4.1 µs a step (fl-paper) to 6.6-6.9 µs
-(bs-adaptive-paper) on a 2-core x86-64 host (see the README's Performance
-section).
+``dt/6``) are converted to ``float`` once, when a function is built.  In
+the benchmark's traced runs (``perfbench/run.py --trace 1``,
+``sim.rollout_us_per_step``, 2-core x86-64 host), a run takes about 6.0 µs
+a step in gain-sweep's FL and backstepping sweeps and 7.8 µs in
+long-adaptive's adaptive run with a disturbance (see the README's
+Performance section).
 
 Live terms only: a rollout without adaptation never integrates L_hat, whose
 derivative is zero; it keeps the L_hat it starts from, a run's +0.0, which
@@ -197,9 +200,12 @@ def closed_loop(
     rows``: the ``n + 1`` samples, at ``t0 + k * dt`` for k = 0..n, of the
     run that starts from the nine floats ``y`` at ``t0``.
 
-    ``rows`` is one ``array('d')`` of ``15 * (n + 1)`` floats, one row per
-    sample: the state (attitude, rate, L_hat), ``u``, the unclamped command
-    at that state (the first stage of the step from it evaluates it), and
+    ``rows`` is one ``array('d')`` of ``15 * (n + 1)`` floats, allocated
+    once before the first step (a run too long for memory raises
+    ``MemoryError`` there), with one row per sample, written in place by
+    one ``pack_into`` that copies each double bit for bit: the state
+    (attitude, rate, L_hat), ``u``, the unclamped command at that state
+    (the first stage of the step from it evaluates it), and
     ``l = g * (dist(t) + noise)``, L_true at ``t``: the acceleration-domain
     image of the injected torque, which the adaptive law's L_hat estimates.
     The last row comes from one more step, whose next state is discarded.

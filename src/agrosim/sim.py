@@ -21,9 +21,11 @@ stream (the same numbers as one draw per step); a run without a disturbance
 draws none.  Every sample's row (state, command and L_true: 15 floats) is
 recorded at the sample's time, the last row included: it comes from one
 more step from the final state, whose next state is discarded.  The rows
-go into one flat ``array('d')``; after the rollout, one vectorised check
-finds the first non-finite state (the step that diverged), the rows become
-the record's arrays, and the clamp (:func:`saturate`), the wheel allocation
+are written in place into one flat ``array('d')`` sized for the whole run
+before the first step, so a horizon too long for memory fails at once.
+After the rollout, one vectorised check finds the first non-finite state
+(the step that diverged), the rows become the record's arrays, and the
+clamp (:func:`saturate`), the wheel allocation
 (:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
 (:func:`agrosim.control.lyapunov`, with :func:`agrosim.kernel.velocity_error`,
 the rollout's formula, applied to the columns) and the metrics are then
@@ -487,6 +489,10 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         check runs once, on the recorded states after the rollout, so a
         diverging run costs its full horizon: its arithmetic runs on in
         inf/nan, which Python floats do quietly.
+    MemoryError
+        If the run does not fit in memory.  Its noise and its rows are
+        allocated before the first step, so a horizon far too long for
+        memory fails at once.
     """
     rollout = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
