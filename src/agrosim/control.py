@@ -20,9 +20,8 @@ stored as 3-vectors; a scalar gain means "that scalar on every axis".
 
 This module holds the gain and reference types the controllers are
 configured with.  The laws themselves, e2 and the adaptation law are written
-once, on floats, in :mod:`agrosim.kernel` (:func:`~agrosim.kernel.fl_law`,
-:func:`~agrosim.kernel.bs_law`, :func:`~agrosim.kernel.velocity_error`,
-:func:`~agrosim.kernel.adaptation`), which the simulator runs on.
+once, on floats, in :mod:`agrosim.kernel`, whose
+:func:`~agrosim.kernel.closed_loop` builds a run's rollout from these types.
 :func:`lyapunov` is the backstepping Lyapunov function V2, evaluated
 vectorised over the rows of a trajectory, and :func:`lqr_double_integrator`
 a closed-form gain design for the FL error dynamics.

@@ -4,22 +4,23 @@ This module is the one place where the gyroscopic drift term ``f``, the
 feedback-linearization and backstepping control laws, the tracking errors,
 the velocity error e2, the adaptation law, the disturbance torque, the
 torque clamp and the classical RK4 step are written: each once, as a
-per-axis expression over named floats (``_DRIFT``, ``_FL``, ...).  The
-factories (:func:`drift`, :func:`fl_law`, ...) compile those expressions
-into small functions that a test, a demo or the V2 column of a record calls.
-:func:`closed_loop`, the one entry point of a run, assembles them into one
-function that runs a whole rollout: a loop over the steps whose body is one
-straight-line RK4 step with all four stages inlined.  The state stays in
-local floats from one step to the next, and each sample's row (state,
-unclamped command, L_true: 15 doubles) is written in place by one
-``struct.pack_into`` into an ``array('d')`` sized for the whole run before
-the first step: one call per step, none per stage, law or axis.
+per-axis expression over named floats (``_DRIFT``, ``_FL``, ...).
+:func:`closed_loop`, the one entry point of a run, takes a scenario's
+numbers and assembles the expressions into one function that runs a whole
+rollout: a loop over the steps whose body is one straight-line RK4 step
+with all four stages inlined.  The state stays in local floats from one
+step to the next, and each sample's row (state, unclamped command, L_true:
+15 doubles) is written in place by one ``struct.pack_into`` into an
+``array('d')`` sized for the whole run before the first step: one call per
+step, none per stage, law or axis.  :func:`drift` and
+:func:`velocity_error` compile one expression each, for demo 01 and the V2
+column of a record.
 
-Compiling: the source of a factory's function, or of a rollout, depends only
-on its structure, never on a scenario's numbers.  A rollout has one of six
-structures (FL or backstepping, the latter with or without adaptation, each
-with or without a disturbance).  Each is compiled on first use, once per
-process, under a filename that names it (e.g. ``<agrosim.kernel rollout:
+Compiling: the source of a function depends only on its structure, never
+on a scenario's numbers.  A rollout has one of six structures (FL or
+backstepping, the latter with or without adaptation, each with or without
+a disturbance).  Each is compiled on first use, once per process, under a
+filename that names it (e.g. ``<agrosim.kernel rollout:
 bs+adaptation+disturbance>``, registered with :mod:`linecache`, so a
 traceback or a profile shows the formula line), and every later function of
 that structure shares the code object: ``types.FunctionType(code, consts)``
@@ -42,14 +43,14 @@ its L_true is 0.0 in every row.  Each stage computes the errors ``x_d - x``
 and ``xd_d - xd`` once per axis, for the law and e2 alike.
 
 Layout: a 3-vector is a tuple of three floats and the augmented state
-``[attitude, rate, L_hat]`` a tuple of nine.  The factories' functions see
-only ``+``, ``-``, ``*`` and unpacking on their operands, so they also run
-on arrays of many rows at once.
+``[attitude, rate, L_hat]`` a tuple of nine.  :func:`drift`'s and
+:func:`velocity_error`'s functions see only ``+ - *`` and unpacking on
+their operands, so they also run on arrays of many rows at once.
 
-Bit-identity: every expression evaluates the formula in its factory's
-docstring in the order numpy evaluates the vectorised form, left to right
-(e.g. ``(xd_dd + k1 e_d) + k2 e``), and keeps every term that can change a
-bit of a run, zero noise included (``u + 0.0`` turns ``-0.0`` into ``0.0``).
+Bit-identity: every expression evaluates its formula in the order numpy
+evaluates the vectorised form, left to right (e.g.
+``(xd_dd + k1 e_d) + k2 e``), and keeps every term that can change a bit of
+a run, zero noise included (``u + 0.0`` turns ``-0.0`` into ``0.0``).
 IEEE-754 double arithmetic on Python floats is that of numpy float64, so
 results are bit-for-bit those of the vectorised formulas.  The one
 transcendental function, the disturbance sine, is :func:`math.sin`.
@@ -65,15 +66,14 @@ import math
 import struct
 from array import array
 from types import CodeType, FunctionType
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
+
+from .control import BsGains, FlGains, Reference
 
 #: Three floats, one per body axis.
 Vec = tuple[float, float, float]
 #: Nine floats: attitude, rate, disturbance estimate L_hat.
 State = tuple[float, ...]
-#: A control law: (state, drift f at that state, velocity error e2 at that
-#: state or None) -> unclamped torque.
-Law = Callable[[State, Vec, Optional[Vec]], Vec]
 
 ZERO: Vec = (0.0, 0.0, 0.0)
 
@@ -83,7 +83,7 @@ ZERO: Vec = (0.0, 0.0, 0.0)
 # the command u and the held noise n.  The constants: fc = j2/j1, m = j1, x,
 # v, w = x_d, xd_dot, xd_ddot, p, q = k1, k2, gl = gamma/lam, ls =
 # -lam/sigma, o, b, ph = offset, sine amplitude and phase, om = sine
-# frequency, and hi, lo = +/-u_max.
+# frequency, g = 1/j1, and hi, lo = +/-u_max.
 _DRIFT = "fc{i} * r{j} * r{k}"
 _E1 = "x{i} - a{i}"
 _E1D = "v{i} - r{i}"
@@ -101,8 +101,8 @@ _AXES = ({"i": 0, "j": 1, "k": 2}, {"i": 1, "j": 0, "k": 2}, {"i": 2, "j": 0, "k
 #: One recorded row: the 15 doubles of a sample, in ``array('d')``'s layout.
 _ROW = struct.Struct("15d")
 
-#: The code object of each factory's function and of each rollout structure
-#: compiled in this process so far.
+#: The code object of each function :func:`_function` compiled in this
+#: process so far, by name.
 _CODE: dict[str, CodeType] = {}
 
 
@@ -139,15 +139,6 @@ def drift(j1, j2) -> Callable[[float, float, float], Vec]:
                      fc=[float(b) / float(a) for a, b in zip(j1, j2)])
 
 
-def fl_law(k1, k2, j1, x_d, xd_dot, xd_ddot) -> Law:
-    """PD + feedback linearization ``u = j1 * (v - f)`` with the pseudo-input
-    ``v = xd_dd + k1 e_d + k2 e``, ``e = x_d - x``, ``e_d = xd_d - xd``."""
-    return _function("fl_law", lambda: ["def law(y, f, z):", _UNPACK, "    f0, f1, f2 = f",
-                                        "    e{i} = " + _E1, "    ed{i} = " + _E1D,
-                                        "    u{i} = " + _FL, "    return u0, u1, u2"],
-                     p=k1, q=k2, m=j1, x=x_d, v=xd_dot, w=xd_ddot)
-
-
 def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
     """Backstepping velocity error ``e2 = (xd_d - xd) + K1 (x_d - x)``: the
     deviation of the rate from the virtual control."""
@@ -157,44 +148,15 @@ def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
                      p=k1, x=x_d, v=xd_dot)
 
 
-def bs_law(k1, k2, gamma, lam, j1, x_d, xd_dot, xd_ddot) -> Law:
-    """Adaptive backstepping
-    ``u = j1 * (gamma/lam e1 - f - L_hat + xd_dd + K1 e1_d + K2 e2)`` with
-    ``e1 = x_d - x``, ``e1_d = xd_d - xd`` and e2 from :func:`velocity_error`,
-    summed left to right.  The law takes e2 as its third argument, so that a
-    stage which also feeds e2 to the adaptation law computes it once."""
-    return _function("bs_law", lambda: ["def law(y, f, z):", _UNPACK, "    f0, f1, f2 = f",
-                                        "    z0, z1, z2 = z", "    e{i} = " + _E1,
-                                        "    ed{i} = " + _E1D, "    u{i} = " + _BS,
-                                        "    return u0, u1, u2"],
-                     p=k1, q=k2, m=j1, x=x_d, v=xd_dot, w=xd_ddot,
-                     gl=[float(g) / float(m) for g, m in zip(gamma, lam)])
-
-
-def adaptation(lam, sigma) -> Callable[[Vec], Vec]:
-    """Adaptation law ``L_hat_dot = -lam/sigma * e2``, per axis."""
-    return _function("adaptation", lambda: ["def rate(z):", "    z0, z1, z2 = z",
-                                            "    l{i} = " + _RATE, "    return l0, l1, l2"],
-                     ls=[-float(m) / float(s) for m, s in zip(lam, sigma)])
-
-
-def disturbance(offset, sine_amp, sine_freq, sine_phase) -> Callable[[float], Vec]:
-    """Deterministic disturbance torque ``offset + amp * sin(freq t + phase)``."""
-    return _function("disturbance", lambda: ["def torque(t):",
-                                             "    d{i} = " + _TORQUE.replace("{t}", "t"),
-                                             "    return d0, d1, d2"],
-                     {"om": float(sine_freq), "sin": math.sin},
-                     o=offset, b=sine_amp, ph=sine_phase)
-
-
 def closed_loop(
-    law: Law,
+    gains: Union[FlGains, BsGains],
+    reference: Reference,
     j1,
     j2,
     u_max: float,
     dt: float,
-    dist: Optional[Callable[[float], Vec]] = None,
-    l_rate: Optional[Callable[[Vec], Vec]] = None,
+    disturbance=None,
+    adapt: bool = False,
 ) -> Callable[[float, int, State, Optional[Sequence[Vec]]], array]:
     """The RK4 rollout of the augmented state, ``rollout(t0, n, y, noise) ->
     rows``: the ``n + 1`` samples, at ``t0 + k * dt`` for k = 0..n, of the
@@ -206,49 +168,53 @@ def closed_loop(
     one ``pack_into`` that copies each double bit for bit: the state
     (attitude, rate, L_hat), ``u``, the unclamped command at that state
     (the first stage of the step from it evaluates it), and
-    ``l = g * (dist(t) + noise)``, L_true at ``t``: the acceleration-domain
+    ``l = g * (d(t) + noise)``, L_true at ``t``: the acceleration-domain
     image of the injected torque, which the adaptive law's L_hat estimates.
     The last row comes from one more step, whose next state is discarded.
     ``noise`` holds the held noise of every sample, ``n + 1`` 3-vectors;
-    without ``dist`` it is not read (pass None), the noise is 0.0 and ``l``
-    is 0.0 in every row.
+    without ``disturbance`` it is not read (pass None), the noise is 0.0
+    and ``l`` is 0.0 in every row.
 
-    ``law`` is one built by :func:`fl_law` or :func:`bs_law`, ``dist`` one
-    by :func:`disturbance` and ``l_rate`` one by :func:`adaptation` (with
-    :func:`bs_law` only); anything else raises ``TypeError``.  The rollout
-    runs their formulas on their constants.  At every stage the errors
-    ``x_d - x`` and ``xd_d - xd`` are computed once, a backstepping law's
-    velocity error e2 (from its own K1 and reference) once, and fed to the
-    law and, with ``l_rate``, to the L_hat derivative.  Without ``l_rate``
-    L_hat has zero derivative and is not integrated: every row keeps the
-    L_hat of ``y``.  The command is clamped to ``[-u_max, u_max]`` (NaN
-    passes through, as with ``np.clip``), the deterministic disturbance and
-    the held noise are added, and the rates follow ``f + g * tau`` with the
-    input gain ``g = 1/j1``.  A step evaluates the disturbance once at each
-    of ``t``, ``t + dt/2`` and ``t + dt``.
+    The type of ``gains`` picks the law, PD + feedback linearization
+    (:class:`~agrosim.control.FlGains`) or backstepping
+    (:class:`~agrosim.control.BsGains`), as :mod:`agrosim.control` states
+    them, tracking ``reference``.  At every stage the errors ``x_d - x``
+    and ``xd_d - xd`` are computed once, and a backstepping law's velocity
+    error e2 (:func:`velocity_error`) once, fed to the law and, with
+    ``adapt`` (backstepping only), to ``L_hat_dot = -lam/sigma * e2``.
+    Without ``adapt`` L_hat has zero derivative and is not integrated:
+    every row keeps the L_hat of ``y``.  The command is clamped to
+    ``[-u_max, u_max]`` (NaN passes through, as with ``np.clip``), the
+    torque ``d(t) = offset + sine_amp * sin(sine_freq t + sine_phase)`` of
+    ``disturbance`` (a :class:`~agrosim.sim.DisturbanceSpec`, whose noise
+    fields are not read) and the held noise are added, and the rates
+    follow ``f + g * tau`` with the drift f of :func:`drift` and the input
+    gain ``g = 1/j1``.  A step evaluates the disturbance once at each of
+    ``t``, ``t + dt/2`` and ``t + dt``.
     """
-    given = {"fl_law": law, "bs_law": law, "adaptation": l_rate, "disturbance": dist}
-    kinds = [k for k, fn in given.items()
-             if k in _CODE and getattr(fn, "__code__", None) is _CODE[k]]
-    if (len(kinds) != 1 + (l_rate is not None) + (dist is not None)
-            or kinds[:2] == ["fl_law", "adaptation"]):
-        raise TypeError("closed_loop takes the laws of fl_law or bs_law, disturbance and, "
-                        "with bs_law, adaptation")
-    bs = kinds[0] == "bs_law"
+    bs, dist = isinstance(gains, BsGains), disturbance is not None
     dt = float(dt)
-    consts = {**drift(j1, j2).__globals__, **law.__globals__, "hi": float(u_max),
-              "lo": -float(u_max), "h": dt / 2.0, "dt": dt, "s6": dt / 6.0,
-              **{f"g{i}": 1.0 / float(a) for i, a in enumerate(j1)}}
-    for fn in (dist, l_rate):
-        consts.update(fn.__globals__ if fn else ())
+    consts = {"hi": float(u_max), "lo": -float(u_max), "h": dt / 2.0, "dt": dt, "s6": dt / 6.0}
+    vectors = {"fc": [float(b) / float(a) for a, b in zip(j1, j2)],
+               "g": [1.0 / float(a) for a in j1], "m": j1, "p": gains.k1, "q": gains.k2,
+               "x": reference.x_d, "v": reference.xd_dot, "w": reference.xd_ddot}
+    if bs:
+        vectors["gl"] = [float(g) / float(m) for g, m in zip(gains.gamma, gains.lam)]
+    if adapt:
+        vectors["ls"] = [-float(m) / float(s) for m, s in zip(gains.lam, gains.sigma)]
+    if dist:
+        consts.update(om=float(disturbance.sine_freq), sin=math.sin)
+        vectors.update(o=disturbance.offset, b=disturbance.sine_amp, ph=disturbance.sine_phase)
+    for k, vec in vectors.items():
+        consts[k + "0"], consts[k + "1"], consts[k + "2"] = floats(vec)
     names = sorted(consts)
 
     def source() -> list[str]:
         # the state a step starts from is stage 1's a, r, l, kept as ya, yr,
         # yl for the later stages and the update; stage s's state is a, r, l
         # and its derivative ksa, ksr, ksl; the disturbance at t, t + dt/2
-        # and t + dt is da, dh, db.  Without l_rate, l is y's throughout.
-        live = "arl"[:2 + (l_rate is not None)]
+        # and t + dt is da, dh, db.  Without adapt, l is y's throughout.
+        live = "arl"[:2 + adapt]
         body = []
         if dist:
             body += ["n0, n1, n2 = noise[k]", "t = t0 + k * dt", "th = t + h", "tb = t + dt"]
@@ -267,7 +233,7 @@ def closed_loop(
             tau = f"(c{{i}} + d{d}{{i}}) + n{{i}}" if dist else "c{i} + 0.0"
             body += ["c{i} = " + _CLAMP, f"k{s}a{{i}} = r{{i}}",
                      f"k{s}r{{i}} = f{{i}} + g{{i}} * ({tau})",
-                     *([f"k{s}l{{i}} = " + _RATE] if l_rate else [])]
+                     *([f"k{s}l{{i}} = " + _RATE] if adapt else [])]
         body += [f"{p}{{i}} = y{p}{{i}} + s6 * (((k1{p}{{i}} + 2.0 * k2{p}{{i}})"
                  f" + 2.0 * k3{p}{{i}}) + k4{p}{{i}})" for p in live]
         return ["def rollout(t0, n, y, noise):", f"    {', '.join(names)} = K", _UNPACK,
@@ -275,6 +241,6 @@ def closed_loop(
                 "    for k in range(n + 1):",
                 *["        " + line for line in body], "    return rows"]
 
-    name = "rollout: " + "+".join(kinds).replace("_law", "")
+    name = "rollout: " + ("bs" if bs else "fl") + "+adaptation" * adapt + "+disturbance" * dist
     return _function(name, source, {"K": tuple(consts[k] for k in names), "array": array,
                                     "pack_into": _ROW.pack_into})

@@ -234,17 +234,8 @@ class ScenarioConfig(_ArrayEqMixin):
 def _loop(config: ScenarioConfig):
     """The RK4 rollout of one scenario (:func:`agrosim.kernel.closed_loop`)."""
     eff = effective_inertias(config.inertias, config.steering)
-    ref, gains = config.reference, config.gains
-    if isinstance(gains, BsGains):
-        law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
-                            ref.x_d, ref.xd_dot, ref.xd_ddot)
-    else:
-        law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-    l_rate = kernel.adaptation(gains.lam, gains.sigma) if config.adaptation_enabled else None
-    spec, dist = config.disturbance, None
-    if spec is not None:
-        dist = kernel.disturbance(spec.offset, spec.sine_amp, spec.sine_freq, spec.sine_phase)
-    return kernel.closed_loop(law, eff.j1, eff.j2, config.u_max, config.dt, dist, l_rate)
+    return kernel.closed_loop(config.gains, config.reference, eff.j1, eff.j2, config.u_max,
+                              config.dt, config.disturbance, config.adaptation_enabled)
 
 
 #: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
@@ -417,13 +408,14 @@ def settle_time(record: TrajectoryRecord, band: float = DEFAULT_SETTLE_BAND) -> 
     """Earliest time per axis after which |error| stays within ``band``.
 
     Returns NaN for an axis that has not settled by the end of the record
-    ("enter and stay" semantics: one late excursion resets the clock).
+    ("enter and stay" semantics: one late excursion resets the clock).  A
+    NaN error counts as outside the band.
     """
     band = _real(band, "band", "positive or inf")
     err = np.abs(record.error())
     out = np.full(3, np.nan)
     for axis in range(3):
-        outside = np.nonzero(err[:, axis] > band)[0]
+        outside = np.nonzero(~(err[:, axis] <= band))[0]
         idx = 0 if outside.size == 0 else outside[-1] + 1
         if idx < len(record):
             out[axis] = record.t[idx]

@@ -21,6 +21,8 @@ _WIDTH, _HEIGHT = 640.0, 320.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 34.0, 44.0
 #: Number of ticks an axis aims for.
 _TICKS = 6
+#: ``str.translate`` table that writes a title, label or name as XML text.
+_XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _resolvable(lo: float, hi: float) -> tuple[float, float]:
@@ -120,6 +122,7 @@ class LineChart:
         px_t, px_b = _MARGIN_T, _HEIGHT - _MARGIN_B
 
         sx, sy = _axis(x_lo, x_hi, px_l, px_r), _axis(y_lo, y_hi, px_b, px_t)
+        title, xlabel, ylabel = (t.translate(_XML) for t in (self.title, self.xlabel, self.ylabel))
 
         out = [f'<g transform="translate(0,{y_offset:g})">']
         out.append(
@@ -128,7 +131,7 @@ class LineChart:
         )
         out.append(
             f'<text x="{(px_l + px_r) / 2:g}" y="{px_t - 12:g}" text-anchor="middle" '
-            f'font-size="14" font-family="sans-serif" font-weight="bold">{self.title}</text>'
+            f'font-size="14" font-family="sans-serif" font-weight="bold">{title}</text>'
         )
         for tick in _nice_ticks(x_lo, x_hi):
             x = sx(tick)
@@ -142,14 +145,14 @@ class LineChart:
                        'stroke="#ddd" stroke-width="0.5"/>')
             out.append(f'<text x="{px_l - 6:g}" y="{y + 4:.2f}" text-anchor="end" '
                        f'font-size="11" font-family="sans-serif">{_fmt(tick)}</text>')
-        if self.xlabel:
+        if xlabel:
             out.append(f'<text x="{(px_l + px_r) / 2:g}" y="{px_b + 34:g}" text-anchor="middle" '
-                       f'font-size="12" font-family="sans-serif">{self.xlabel}</text>')
-        if self.ylabel:
+                       f'font-size="12" font-family="sans-serif">{xlabel}</text>')
+        if ylabel:
             out.append(
                 f'<text x="16" y="{(px_t + px_b) / 2:g}" text-anchor="middle" font-size="12" '
                 f'font-family="sans-serif" transform="rotate(-90 16 {(px_t + px_b) / 2:g})">'
-                f'{self.ylabel}</text>'
+                f'{ylabel}</text>'
             )
         for s in self.series:
             pts = " ".join(
@@ -165,7 +168,7 @@ class LineChart:
             out.append(f'<line x1="{lx:g}" y1="{yy - 4:g}" x2="{lx + 22:g}" y2="{yy - 4:g}" '
                        f'stroke="{s.color}" stroke-width="2"/>')
             out.append(f'<text x="{lx + 28:g}" y="{yy:g}" font-size="11" '
-                       f'font-family="sans-serif">{s.name}</text>')
+                       f'font-family="sans-serif">{s.name.translate(_XML)}</text>')
         out.append("</g>")
         return "\n".join(out)
 

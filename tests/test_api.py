@@ -67,18 +67,15 @@ def test_public_names_are_pinned():
 
 
 #: The functions agrosim.kernel defines; it defines no classes.  closed_loop
-#: returns the rollout that records every row of a run, so a second path to
-#: a row (a command-only helper, a per-step function beside the rollout) is a
-#: change to this list.  ``_function`` compiles the per-axis formulas into
-#: the factories' functions and the rollout.
+#: takes a scenario's numbers and returns the rollout that records every row
+#: of a run, so a second path to a row (a command-only helper, a per-step
+#: function or a law factory beside the rollout) is a change to this list.
+#: ``_function`` compiles the per-axis formulas into the rollout and into
+#: the functions of drift and velocity_error, which callers outside a run use.
 KERNEL_FUNCTIONS = [
     "_function",
-    "adaptation",
-    "bs_law",
     "closed_loop",
-    "disturbance",
     "drift",
-    "fl_law",
     "floats",
     "velocity_error",
 ]

@@ -7,6 +7,7 @@ import signal
 import tempfile
 import threading
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,18 @@ def test_compare_mismatched_initial_states(tmp_path):
     rc = main(["compare", "--preset", "fl-paper", "--config", str(path),
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_compare_chart_escapes_its_text(tmp_path):
+    # a config file's name reaches the legend: "r&d" must be written "r&amp;d"
+    path = tmp_path / "r&d.json"
+    path.write_text(serialize_config(preset("fl-paper", horizon=0.05)))
+    rc = main(["compare", "--config", str(path), "--preset", "fl-paper",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    (svg,) = tmp_path.glob("*.svg")
+    texts = [el.text for el in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "roll (r&d)" in texts
 
 
 def test_compare_needs_two_sources(tmp_path, capsys):

@@ -27,33 +27,31 @@ NOT_REAL = (True, np.False_, "0.5", object())
 REST_TILTED = BodyState(np.deg2rad([-22.5, 22.5, 0.0]), np.zeros(3))
 
 
-# The laws are called as the simulator builds them, from agrosim.kernel, on
-# the augmented state [attitude, rate, L_hat]; results come back as arrays.
+# The laws are read from rollouts as the simulator builds them, from
+# agrosim.kernel, on the augmented state [attitude, rate, L_hat]; results
+# come back as arrays.
 
 def _y(state, l_hat=kernel.ZERO):
     return kernel.floats(state.attitude) + kernel.floats(state.rate) + kernel.floats(l_hat)
 
 
-def _fl(state, ref, gains):
-    law = kernel.fl_law(gains.k1, gains.k2, EFF.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-    y = _y(state)
-    return np.array(law(y, kernel.drift(EFF.j1, EFF.j2)(*y[3:6]), None))
+def _u(state, ref, gains, l_hat=kernel.ZERO):
+    """The law's unclamped command at one state: the first row's command of
+    a zero-step rollout without a torque limit."""
+    rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, math.inf, 1e-3)
+    return np.array(rollout(0.0, 0, _y(state, l_hat), None)[9:12])
 
 
 def _e2(state, ref, gains):
     return np.array(kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)(_y(state)))
 
 
-def _bs(state, ref, gains, l_hat):
-    law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, EFF.j1,
-                        ref.x_d, ref.xd_dot, ref.xd_ddot)
-    e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
-    y = _y(state, l_hat)
-    return np.array(law(y, kernel.drift(EFF.j1, EFF.j2)(*y[3:6]), e2(y)))
-
-
-def _l_rate(e2, gains):
-    return np.array(kernel.adaptation(gains.lam, gains.sigma)(kernel.floats(e2)))
+def _adapted(ref, gains, l_hat):
+    """L_hat after one 1 ms adaptive step from rest at the origin.  A zero
+    torque limit holds the plant there, so e2 is the same at all four
+    stages and the step adds ``1 ms * L_hat_dot`` (to rounding)."""
+    rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, 0.0, 1e-3, None, True)
+    return np.array(rollout(0.0, 1, _y(BodyState.zero(), l_hat), None)[21:24])
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ def test_reference_spreads_a_scalar():
 
 def test_fl_zero_error_zero_rate_gives_zero_torque():
     gains = FlGains(19.9977, 122.6497)
-    u = _fl(BodyState.zero(), Reference.zero(), gains)
+    u = _u(BodyState.zero(), Reference.zero(), gains)
     assert (u == 0.0).all()
 
 
@@ -142,7 +140,7 @@ def test_fl_pure_coriolis_cancellation():
     # roll channel reduces to u1 = -J_phi2
     gains = FlGains(19.9977, 122.6497)
     state = BodyState(np.zeros(3), np.array([0.0, 1.0, 1.0]))
-    u = _fl(state, Reference.zero(), gains)
+    u = _u(state, Reference.zero(), gains)
     assert u[0] == pytest.approx(-EFF.j2[0], rel=1e-14)
     assert u[0] == pytest.approx(0.8135, abs=1e-10)
     # termwise expected values for the other channels: f cancels (their rate
@@ -156,7 +154,7 @@ def test_fl_termwise_general_point():
     state = BodyState(np.array([0.1, -0.2, 0.3]), np.array([0.4, -0.5, 0.6]))
     ref = Reference(np.array([0.0, 0.1, -0.1]), np.array([0.2, 0.0, 0.1]),
                     np.array([-0.3, 0.2, 0.0]))
-    u = _fl(state, ref, gains)
+    u = _u(state, ref, gains)
     for i in range(3):
         e = ref.x_d[i] - state.attitude[i]
         e_dot = ref.xd_dot[i] - state.rate[i]
@@ -190,14 +188,14 @@ def test_virtual_control_examples():
 
 def test_bs_zero_at_rest_at_reference():
     gains = BsGains(20.0, 1800.0)
-    u = _bs(BodyState.zero(), Reference.zero(), gains, np.zeros(3))
+    u = _u(BodyState.zero(), Reference.zero(), gains, np.zeros(3))
     assert (u == 0.0).all()
 
 
 def test_bs_termwise_oracle_tilted_rest():
     # independent term-by-term evaluation at the throw-recovery initial state
     gains = BsGains(20.0, 1800.0)
-    u = _bs(REST_TILTED, Reference.zero(), gains, np.zeros(3))
+    u = _u(REST_TILTED, Reference.zero(), gains, np.zeros(3))
     e1 = -REST_TILTED.attitude
     expected = np.empty(3)
     for i in range(3):
@@ -214,7 +212,7 @@ def test_bs_termwise_oracle_tilted_rest():
 def test_bs_pure_disturbance_cancellation():
     gains = BsGains(20.0, 1800.0)
     l_hat = np.array([0.3, -0.2, 0.5])
-    u = _bs(BodyState.zero(), Reference.zero(), gains, l_hat)
+    u = _u(BodyState.zero(), Reference.zero(), gains, l_hat)
     np.testing.assert_allclose(u, -EFF.j1 * l_hat, rtol=1e-14)
 
 
@@ -234,17 +232,17 @@ def test_bs_velocity_error_definition():
 def test_adapt_zero_error_fixed_point():
     gains = BsGains(10.0, 200.0, sigma=0.0005)
     l_hat = np.array([1.0, 2.0, 3.0])
-    out = l_hat + 1e-3 * _l_rate(np.zeros(3), gains)
+    out = _adapted(Reference.zero(), gains, l_hat)  # at the reference, e2 = 0
     np.testing.assert_array_equal(out, l_hat)
 
 
 def test_adapt_euler_increment():
     gains = BsGains(10.0, 200.0, lam=1.0, sigma=0.0005)
-    out = np.zeros(3) + 0.001 * _l_rate(np.array([0.001, 0.0, 0.0]), gains)
+    # at rest at x_d, e2 = xd_dot = (0.001, 0, 0)
+    ref = Reference(np.zeros(3), np.array([0.001, 0.0, 0.0]), np.zeros(3))
+    out = _adapted(ref, gains, kernel.ZERO)
     np.testing.assert_allclose(out, [-0.002, 0.0, 0.0], rtol=1e-14)
-    np.testing.assert_allclose(
-        _l_rate(np.array([0.001, 0.0, 0.0]), gains), [-2.0, 0.0, 0.0], rtol=1e-14
-    )
+    np.testing.assert_allclose(out / 1e-3, [-2.0, 0.0, 0.0], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ from agrosim import (
     AllocationSingularityError,
     BodyState,
     DegenerateInertiaError,
+    DisturbanceSpec,
     EffectiveInertias,
+    FlGains,
     InertiaSet,
     InvalidParameterError,
+    Reference,
     SteeringConfig,
     WheelGeometry,
     allocate_wheel_torques,
@@ -164,12 +167,12 @@ def _drift(eff, rate):
 
 def _input_gain(eff):
     """The diagonal of g, acceleration per unit body torque: the first L_true
-    of a one-step rollout under a unit offset torque and zero noise,
+    of a zero-step rollout under a unit offset torque and zero noise,
     ``g * (1 + 0)``."""
-    unit = kernel.disturbance((1.0, 1.0, 1.0), kernel.ZERO, 0.0, kernel.ZERO)
-    law = kernel.fl_law(kernel.ZERO, kernel.ZERO, eff.j1, kernel.ZERO, kernel.ZERO, kernel.ZERO)
-    rollout = kernel.closed_loop(law, eff.j1, eff.j2, math.inf, 1e-3, unit)
-    return np.array(rollout(0.0, 1, (0.0,) * 9, [kernel.ZERO] * 2)[12:15])
+    unit = DisturbanceSpec(1.0, 0.0, 0.0, 0.0, 0.0, seed=0)
+    rollout = kernel.closed_loop(FlGains(1.0, 1.0), Reference.zero(), eff.j1, eff.j2,
+                                 math.inf, 1e-3, unit)
+    return np.array(rollout(0.0, 0, (0.0,) * 9, [kernel.ZERO])[12:15])
 
 
 def test_equilibrium_is_exact(eff_paper):

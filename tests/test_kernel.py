@@ -309,29 +309,32 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     y_next, _, _ = _one_step(cfg, t, y, noise)
     assert np.array_equal(y_next, loop.rk4_step(t, np.array(y), noise))
 
-    # each kernel function on its own, built as sim._loop builds it
+    # each formula on its own: the drift, the law as the first row's command
+    # of a zero-step rollout without a torque limit, and the adaptation law
+    # from a one-step adaptive rollout from rest at y's attitude and L_hat,
+    # where a zero torque limit holds the plant, so all four stages see one e2
     att, rate, l_hat = np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9])
     ref, gains, eff = cfg.reference, cfg.gains, loop.eff
     assert np.array_equal(np.array(kernel.drift(eff.j1, eff.j2)(*y[3:6])),
                           _coriolis_acceleration(rate, eff))
+    rollout = kernel.closed_loop(gains, ref, eff.j1, eff.j2, math.inf, cfg.dt)
+    u = np.array(rollout(t, 0, y, None)[9:12])
     if isinstance(cfg.gains, FlGains):
-        law = kernel.fl_law(gains.k1, gains.k2, eff.j1, ref.x_d, ref.xd_dot, ref.xd_ddot)
-        assert np.array_equal(
-            np.array(law(y, kernel.drift(eff.j1, eff.j2)(*y[3:6]), None)),
-            _fl_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
-                       gains.k1, gains.k2, eff.j1, eff.j2))
+        assert np.array_equal(u, _fl_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
+                                             gains.k1, gains.k2, eff.j1, eff.j2))
     else:
         e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
-        law = kernel.bs_law(gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1,
-                            ref.x_d, ref.xd_dot, ref.xd_ddot)
-        assert np.array_equal(
-            np.array(law(y, kernel.drift(eff.j1, eff.j2)(*y[3:6]), e2(y))),
-            _bs_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
-                       gains.k1, gains.k2, gains.gamma, gains.lam, eff.j1, eff.j2))
+        assert np.array_equal(u, _bs_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
+                                            gains.k1, gains.k2, gains.gamma, gains.lam,
+                                            eff.j1, eff.j2))
         e = np.array(e2(y))
         assert np.array_equal(e, _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, gains.k1))
-        assert np.array_equal(np.array(kernel.adaptation(gains.lam, gains.sigma)(e2(y))),
-                              _adaptation_rate(e, gains.lam, gains.sigma))
+        rest = y[0:3] + kernel.ZERO + y[6:9]
+        adaptive = kernel.closed_loop(gains, ref, eff.j1, eff.j2, 0.0, cfg.dt, None, True)
+        l_rate = _adaptation_rate(np.array(e2(rest)), gains.lam, gains.sigma)
+        assert np.array_equal(np.array(adaptive(t, 1, rest, None)[21:24]),
+                              l_hat + cfg.dt / 6.0 * (l_rate + 2.0 * l_rate + 2.0 * l_rate
+                                                      + l_rate))
 
 
 #: A state entry: in the range the finite property draws from, any float
@@ -420,13 +423,16 @@ def test_compiled_step_names_its_structure_in_tracebacks():
     assert "u0 = m0 * (((((gl0 * e0 - f0) - l0)" in "".join(linecache.getlines(name))
 
 
-def test_closed_loop_takes_only_the_kernels_laws():
-    eff = effective_inertias(paper_inertias(), SteeringConfig.isotropic())
-    fl = kernel.fl_law(kernel.ZERO, kernel.ZERO, eff.j1, kernel.ZERO, kernel.ZERO, kernel.ZERO)
-    rate = kernel.adaptation((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-    for law, l_rate in [(lambda y, f, e: kernel.ZERO, None), (fl, rate), (fl, lambda e: e)]:
-        with pytest.raises(TypeError, match="closed_loop takes"):
-            kernel.closed_loop(law, eff.j1, eff.j2, 1.0, 1e-3, None, l_rate)
+@pytest.mark.parametrize("name,compiled", [
+    ("fl-paper", {"rollout: fl"}),
+    ("bs-paper", {"rollout: bs", "velocity_error"}),
+    ("bs-adaptive-paper", {"rollout: bs+adaptation+disturbance", "velocity_error"}),
+])
+def test_a_run_compiles_only_its_rollout(name, compiled, monkeypatch):
+    # and, for backstepping, the e2 of its V2 column: no drift or law function
+    monkeypatch.setattr(kernel, "_CODE", {})
+    run_scenario(preset(name, horizon=0.05))
+    assert set(kernel._CODE) == compiled
 
 
 def test_divergence_on_the_disturbance_path_matches_the_reference():

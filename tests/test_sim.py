@@ -89,10 +89,12 @@ def _record_from_error(t, err, reference=None):
 # ---------------------------------------------------------------------------
 
 def _deterministic(spec, t):
-    """Offset plus sinusoid at time ``t`` (no noise), as the loop evaluates it."""
-    return np.array(
-        kernel.disturbance(spec.offset, spec.sine_amp, spec.sine_freq, spec.sine_phase)(t)
-    )
+    """Offset plus sinusoid at time ``t`` (no noise), as the loop evaluates it:
+    the first L_true, ``g * (d(t) + 0)``, of a rollout from ``t`` under zero
+    noise, with unit inertias, so that the input gain g is exactly 1."""
+    rollout = kernel.closed_loop(FlGains(1.0, 1.0), Reference.zero(), (1.0, 1.0, 1.0),
+                                 kernel.ZERO, math.inf, 1e-3, spec)
+    return np.array(rollout(t, 0, (0.0,) * 9, [kernel.ZERO])[12:15])
 
 
 def test_disturbance_all_zero():
@@ -289,16 +291,16 @@ def test_step_zero_dynamics_is_identity():
 def test_step_constant_torque_matches_kinematics():
     # a constant roll torque with the other rates at zero is an exact double
     # integrator; RK4 integrates the quadratic exactly
-    cfg = _plain_config(u_max=1e6)
+    cfg = _plain_config()
     eff = effective_inertias(cfg.inertias, cfg.steering)
     j1 = 0.662 + 0.3055 + 2.0 * 0.006565 * np.sqrt(2.0)
     tau = 3.7
     y0 = (0.25,) + (0.0,) * 8  # initial roll angle
-    # FL with zero gains, unit inertia and xd_dd = (tau, 0, 0) commands tau
-    # exactly while pitch and yaw rates, and so the drift, stay zero
-    law = kernel.fl_law(kernel.ZERO, kernel.ZERO, (1.0, 1.0, 1.0), kernel.ZERO, kernel.ZERO,
-                        (tau, 0.0, 0.0))
-    rollout = kernel.closed_loop(law, eff.j1, eff.j2, cfg.u_max, cfg.dt)
+    # FL with xd_dd = (1e6, 0, 0) commands far more roll torque than the limit
+    # tau at every stage, so the clamp applies tau exactly, while pitch and
+    # yaw rates, and so the drift, stay zero
+    ref = Reference(np.zeros(3), np.zeros(3), np.array([1e6, 0.0, 0.0]), rho=1e13)
+    rollout = kernel.closed_loop(cfg.gains, ref, eff.j1, eff.j2, tau, cfg.dt)
     out = np.array(rollout(0.0, 1, y0, None)[15:24])  # the second row's state
     dt = cfg.dt
     acc = tau / j1
@@ -478,6 +480,16 @@ def test_settle_time_enter_and_stay_semantics():
     err[:, 0] = np.deg2rad([10, 1, 1, 1, 5, 1, 1, 1, 1, 1, 1])  # late excursion
     rec = _record_from_error(t, err)
     assert settle_time(rec, np.deg2rad(2.0))[0] == pytest.approx(0.5)
+
+
+def test_settle_time_counts_nan_as_outside_the_band():
+    t = np.arange(11) * 0.1
+    rec = _record_from_error(t, np.full((11, 3), np.nan))
+    assert np.isnan(settle_time(rec)).all()
+    err = np.zeros((11, 3))
+    err[5:, 0] = np.nan  # a NaN tail on roll never settles
+    out = settle_time(_record_from_error(t, err))
+    assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 0.0
 
 
 def test_estimate_error_metrics_trivial_cases():
