@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import workers
+from . import sim, workers
 from .atomic import atomic_write
 from .config import GAIN_FIELDS, load_config
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
@@ -232,7 +233,7 @@ def _run_share(configs: list[ScenarioConfig], share: range) -> Iterator[tuple]:
     up to and including its first failure (one of ``_FAILURES``)."""
     for i in share:
         try:
-            result = run_scenario(configs[i])[1]
+            result = _sweep_value(configs[i])
         except _FAILURES as exc:
             result = exc
         yield i, result
@@ -240,8 +241,11 @@ def _run_share(configs: list[ScenarioConfig], share: range) -> Iterator[tuple]:
             return
 
 
-def _default_out() -> str:
-    return os.environ.get("AGROSIM_OUT", ".")
+def _sweep_value(config: ScenarioConfig) -> Metrics:
+    """A sweep value's metrics: those of :func:`run_scenario`, failures
+    included, from the run's columns, with no record built."""
+    t, _, _, _, u_sat, l_true, l_hat, error = sim._rows(config)
+    return sim._metrics(t, error, u_sat, l_true, l_hat)
 
 
 def _add_scenario_args(p: argparse.ArgumentParser, repeatable: bool = False) -> None:
@@ -250,7 +254,7 @@ def _add_scenario_args(p: argparse.ArgumentParser, repeatable: bool = False) -> 
                    help=f"named scenario: {', '.join(preset_names())}")
     p.add_argument("--config", action=action, metavar="PATH",
                    help="JSON scenario file (see README for the schema)")
-    p.add_argument("--out", default=_default_out(), metavar="DIR",
+    p.add_argument("--out", metavar="DIR",
                    help="output directory (default: $AGROSIM_OUT or '.')")
     p.add_argument("--seed", type=int, default=None, help="override the disturbance seed")
     p.add_argument("--dt", type=float, default=None, help="override the integration step [s]")
@@ -268,7 +272,9 @@ def _scenario(args, preset_name: Optional[str],
                           seed=args.seed)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="agrosim",
         description="Airborne attitude stabilization scenarios for a 4WIDS robot.",
@@ -291,8 +297,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help=f"gain to sweep: {', '.join(sorted(GAIN_FIELDS))}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated gain values, e.g. 5,10,20")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
+    if args.out is None:  # read per command, not when the parser is built; empty is unset
+        args.out = os.environ.get("AGROSIM_OUT") or "."
     try:
         if args.command == "compare":
             sources = [(v, None) for v in (args.preset or [])]

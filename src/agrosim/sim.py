@@ -411,14 +411,18 @@ def settle_time(record: TrajectoryRecord, band: float = DEFAULT_SETTLE_BAND) -> 
     ("enter and stay" semantics: one late excursion resets the clock).  A
     NaN error counts as outside the band.
     """
-    band = _real(band, "band", "positive or inf")
-    err = np.abs(record.error())
+    return _settle_time(record.t, record.error(), _real(band, "band", "positive or inf"))
+
+
+def _settle_time(t: np.ndarray, error: np.ndarray, band: float) -> np.ndarray:
+    """:func:`settle_time` on the columns ``t`` and ``error``."""
+    err = np.abs(error)
     out = np.full(3, np.nan)
     for axis in range(3):
         outside = np.nonzero(~(err[:, axis] <= band))[0]
         idx = 0 if outside.size == 0 else outside[-1] + 1
-        if idx < len(record):
-            out[axis] = record.t[idx]
+        if idx < len(t):
+            out[axis] = t[idx]
     return out
 
 
@@ -435,30 +439,75 @@ def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]
     InvalidWindowError
         If the window is empty, reversed, or beyond the recorded horizon.
     """
+    return _estimate_error_rms(record.t, record.l_true, record.l_hat, window)
+
+
+def _estimate_error_rms(t: np.ndarray, l_true: np.ndarray, l_hat: np.ndarray,
+                        window: tuple[float, float]) -> float:
+    """:func:`estimate_error_metrics` on the columns ``t``, ``l_true`` and ``l_hat``."""
     t0, t1 = _real(window[0], "window[0]"), _real(window[1], "window[1]")
     if not t0 < t1:
         raise InvalidWindowError(f"window must satisfy t0 < t1, got [{t0}, {t1}]")
-    if t1 > record.t[-1] * (1.0 + 1e-12) + 1e-15:
+    if t1 > t[-1] * (1.0 + 1e-12) + 1e-15:
         raise InvalidWindowError(
-            f"window end {t1} exceeds recorded horizon {record.t[-1]}"
+            f"window end {t1} exceeds recorded horizon {t[-1]}"
         )
-    mask = (record.t >= t0) & (record.t <= t1)
+    mask = (t >= t0) & (t <= t1)
     if not mask.any():
         raise InvalidWindowError(f"window [{t0}, {t1}] contains no samples")
-    err = record.l_true[mask] - record.l_hat[mask]
+    err = l_true[mask] - l_hat[mask]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
 def compute_metrics(record: TrajectoryRecord) -> Metrics:
     """Standard metrics bundle: settle times at :data:`DEFAULT_SETTLE_BAND`
     and the estimate-error RMS over the last third of the horizon."""
-    t_end = float(record.t[-1])
+    return _metrics(record.t, record.error(), record.u_sat, record.l_true, record.l_hat)
+
+
+def _metrics(t: np.ndarray, error: np.ndarray, u_sat: np.ndarray, l_true: np.ndarray,
+             l_hat: np.ndarray) -> Metrics:
+    """:func:`compute_metrics` on a run's columns: the time grid, the
+    attitude error, the applied torque, L_true and L_hat.  A record need not
+    exist, so a sweep value stops here (:func:`_rows`)."""
+    t_end = float(t[-1])
     return Metrics(
-        settle_time=settle_time(record),
-        peak_torque=np.abs(record.u_sat).max(axis=0),
-        est_error_rms=estimate_error_metrics(record, (t_end * 2.0 / 3.0, t_end)),
-        final_error=record.error()[-1],
+        settle_time=_settle_time(t, error, DEFAULT_SETTLE_BAND),
+        peak_torque=np.abs(u_sat).max(axis=0),
+        est_error_rms=_estimate_error_rms(t, l_true, l_hat, (t_end * 2.0 / 3.0, t_end)),
+        final_error=error[-1],
     )
+
+
+def _rows(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
+    """Roll out a scenario: the columns ``(t, attitude, rate, u_cmd, u_sat,
+    l_true, l_hat, error)`` of its rows, with ``error = x_d - attitude``.
+
+    This is :func:`run_scenario` up to its metrics, with each of its
+    failures; ``attitude``, ``rate``, ``u_cmd``, ``l_true`` and ``l_hat``
+    are views of the rollout's table.
+    """
+    rollout = _loop(config)
+    # fail fast: the wheel-torque log needs an invertible steering map
+    allocate_wheel_torques(np.zeros(3), config.steering)
+
+    n = config.n_steps
+    dt = config.dt
+    dist = config.disturbance
+    # the held noise of every sample, drawn in one call per axis stream
+    noise = None if dist is None else (
+        dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
+    y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
+    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd and L_true
+    table = np.frombuffer(rollout(0.0, n, y, noise)).reshape(n + 1, 5, 3)
+    # row i's state is step i's result; the first non-finite one names the step
+    diverged = ~np.isfinite(table[1:, :3]).all(axis=(1, 2))
+    if diverged.any():
+        i = int(diverged.argmax()) + 1
+        raise DivergenceError(step=i, t=(i - 1) * dt + dt)
+    att, rate, l_hat, u_cmd, l_true = table.transpose(1, 0, 2)
+    return (np.arange(n + 1) * dt, att, rate, u_cmd, saturate(u_cmd, config.u_max),
+            l_true, l_hat, config.reference.x_d[None, :] - att)
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
@@ -486,31 +535,10 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         allocated before the first step, so a horizon far too long for
         memory fails at once.
     """
-    rollout = _loop(config)
-    # fail fast: the wheel-torque log needs an invertible steering map
-    allocate_wheel_torques(np.zeros(3), config.steering)
-
-    n = config.n_steps
-    dt = config.dt
-    dist = config.disturbance
-    # the held noise of every sample, drawn in one call per axis stream
-    noise = None if dist is None else (
-        dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
-    y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
-    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd and L_true
-    table = np.frombuffer(rollout(0.0, n, y, noise)).reshape(n + 1, 5, 3)
-    # row i's state is step i's result; the first non-finite one names the step
-    diverged = ~np.isfinite(table[1:, :3]).all(axis=(1, 2))
-    if diverged.any():
-        i = int(diverged.argmax()) + 1
-        raise DivergenceError(step=i, t=(i - 1) * dt + dt)
-    t_grid = np.arange(n + 1) * dt
-    att, rate, l_hat, u_cmd, l_true = table.transpose(1, 0, 2)
-    u_sat = saturate(u_cmd, config.u_max)
+    t_grid, att, rate, u_cmd, u_sat, l_true, l_hat, e1 = _rows(config)
 
     wheel = allocate_wheel_torques(u_sat, config.steering)
 
-    e1 = config.reference.x_d[None, :] - att
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
     if isinstance(config.gains, BsGains):
         g, ref = config.gains, config.reference
@@ -518,7 +546,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         e2 = kernel.velocity_error(g.k1, ref.x_d, ref.xd_dot)((*att.T, *rate.T, None, None, None))
         v2 = lyapunov(e1, np.column_stack(e2), l_true - l_hat, g)
     else:
-        v2 = np.full(n + 1, np.nan)
+        v2 = np.full(len(t_grid), np.nan)
 
     record = TrajectoryRecord(
         t=t_grid, attitude=att, rate=rate, u_cmd=u_cmd, u_sat=u_sat, wheel=wheel,

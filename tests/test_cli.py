@@ -1,5 +1,9 @@
+import argparse
+import contextlib
+import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,9 +16,21 @@ from pathlib import Path
 
 import pytest
 from conftest import _assert_no_child_left, _open_fds, _usable_cpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agrosim import ComparisonInvalidError, load_config, parse_config, preset, serialize_config
+from agrosim import (
+    AgroSimError,
+    ComparisonInvalidError,
+    SteeringConfig,
+    load_config,
+    parse_config,
+    preset,
+    run_scenario,
+    serialize_config,
+)
 from agrosim import cli, sim
+from agrosim.config import GAIN_FIELDS
 from agrosim.cli import cmd_compare, cmd_run, main
 
 
@@ -162,15 +178,15 @@ def test_run_out_of_memory_is_an_error(error, message, tmp_path, capfd, monkeypa
 def test_sweep_out_of_memory_in_a_worker_is_an_error(tmp_path, capfd, monkeypatch):
     # the child reports it as the serial loop would, without its traceback
     fds = _open_fds()
-    parent, run_scenario = os.getpid(), cli.run_scenario
+    parent, sweep_value = os.getpid(), cli._sweep_value
 
     def out_of_memory_in_child(cfg):
         if os.getpid() != parent:
             raise MemoryError()
-        return run_scenario(cfg)
+        return sweep_value(cfg)
 
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "run_scenario", out_of_memory_in_child)
+    monkeypatch.setattr(cli, "_sweep_value", out_of_memory_in_child)
     assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
                  "--horizon", "0.05", "--out", str(tmp_path)]) == 1
     assert capfd.readouterr().err == "agrosim: error: out of memory\n"
@@ -325,6 +341,54 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     assert (tmp_path / "fl-paper.csv").exists()
 
 
+def test_empty_env_var_out_means_the_current_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("AGROSIM_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "fl-paper", "--horizon", "0.05", "--no-svg"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["fl-paper.csv", "fl-paper.metrics.json"]
+
+
+def test_env_var_out_is_read_by_each_command(tmp_path, monkeypatch):
+    # main's parser is built once a process, but $AGROSIM_OUT is read per call
+    for name in ("first", "second"):
+        monkeypatch.setenv("AGROSIM_OUT", str(tmp_path / name))
+        assert main(["run", "--preset", "fl-paper", "--horizon", "0.05", "--no-svg"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["first", "second"]
+    for name in ("first", "second"):
+        assert (tmp_path / name / "fl-paper.csv").exists()
+
+
+def test_sweep_builds_no_record_and_main_builds_one_parser(tmp_path, monkeypatch):
+    # a sweep value stops at its metrics, and main's parser is built once
+    records, parsers = [], []
+    post_init, init = sim.TrajectoryRecord.__post_init__, argparse.ArgumentParser.__init__
+
+    def counted_post_init(self):
+        records.append(self)
+        post_init(self)
+
+    def counted_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "agrosim":  # the top-level parser, not a subcommand's
+            parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim.TrajectoryRecord, "__post_init__", counted_post_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._parser.cache_clear()
+    _usable_cpus(monkeypatch, 1)  # every value runs in this process, where the count is
+    sweep = ["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20",
+             "--horizon", "0.05", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sweep) == 0
+        assert records == []
+        assert main(["run", "--preset", "fl-paper", "--horizon", "0.05", "--no-svg",
+                     "--out", str(tmp_path)]) == 0
+        assert len(records) == 1  # the count sees a run's record
+        assert main(sweep) == 0
+    assert len(records) == 1
+    assert len(parsers) == 1
+
+
 @pytest.mark.parametrize("name", ["fl-paper", "bs-paper", "bs-adaptive-paper"])
 def test_preset_document_resolves_like_the_cli(name, tmp_path, monkeypatch):
     # a preset document and the same preset and overrides on the command
@@ -419,6 +483,75 @@ def test_sweep_divergence_reported_as_serially(values, cpus, tmp_path, capsys, m
     _assert_no_child_left(fds)
 
 
+#: The swept gains the parity property draws from: (preset, parameter).
+_SWEPT = [("fl-paper", "k2"), ("bs-paper", "k1"), ("bs-adaptive-paper", "lambda"),
+          ("bs-adaptive-paper", "sigma")]
+
+
+def _swept(cfg, param, value):
+    """``cfg`` with the gain ``param`` set to ``value``, as a sweep sets it."""
+    return dataclasses.replace(cfg, gains=dataclasses.replace(cfg.gains,
+                                                              **{GAIN_FIELDS[param]: value}))
+
+
+@settings(max_examples=20, deadline=None)
+@given(swept=st.sampled_from(_SWEPT),
+       values=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=3))
+def test_sweep_rows_equal_their_runs(swept, values):
+    # each row is its value's run_scenario metrics, bit for bit, and a failing
+    # value fails the sweep as the serial loop over run_scenario would
+    name, param = swept
+    base = preset(name, horizon=0.03)
+    expected, error = [], None
+    for value in values:
+        try:
+            metrics = run_scenario(_swept(base, param, value))[1]
+        except AgroSimError as exc:
+            error = exc
+            break
+        expected.append(json.dumps({"value": value, **metrics.to_dict()}))
+    args = ["sweep", "--preset", name, "--param", param, "--horizon", "0.03",
+            "--values", ",".join(repr(v) for v in values)]
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(args + ["--out", out])
+        if error is not None:
+            assert (rc, err.getvalue()) == (1, f"agrosim: error: {error}\n")
+            return
+        assert rc == 0
+        with open(os.path.join(out, f"{name}.sweep.{param}.metrics.json")) as fh:
+            runs = json.load(fh)["runs"]
+    assert [json.dumps(run) for run in runs] == expected
+
+
+def _singular_config(tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(serialize_config(dataclasses.replace(
+        preset("bs-paper"), steering=SteeringConfig(0.2, 0.2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("config, param, values", [
+    (_diverging_config, "k2", [100.0, 1e10]),
+    (_singular_config, "k1", [10.0, 20.0]),
+], ids=["diverging", "singular-steering"])
+def test_failing_sweep_value_raises_as_its_run(config, param, values, tmp_path, capsys):
+    path = config(tmp_path)
+    base = load_config(path)
+    with pytest.raises(AgroSimError) as serial:
+        for value in values:
+            run_scenario(_swept(base, param, value))
+    out_dir = tmp_path / "out"
+    with pytest.raises(AgroSimError) as swept:
+        cli.cmd_sweep("sweep", base, str(out_dir), param, values)
+    assert type(swept.value) is type(serial.value)
+    assert str(swept.value) == str(serial.value)
+    assert main(["sweep", "--config", path, "--param", param,
+                 "--values", ",".join(map(repr, values)), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"agrosim: error: {serial.value}\n"
+    assert not out_dir.exists()
+
+
 def test_sweep_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("a sweep forked while another thread was running")
@@ -439,15 +572,15 @@ def test_sweep_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
 
 def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
     fds = _open_fds()
-    parent, run_scenario = os.getpid(), cli.run_scenario
+    parent, sweep_value = os.getpid(), cli._sweep_value
 
     def die_in_child(cfg):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_scenario(cfg)
+        return sweep_value(cfg)
 
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "run_scenario", die_in_child)
+    monkeypatch.setattr(cli, "_sweep_value", die_in_child)
     assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
                  "--horizon", "0.05", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -460,7 +593,7 @@ def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
 # a task that raises an ordinary exception in a worker: the child exits with
 # status 1, and the command fails naming it, writing nothing
 @pytest.mark.parametrize("owner, name, args, message", [
-    pytest.param(cli, "run_scenario",
+    pytest.param(cli, "_sweep_value",
                  ["sweep", "--param", "k1", "--values", "10,20,40", "--horizon", "0.05"],
                  "sweep worker \\d+ exited with status 1 before sending all of its results",
                  id="sweep"),
@@ -499,7 +632,7 @@ def test_sweep_interrupted_in_the_parent_kills_its_workers(tmp_path, monkeypatch
         raise KeyboardInterrupt
 
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "run_scenario", interrupt_in_parent)
+    monkeypatch.setattr(cli, "_sweep_value", interrupt_in_parent)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20,40",
@@ -511,12 +644,12 @@ def test_sweep_interrupted_in_the_parent_kills_its_workers(tmp_path, monkeypatch
 
 def test_sweep_interrupted_while_reading_its_workers_kills_them(tmp_path, monkeypatch):
     fds = _open_fds()
-    parent, run_scenario = os.getpid(), cli.run_scenario
+    parent, sweep_value = os.getpid(), cli._sweep_value
 
     def interrupt_soon_after_own_share(cfg):
         if os.getpid() != parent:
             time.sleep(60)
-        result = run_scenario(cfg)
+        result = sweep_value(cfg)
         signal.setitimer(signal.ITIMER_REAL, 0.2)  # lands while the parent reads
         return result
 
@@ -524,7 +657,7 @@ def test_sweep_interrupted_while_reading_its_workers_kills_them(tmp_path, monkey
         raise KeyboardInterrupt
 
     _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(cli, "run_scenario", interrupt_soon_after_own_share)
+    monkeypatch.setattr(cli, "_sweep_value", interrupt_soon_after_own_share)
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
     try:
@@ -582,14 +715,16 @@ def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, mo
     # (index 3); the parent diverges at 1e10 (index 2), which a serial loop
     # reports first
     fds = _open_fds()
-    parent, run_scenario = os.getpid(), cli.run_scenario
+    parent, sweep_value = os.getpid(), cli._sweep_value
+    killed = tmp_path / "killed-at-102"
 
     def die_in_child_at_102(cfg):
         if os.getpid() != parent and (cfg.gains.k2 == 102).all():
+            killed.touch()
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_scenario(cfg)
+        return sweep_value(cfg)
 
-    monkeypatch.setattr(cli, "run_scenario", die_in_child_at_102)
+    monkeypatch.setattr(cli, "_sweep_value", die_in_child_at_102)
     out_dir = tmp_path / "out"
     args = ["sweep", "--config", _diverging_config(tmp_path), "--param", "k2",
             "--values", "100,101,1e10,102", "--out", str(out_dir)]
@@ -600,6 +735,7 @@ def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, mo
     assert serial_err == "agrosim: error: non-finite state after step 6 (t = 0.006 s)\n"
     _usable_cpus(monkeypatch, 2)
     assert main(args) == 1
+    assert killed.exists()  # the child did die at 102
     assert capsys.readouterr().err == serial_err
     assert not out_dir.exists()
     _assert_no_child_left(fds)
@@ -611,7 +747,7 @@ def test_sweep_worker_finishes_while_the_process_runs_its_share(tmp_path, monkey
     # share, here 5 ms a value
     fds = _open_fds()
     n = 300
-    parent, result = os.getpid(), cli.run_scenario(preset("bs-paper", horizon=0.01))
+    parent, result = os.getpid(), cli._sweep_value(preset("bs-paper", horizon=0.01))
     child_done = tmp_path / "child-done"
     seen_by_last_own_value = []
 
@@ -627,7 +763,7 @@ def test_sweep_worker_finishes_while_the_process_runs_its_share(tmp_path, monkey
         return result
 
     _usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "run_scenario", instant_in_child)
+    monkeypatch.setattr(cli, "_sweep_value", instant_in_child)
     values = ",".join(str(v) for v in range(1, 2 * n + 1))
     assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", values,
                  "--out", str(tmp_path)]) == 0
