@@ -15,7 +15,7 @@ from agrosim.cli import attitude_chart, torque_chart
 from agrosim.presets import bs_paper, fl_paper
 from agrosim.svgchart import save_svg
 
-OUT = os.environ.get("AGROSIM_OUT", "demo-output")
+OUT = os.environ.get("AGROSIM_OUT") or "demo-output"
 os.makedirs(OUT, exist_ok=True)
 
 records = {}

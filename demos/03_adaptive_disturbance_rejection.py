@@ -16,7 +16,7 @@ from agrosim.cli import attitude_chart, estimate_chart
 from agrosim.presets import bs_adaptive_paper
 from agrosim.svgchart import save_svg
 
-OUT = os.environ.get("AGROSIM_OUT", "demo-output")
+OUT = os.environ.get("AGROSIM_OUT") or "demo-output"
 os.makedirs(OUT, exist_ok=True)
 
 cfg = bs_adaptive_paper()

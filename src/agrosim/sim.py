@@ -24,13 +24,14 @@ more step from the final state, whose next state is discarded.  The rows
 are written in place into one flat ``array('d')`` sized for the whole run
 before the first step, so a horizon too long for memory fails at once.
 After the rollout, one vectorised check finds the first non-finite state
-(the step that diverged), the rows become the record's arrays, and the
-clamp (:func:`saturate`), the wheel allocation
-(:func:`agrosim.dynamics.allocate_wheel_torques`), V1, V2
+(the step that diverged), and the clamp (:func:`saturate`) and the attitude
+error are computed over the rows' columns.  The metrics are computed on
+those columns, so a sweep value stops there, with no record built.
+:func:`run_scenario` goes on to compute the wheel allocation
+(:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
 (:func:`agrosim.control.lyapunov`, with :func:`agrosim.kernel.velocity_error`,
-the rollout's formula, applied to the columns) and the metrics are then
-computed vectorised over all rows.  The horizon must be a whole number of
-steps.
+the rollout's formula, applied to the columns) vectorised over all rows, and
+builds the record from them.  The horizon must be a whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and splits the blocks into contiguous shares, one per usable CPU while each
@@ -468,8 +469,8 @@ def compute_metrics(record: TrajectoryRecord) -> Metrics:
 def _metrics(t: np.ndarray, error: np.ndarray, u_sat: np.ndarray, l_true: np.ndarray,
              l_hat: np.ndarray) -> Metrics:
     """:func:`compute_metrics` on a run's columns: the time grid, the
-    attitude error, the applied torque, L_true and L_hat.  A record need not
-    exist, so a sweep value stops here (:func:`_rows`)."""
+    attitude error, the applied torque, L_true and L_hat, as :func:`_rows`
+    returns them; a sweep value stops here, with no record built."""
     t_end = float(t[-1])
     return Metrics(
         settle_time=_settle_time(t, error, DEFAULT_SETTLE_BAND),
