@@ -64,7 +64,6 @@ from .sim import (
     compute_metrics,
     estimate_error_metrics,
     run_scenario,
-    saturate,
     settle_time,
 )
 

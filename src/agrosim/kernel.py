@@ -9,12 +9,14 @@ per-axis expression over named floats (``_DRIFT``, ``_FL``, ...).
 numbers and assembles the expressions into one function that runs a whole
 rollout: a loop over the steps whose body is one straight-line RK4 step
 with all four stages inlined.  The state stays in local floats from one
-step to the next, and each sample's row (state, unclamped command, L_true:
-15 doubles) is written in place by one ``struct.pack_into`` into an
+step to the next, and each sample's row (state, unclamped command, clamped
+command, L_true and, for backstepping, the velocity error e2: 18 or 21
+doubles) is written in place by one ``struct.pack_into`` into an
 ``array('d')`` sized for the whole run before the first step: one call per
-step, none per stage, law or axis.  :func:`drift` and
-:func:`velocity_error` compile one expression each, for demo 01 and the V2
-column of a record.
+step, none per stage, law or axis.  So the record's applied torque and the
+e2 of its V2 column are the rollout's own numbers, not a second clamp or
+e2.  Outside a run only :func:`drift` is compiled, one expression, for
+demo 01.
 
 Compiling: the source of a function depends only on its structure, never
 on a scenario's numbers.  A rollout has one of six structures (FL or
@@ -43,9 +45,9 @@ its L_true is 0.0 in every row.  Each stage computes the errors ``x_d - x``
 and ``xd_d - xd`` once per axis, for the law and e2 alike.
 
 Layout: a 3-vector is a tuple of three floats and the augmented state
-``[attitude, rate, L_hat]`` a tuple of nine.  :func:`drift`'s and
-:func:`velocity_error`'s functions see only ``+ - *`` and unpacking on
-their operands, so they also run on arrays of many rows at once.
+``[attitude, rate, L_hat]`` a tuple of nine.  :func:`drift`'s function sees
+only ``+ - *`` and unpacking on its operands, so it also runs on arrays of
+many rows at once.
 
 Bit-identity: every expression evaluates its formula in the order numpy
 evaluates the vectorised form, left to right (e.g.
@@ -98,9 +100,6 @@ _UNPACK = "    a0, a1, a2, r0, r1, r2, l0, l1, l2 = y"
 #: The fields of each axis in a per-axis line.
 _AXES = ({"i": 0, "j": 1, "k": 2}, {"i": 1, "j": 0, "k": 2}, {"i": 2, "j": 0, "k": 1})
 
-#: One recorded row: the 15 doubles of a sample, in ``array('d')``'s layout.
-_ROW = struct.Struct("15d")
-
 #: The code object of each function :func:`_function` compiled in this
 #: process so far, by name.
 _CODE: dict[str, CodeType] = {}
@@ -139,15 +138,6 @@ def drift(j1, j2) -> Callable[[float, float, float], Vec]:
                      fc=[float(b) / float(a) for a, b in zip(j1, j2)])
 
 
-def velocity_error(k1, x_d, xd_dot) -> Callable[[State], Vec]:
-    """Backstepping velocity error ``e2 = (xd_d - xd) + K1 (x_d - x)``: the
-    deviation of the rate from the virtual control."""
-    return _function("velocity_error", lambda: ["def e2(y):", _UNPACK, "    e{i} = " + _E1,
-                                                "    ed{i} = " + _E1D, "    z{i} = " + _E2,
-                                                "    return z0, z1, z2"],
-                     p=k1, x=x_d, v=xd_dot)
-
-
 def closed_loop(
     gains: Union[FlGains, BsGains],
     reference: Reference,
@@ -162,15 +152,17 @@ def closed_loop(
     rows``: the ``n + 1`` samples, at ``t0 + k * dt`` for k = 0..n, of the
     run that starts from the nine floats ``y`` at ``t0``.
 
-    ``rows`` is one ``array('d')`` of ``15 * (n + 1)`` floats, allocated
+    ``rows`` is one ``array('d')`` of ``w * (n + 1)`` floats, allocated
     once before the first step (a run too long for memory raises
-    ``MemoryError`` there), with one row per sample, written in place by
-    one ``pack_into`` that copies each double bit for bit: the state
-    (attitude, rate, L_hat), ``u``, the unclamped command at that state
-    (the first stage of the step from it evaluates it), and
-    ``l = g * (d(t) + noise)``, L_true at ``t``: the acceleration-domain
-    image of the injected torque, which the adaptive law's L_hat estimates.
-    The last row comes from one more step, whose next state is discarded.
+    ``MemoryError`` there), with one row of ``w`` floats per sample, written
+    in place by one ``pack_into`` that copies each double bit for bit.  A
+    row is six 3-vectors, seven for backstepping (``w`` = 18 or 21): the
+    state (attitude, rate, L_hat); ``u``, the unclamped command at that
+    state, and ``c``, the clamped one (the first stage of the step from it
+    evaluates both); ``l = g * (d(t) + noise)``, L_true at ``t``: the
+    acceleration-domain image of the injected torque, which the adaptive
+    law's L_hat estimates; and, for backstepping only, the velocity error
+    ``z`` (e2) at that state.  The last row comes from one more step, whose next state is discarded.
     ``noise`` holds the held noise of every sample, ``n + 1`` 3-vectors;
     without ``disturbance`` it is not read (pass None), the noise is 0.0
     and ``l`` is 0.0 in every row.
@@ -180,7 +172,7 @@ def closed_loop(
     (:class:`~agrosim.control.BsGains`), as :mod:`agrosim.control` states
     them, tracking ``reference``.  At every stage the errors ``x_d - x``
     and ``xd_d - xd`` are computed once, and a backstepping law's velocity
-    error e2 (:func:`velocity_error`) once, fed to the law and, with
+    error ``e2 = (xd_d - xd) + K1 (x_d - x)`` once, fed to the law and, with
     ``adapt`` (backstepping only), to ``L_hat_dot = -lam/sigma * e2``.
     Without ``adapt`` L_hat has zero derivative and is not integrated:
     every row keeps the L_hat of ``y``.  The command is clamped to
@@ -208,6 +200,11 @@ def closed_loop(
     for k, vec in vectors.items():
         consts[k + "0"], consts[k + "1"], consts[k + "2"] = floats(vec)
     names = sorted(consts)
+    # one recorded row: state, u, c, L_true and, for backstepping, z
+    row = [f"{p}{i}" for p in "arluc" for i in range(3)]
+    row += [f"g{i} * (da{i} + n{i})" if dist else "0.0" for i in range(3)]
+    row += [f"z{i}" for i in range(3)] * bs
+    fmt = struct.Struct(f"{len(row)}d")
 
     def source() -> list[str]:
         # the state a step starts from is stage 1's a, r, l, kept as ya, yr,
@@ -221,26 +218,25 @@ def closed_loop(
             body += [f"d{d}{{i}} = " + _TORQUE.replace("{t}", t)
                      for d, t in (("a", "t"), ("h", "th"), ("b", "tb"))]
         body += [f"y{p}{{i}} = {p}{{i}}" for p in live]
-        l_true = [f"g{i} * (da{i} + n{i})" if dist else "0.0" for i in range(3)]
-        row = ", ".join([f"{p}{i}" for p in "arlu" for i in range(3)] + l_true)
         for s, d, h in ((1, "a", None), (2, "h", "h"), (3, "h", "h"), (4, "b", "dt")):
             if h:
                 body += [f"{p}{{i}} = y{p}{{i}} + {h} * k{s - 1}{p}{{i}}" for p in live]
             body += ["f{i} = " + _DRIFT, "e{i} = " + _E1, "ed{i} = " + _E1D,
-                     *(["z{i} = " + _E2] if bs else []), "u{i} = " + (_BS if bs else _FL)]
+                     *(["z{i} = " + _E2] if bs else []), "u{i} = " + (_BS if bs else _FL),
+                     "c{i} = " + _CLAMP]
             if s == 1:
-                body.append(f"pack_into(rows, {_ROW.size} * k, {row})")
+                body.append(f"pack_into(rows, {fmt.size} * k, {', '.join(row)})")
             tau = f"(c{{i}} + d{d}{{i}}) + n{{i}}" if dist else "c{i} + 0.0"
-            body += ["c{i} = " + _CLAMP, f"k{s}a{{i}} = r{{i}}",
+            body += [f"k{s}a{{i}} = r{{i}}",
                      f"k{s}r{{i}} = f{{i}} + g{{i}} * ({tau})",
                      *([f"k{s}l{{i}} = " + _RATE] if adapt else [])]
         body += [f"{p}{{i}} = y{p}{{i}} + s6 * (((k1{p}{{i}} + 2.0 * k2{p}{{i}})"
                  f" + 2.0 * k3{p}{{i}}) + k4{p}{{i}})" for p in live]
         return ["def rollout(t0, n, y, noise):", f"    {', '.join(names)} = K", _UNPACK,
-                "    rows = array('d', (0.0,)) * (15 * (n + 1))",
+                f"    rows = array('d', (0.0,)) * ({len(row)} * (n + 1))",
                 "    for k in range(n + 1):",
                 *["        " + line for line in body], "    return rows"]
 
     name = "rollout: " + ("bs" if bs else "fl") + "+adaptation" * adapt + "+disturbance" * dist
     return _function(name, source, {"K": tuple(consts[k] for k in names), "array": array,
-                                    "pack_into": _ROW.pack_into})
+                                    "pack_into": fmt.pack_into})

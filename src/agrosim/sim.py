@@ -18,20 +18,20 @@ the one recorded.  The deterministic disturbance is evaluated at ``t``,
 ``t + dt/2`` and ``t + dt`` (the middle stages share one value).  The noise
 of a run is drawn before the rollout, one ``standard_normal`` call per axis
 stream (the same numbers as one draw per step); a run without a disturbance
-draws none.  Every sample's row (state, command and L_true: 15 floats) is
-recorded at the sample's time, the last row included: it comes from one
-more step from the final state, whose next state is discarded.  The rows
-are written in place into one flat ``array('d')`` sized for the whole run
-before the first step, so a horizon too long for memory fails at once.
-After the rollout, one vectorised check finds the first non-finite state
-(the step that diverged), and the clamp (:func:`saturate`) and the attitude
-error are computed over the rows' columns.  The metrics are computed on
-those columns, so a sweep value stops there, with no record built.
-:func:`run_scenario` goes on to compute the wheel allocation
-(:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
-(:func:`agrosim.control.lyapunov`, with :func:`agrosim.kernel.velocity_error`,
-the rollout's formula, applied to the columns) vectorised over all rows, and
-builds the record from them.  The horizon must be a whole number of steps.
+draws none.  Every sample's row (state, unclamped and clamped command,
+L_true and, for backstepping, the velocity error e2) is recorded at the
+sample's time, the last row included: it comes from one more step from the
+final state, whose next state is discarded.  The rows are written in place
+into one flat ``array('d')`` sized for the whole run before the first step,
+so a horizon too long for memory fails at once.  After the rollout, one
+vectorised check finds the first non-finite state (the step that
+diverged), and the attitude error is computed over the rows' columns; the
+applied torque and e2 are the rollout's own, with no second clamp or e2.
+The metrics are computed on those columns, so a sweep value stops there,
+with no record built.  :func:`run_scenario` goes on to compute the wheel
+allocation (:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
+(:func:`agrosim.control.lyapunov`) vectorised over all rows, and builds the
+record from them.  The horizon must be a whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
 and splits the blocks into contiguous shares, one per usable CPU while each
@@ -167,13 +167,6 @@ class NoiseStreams:
         return np.stack([g.standard_normal(size) for g in self._gens], axis=1)
 
 
-def saturate(u: np.ndarray, u_max: float) -> np.ndarray:
-    """Per-axis clamp of body torques (shape (3,) or (n, 3)) to
-    [-u_max, +u_max]."""
-    u_max = _real(u_max, "u_max", "positive or inf")
-    return np.clip(np.asarray(u, dtype=float), -u_max, u_max)
-
-
 #: Relative tolerance on ``horizon / dt`` being a whole number: absorbs the
 #: rounding of decimal inputs such as 1.5 / 0.001.
 _HORIZON_RTOL = 1e-9
@@ -288,7 +281,10 @@ class TrajectoryRecord(_ArrayEqMixin):
         steps = np.diff(t)
         if (steps <= 0.0).any():
             raise InvalidParameterError("time grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15):
+        # each time is rounded to the spacing of the grid's largest value,
+        # so the steps of an exact grid differ by up to two of those
+        if not np.allclose(steps, steps[0], rtol=1e-9,
+                           atol=1e-15 + 4.0 * np.spacing(np.abs(t).max())):
             raise InvalidParameterError("time grid must have a constant step")
         object.__setattr__(self, "t", t)
         for name, width in (
@@ -482,11 +478,12 @@ def _metrics(t: np.ndarray, error: np.ndarray, u_sat: np.ndarray, l_true: np.nda
 
 def _rows(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     """Roll out a scenario: the columns ``(t, attitude, rate, u_cmd, u_sat,
-    l_true, l_hat, error)`` of its rows, with ``error = x_d - attitude``.
+    l_true, l_hat, error, e2)`` of its rows, with ``error = x_d - attitude``
+    and ``e2`` the backstepping velocity error (None for FL).
 
     This is :func:`run_scenario` up to its metrics, with each of its
-    failures; ``attitude``, ``rate``, ``u_cmd``, ``l_true`` and ``l_hat``
-    are views of the rollout's table.
+    failures; every column but ``t`` and ``error`` is a view of the
+    rollout's table.
     """
     rollout = _loop(config)
     # fail fast: the wheel-torque log needs an invertible steering map
@@ -499,16 +496,16 @@ def _rows(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     noise = None if dist is None else (
         dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
     y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
-    # one row of 15 floats per sample: attitude, rate, l_hat, u_cmd and L_true
-    table = np.frombuffer(rollout(0.0, n, y, noise)).reshape(n + 1, 5, 3)
+    # one row of 3-vectors per sample, in the rollout's order
+    table = np.frombuffer(rollout(0.0, n, y, noise)).reshape(n + 1, -1, 3)
     # row i's state is step i's result; the first non-finite one names the step
     diverged = ~np.isfinite(table[1:, :3]).all(axis=(1, 2))
     if diverged.any():
         i = int(diverged.argmax()) + 1
         raise DivergenceError(step=i, t=(i - 1) * dt + dt)
-    att, rate, l_hat, u_cmd, l_true = table.transpose(1, 0, 2)
-    return (np.arange(n + 1) * dt, att, rate, u_cmd, saturate(u_cmd, config.u_max),
-            l_true, l_hat, config.reference.x_d[None, :] - att)
+    att, rate, l_hat, u_cmd, u_sat, l_true, *e2 = table.transpose(1, 0, 2)
+    return (np.arange(n + 1) * dt, att, rate, u_cmd, u_sat, l_true, l_hat,
+            config.reference.x_d[None, :] - att, e2[0] if e2 else None)
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
@@ -518,9 +515,9 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
     scenario's rollout runs every RK4 step of the augmented state
     (stage-evaluated and clamped control, deterministic disturbance at
     ``t``, ``t + dt/2`` and ``t + dt``, held noise) and records each
-    sample's state, the unclamped command of its first stage and L_true.
-    Wheel torques realizing the applied body torque are logged for
-    diagnostics.
+    sample's state, the unclamped and clamped command of its first stage,
+    L_true and, for backstepping, e2.  Wheel torques realizing the applied
+    body torque are logged for diagnostics.
 
     Raises
     ------
@@ -536,16 +533,13 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         allocated before the first step, so a horizon far too long for
         memory fails at once.
     """
-    t_grid, att, rate, u_cmd, u_sat, l_true, l_hat, e1 = _rows(config)
+    t_grid, att, rate, u_cmd, u_sat, l_true, l_hat, e1, e2 = _rows(config)
 
     wheel = allocate_wheel_torques(u_sat, config.steering)
 
     v1 = 0.5 * np.sum(e1 * e1, axis=1)
-    if isinstance(config.gains, BsGains):
-        g, ref = config.gains, config.reference
-        # the rollout's own e2, applied to the record's columns: one value per row
-        e2 = kernel.velocity_error(g.k1, ref.x_d, ref.xd_dot)((*att.T, *rate.T, None, None, None))
-        v2 = lyapunov(e1, np.column_stack(e2), l_true - l_hat, g)
+    if e2 is not None:
+        v2 = lyapunov(e1, e2, l_true - l_hat, config.gains)
     else:
         v2 = np.full(len(t_grid), np.nan)
 

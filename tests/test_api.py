@@ -51,7 +51,6 @@ PUBLIC_NAMES = [
     "preset_names",
     "reflected_inertia",
     "run_scenario",
-    "saturate",
     "serialize_config",
     "settle_time",
     "torque_jacobian",
@@ -71,13 +70,13 @@ def test_public_names_are_pinned():
 #: of a run, so a second path to a row (a command-only helper, a per-step
 #: function or a law factory beside the rollout) is a change to this list.
 #: ``_function`` compiles the per-axis formulas into the rollout and into
-#: the functions of drift and velocity_error, which callers outside a run use.
+#: drift's function, which demo 01 uses outside a run.  A row carries the
+#: clamped command and e2, so no function beside the rollout computes either.
 KERNEL_FUNCTIONS = [
     "_function",
     "closed_loop",
     "drift",
     "floats",
-    "velocity_error",
 ]
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rollout_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
@@ -39,11 +40,14 @@ def _u(state, ref, gains, l_hat=kernel.ZERO):
     """The law's unclamped command at one state: the first row's command of
     a zero-step rollout without a torque limit."""
     rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, math.inf, 1e-3)
-    return np.array(rollout(0.0, 0, _y(state, l_hat), None)[9:12])
+    return rollout_rows(rollout(0.0, 0, _y(state, l_hat), None), 0)[0]["u"]
 
 
 def _e2(state, ref, gains):
-    return np.array(kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)(_y(state)))
+    """The backstepping velocity error at one state: the first row's z of a
+    zero-step rollout."""
+    rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, math.inf, 1e-3)
+    return rollout_rows(rollout(0.0, 0, _y(state), None), 0)[0]["z"]
 
 
 def _adapted(ref, gains, l_hat):
@@ -51,7 +55,7 @@ def _adapted(ref, gains, l_hat):
     torque limit holds the plant there, so e2 is the same at all four
     stages and the step adds ``1 ms * L_hat_dot`` (to rounding)."""
     rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, 0.0, 1e-3, None, True)
-    return np.array(rollout(0.0, 1, _y(BodyState.zero(), l_hat), None)[21:24])
+    return rollout_rows(rollout(0.0, 1, _y(BodyState.zero(), l_hat), None), 1)[1]["l_hat"]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ def test_fl_termwise_general_point():
 # ---------------------------------------------------------------------------
 
 def _virtual_control(ref, e1, gains):
-    # at zero rate the velocity error e2 = U_v - xd (kernel.velocity_error) is
+    # at zero rate the velocity error e2 = U_v - xd (a rollout row's z) is
     # the virtual control U_v = xd_d + K1 e1 itself
     return _e2(BodyState(ref.x_d - e1, np.zeros(3)), ref, gains)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rollout_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,7 +173,7 @@ def _input_gain(eff):
     unit = DisturbanceSpec(1.0, 0.0, 0.0, 0.0, 0.0, seed=0)
     rollout = kernel.closed_loop(FlGains(1.0, 1.0), Reference.zero(), eff.j1, eff.j2,
                                  math.inf, 1e-3, unit)
-    return np.array(rollout(0.0, 0, (0.0,) * 9, [kernel.ZERO])[12:15])
+    return rollout_rows(rollout(0.0, 0, (0.0,) * 9, [kernel.ZERO]), 0)[0]["l_true"]
 
 
 def test_equilibrium_is_exact(eff_paper):

@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import rollout_rows
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -287,12 +288,11 @@ def test_run_scenario_matches_numpy_reference_exactly(cfg):
 
 
 def _one_step(cfg, t, y, noise):
-    """The next state, the command and L_true of one RK4 step of ``cfg``'s
-    rollout from ``y`` at ``t`` under the held ``noise``: the second row's
-    state and the first row's command and L_true of a one-step rollout."""
+    """The two rows of a one-step rollout of ``cfg`` from ``y`` at ``t``
+    under the held ``noise``: the first row holds the commands, L_true and
+    (backstepping) z at ``y``, the second row's state is the next state."""
     held = None if cfg.disturbance is None else [kernel.floats(noise)] * 2
-    rows = np.frombuffer(sim._loop(cfg)(t, 1, y, held))
-    return rows[15:24], rows[9:12], rows[12:15]
+    return rollout_rows(sim._loop(cfg)(t, 1, y, held), 1)
 
 
 # The step properties compare with array_equal, which takes -0.0 for +0.0:
@@ -306,7 +306,7 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     if cfg.disturbance is None:
         noise = np.zeros(3)  # a rollout without a disturbance has no noise
     loop = _ReferenceLoop(cfg)
-    y_next, _, _ = _one_step(cfg, t, y, noise)
+    y_next = _one_step(cfg, t, y, noise)[1]["y"]
     assert np.array_equal(y_next, loop.rk4_step(t, np.array(y), noise))
 
     # each formula on its own: the drift, the law as the first row's command
@@ -318,21 +318,22 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
     assert np.array_equal(np.array(kernel.drift(eff.j1, eff.j2)(*y[3:6])),
                           _coriolis_acceleration(rate, eff))
     rollout = kernel.closed_loop(gains, ref, eff.j1, eff.j2, math.inf, cfg.dt)
-    u = np.array(rollout(t, 0, y, None)[9:12])
+    first = rollout_rows(rollout(t, 0, y, None), 0)[0]
+    u = first["u"]
     if isinstance(cfg.gains, FlGains):
         assert np.array_equal(u, _fl_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
                                              gains.k1, gains.k2, eff.j1, eff.j2))
     else:
-        e2 = kernel.velocity_error(gains.k1, ref.x_d, ref.xd_dot)
         assert np.array_equal(u, _bs_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
                                             gains.k1, gains.k2, gains.gamma, gains.lam,
                                             eff.j1, eff.j2))
-        e = np.array(e2(y))
+        e = first["z"]
         assert np.array_equal(e, _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, gains.k1))
         rest = y[0:3] + kernel.ZERO + y[6:9]
         adaptive = kernel.closed_loop(gains, ref, eff.j1, eff.j2, 0.0, cfg.dt, None, True)
-        l_rate = _adaptation_rate(np.array(e2(rest)), gains.lam, gains.sigma)
-        assert np.array_equal(np.array(adaptive(t, 1, rest, None)[21:24]),
+        at_rest, stepped = rollout_rows(adaptive(t, 1, rest, None), 1)
+        l_rate = _adaptation_rate(at_rest["z"], gains.lam, gains.sigma)
+        assert np.array_equal(stepped["l_hat"],
                               l_hat + cfg.dt / 6.0 * (l_rate + 2.0 * l_rate + 2.0 * l_rate
                                                       + l_rate))
 
@@ -354,15 +355,26 @@ def test_step_matches_numpy_reference_at_edge_values(cfg, y, t, noise):
     if cfg.disturbance is None:
         noise = np.zeros(3)  # a rollout without a disturbance has no noise
     loop = _ReferenceLoop(cfg)
-    y_next, u, l = _one_step(cfg, t, y, noise)
+    first, second = _one_step(cfg, t, y, noise)
+    y_next, u, l = second["y"], first["u"], first["l_true"]
     with np.errstate(all="ignore"):
         want = loop.rk4_step(t, np.array(y), noise)
         want_u = loop.command(np.array(y))
         want_l = (np.zeros(3) if loop.dist_torque is None
                   else loop.g * (loop.dist_torque(t) + noise))
+        want_c = np.clip(want_u, -cfg.u_max, cfg.u_max)
     assert np.array_equal(y_next, want, equal_nan=True)
     assert np.array_equal(u, want_u, equal_nan=True)
     assert np.array_equal(l, want_l, equal_nan=True)
+    # the row's applied command is the clamp of its command, NaN and +/-inf
+    # included, and a backstepping row's z is e2 at y
+    assert np.array_equal(first["c"], want_c, equal_nan=True)
+    if isinstance(cfg.gains, BsGains):
+        att, rate = np.array(y[0:3]), np.array(y[3:6])
+        ref = cfg.reference
+        with np.errstate(all="ignore"):
+            want_z = _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, cfg.gains.k1)
+        assert np.array_equal(first["z"], want_z, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +437,11 @@ def test_compiled_step_names_its_structure_in_tracebacks():
 
 @pytest.mark.parametrize("name,compiled", [
     ("fl-paper", {"rollout: fl"}),
-    ("bs-paper", {"rollout: bs", "velocity_error"}),
-    ("bs-adaptive-paper", {"rollout: bs+adaptation+disturbance", "velocity_error"}),
+    ("bs-paper", {"rollout: bs"}),
+    ("bs-adaptive-paper", {"rollout: bs+adaptation+disturbance"}),
 ])
 def test_a_run_compiles_only_its_rollout(name, compiled, monkeypatch):
-    # and, for backstepping, the e2 of its V2 column: no drift or law function
+    # no drift function, and no second e2 for a backstepping run's V2 column
     monkeypatch.setattr(kernel, "_CODE", {})
     run_scenario(preset(name, horizon=0.05))
     assert set(kernel._CODE) == compiled
@@ -472,8 +484,9 @@ def test_rows_are_copied_bit_for_bit(name):
     nan, negative_nan = (struct.unpack("d", struct.pack("Q", bits))[0]
                          for bits in (0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0123))
     y = (0.1, -0.0, negative_nan, 0.2, 0.0, -0.3, -0.0, nan, 1.5)
-    rows = bytes(sim._loop(preset(name))(0.0, 2, y, None))
-    assert len(rows) == 3 * 15 * 8
-    assert rows[:72] == struct.pack("9d", *y)
-    for k in range(3):
-        assert rows[120 * k + 48:120 * k + 72] == struct.pack("3d", *y[6:9])
+    rows = rollout_rows(sim._loop(preset(name))(0.0, 2, y, None), 2)
+    assert len(rows) == 3
+    assert ("z" in rows[0]) == (name == "bs-paper")  # only a backstepping row has e2
+    assert rows[0]["y"].tobytes() == struct.pack("9d", *y)
+    for row in rows:
+        assert row["l_hat"].tobytes() == struct.pack("3d", *y[6:9])

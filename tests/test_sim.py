@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import _assert_no_child_left, _open_fds, _usable_cpus
+from conftest import _assert_no_child_left, _open_fds, _usable_cpus, rollout_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,6 @@ from agrosim import (
     estimate_error_metrics,
     parse_config,
     run_scenario,
-    saturate,
     serialize_config,
     settle_time,
     torque_jacobian,
@@ -94,7 +93,7 @@ def _deterministic(spec, t):
     noise, with unit inertias, so that the input gain g is exactly 1."""
     rollout = kernel.closed_loop(FlGains(1.0, 1.0), Reference.zero(), (1.0, 1.0, 1.0),
                                  kernel.ZERO, math.inf, 1e-3, spec)
-    return np.array(rollout(t, 0, (0.0,) * 9, [kernel.ZERO])[12:15])
+    return rollout_rows(rollout(t, 0, (0.0,) * 9, [kernel.ZERO]), 0)[0]["l_true"]
 
 
 def test_disturbance_all_zero():
@@ -169,6 +168,21 @@ def test_budget_boundaries():
 # saturation
 # ---------------------------------------------------------------------------
 
+def saturate(u, u_max):
+    """The rollout's clamp of the commands ``u`` (a 3-vector or rows of
+    them): the first row's c of a zero-step FL rollout from rest at the
+    origin whose law commands exactly ``u``, with unit j1, no drift and
+    ``xd_ddot = u``."""
+    def clamp(row):
+        ref = Reference(np.zeros(3), np.zeros(3), np.array(row, dtype=float), rho=1e13)
+        rollout = kernel.closed_loop(FlGains(1.0, 1.0), ref, (1.0, 1.0, 1.0), kernel.ZERO,
+                                     u_max, 1e-3)
+        return rollout_rows(rollout(0.0, 0, (0.0,) * 9, None), 0)[0]["c"]
+
+    u = np.asarray(u, dtype=float)
+    return clamp(u) if u.ndim == 1 else np.array([clamp(row) for row in u])
+
+
 def test_saturate_examples():
     u_max = PAPER_U_MAX
     np.testing.assert_array_equal(
@@ -191,14 +205,6 @@ def test_saturate_clamp_property(u, u_max):
     np.testing.assert_array_equal(out[untouched], np.array(u)[untouched])
 
 
-def test_saturate_rejects_bad_limit():
-    with pytest.raises(InvalidParameterError):
-        saturate(np.zeros(3), 0.0)
-    for bad in (*NOT_REAL, "5"):
-        with pytest.raises(InvalidParameterError, match=r"^u_max "):
-            saturate(np.zeros(3), bad)
-
-
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
@@ -206,6 +212,8 @@ def test_saturate_rejects_bad_limit():
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         _plain_config(u_max=-1.0)
+    with pytest.raises(InvalidParameterError):
+        _plain_config(u_max=0.0)
     with pytest.raises(InvalidParameterError):
         _plain_config(dt=0.0)
     with pytest.raises(InvalidParameterError):
@@ -284,7 +292,7 @@ def test_config_allows_unlimited_torque():
 def test_step_zero_dynamics_is_identity():
     cfg = _plain_config()
     y = (0.0,) * 9
-    out = sim._loop(cfg)(0.0, 1, y, None)[15:24]  # the second row's state
+    out = rollout_rows(sim._loop(cfg)(0.0, 1, y, None), 1)[1]["y"]  # the second row's state
     np.testing.assert_array_equal(out, y)
 
 
@@ -301,7 +309,7 @@ def test_step_constant_torque_matches_kinematics():
     # yaw rates, and so the drift, stay zero
     ref = Reference(np.zeros(3), np.zeros(3), np.array([1e6, 0.0, 0.0]), rho=1e13)
     rollout = kernel.closed_loop(cfg.gains, ref, eff.j1, eff.j2, tau, cfg.dt)
-    out = np.array(rollout(0.0, 1, y0, None)[15:24])  # the second row's state
+    out = rollout_rows(rollout(0.0, 1, y0, None), 1)[1]["y"]  # the second row's state
     dt = cfg.dt
     acc = tau / j1
     assert out[0] == pytest.approx(0.25 + 0.5 * acc * dt * dt, rel=1e-14)
@@ -542,12 +550,23 @@ def test_estimate_error_metrics_invalid_windows():
 # ---------------------------------------------------------------------------
 
 def test_record_rejects_irregular_grid():
-    t = np.array([0.0, 1e-3, 3e-3])
+    # a skipped sample, and one sample off by 1e-6 of dt on a 10^7-step grid
+    late = (10**7 + np.arange(3)) * 1e-3
+    late[1] += 1e-9
     zeros = np.zeros((3, 3))
-    with pytest.raises(InvalidParameterError):
-        TrajectoryRecord(t=t, attitude=zeros, rate=zeros, u_cmd=zeros,
-                         u_sat=zeros, wheel=zeros, l_true=zeros, l_hat=zeros,
-                         v1=np.zeros(3), v2=np.zeros(3), reference=Reference.zero())
+    for t in (np.array([0.0, 1e-3, 3e-3]), late):
+        with pytest.raises(InvalidParameterError):
+            TrajectoryRecord(t=t, attitude=zeros, rate=zeros, u_cmd=zeros,
+                             u_sat=zeros, wheel=zeros, l_true=zeros, l_hat=zeros,
+                             v1=np.zeros(3), v2=np.zeros(3), reference=Reference.zero())
+
+
+def test_record_accepts_the_grid_of_a_long_run():
+    # run_scenario's grid, np.arange(n + 1) * dt: from about 10^7 steps its
+    # steps differ by more than 1e-9 of dt, by the rounding of each time
+    t = np.arange(10**7 - 2000, 10**7 + 1) * 1e-3
+    rec = _record_from_error(t, np.zeros((len(t), 3)))
+    assert np.array_equal(rec.t, t)
 
 
 def test_csv_format_and_precision():
