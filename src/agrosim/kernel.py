@@ -162,10 +162,12 @@ def closed_loop(
     evaluates both); ``l = g * (d(t) + noise)``, L_true at ``t``: the
     acceleration-domain image of the injected torque, which the adaptive
     law's L_hat estimates; and, for backstepping only, the velocity error
-    ``z`` (e2) at that state.  The last row comes from one more step, whose next state is discarded.
-    ``noise`` holds the held noise of every sample, ``n + 1`` 3-vectors;
-    without ``disturbance`` it is not read (pass None), the noise is 0.0
-    and ``l`` is 0.0 in every row.
+    ``z`` (e2) at that state.  A run's applied torque and the e2 of its V2
+    column are read from these rows; apart from the rollout, only
+    :func:`drift` is compiled.  The last row comes from one more step, whose
+    next state is discarded.  ``noise`` holds the held noise of every
+    sample, ``n + 1`` 3-vectors; without ``disturbance`` it is not read
+    (pass None), the noise is 0.0 and ``l`` is 0.0 in every row.
 
     The type of ``gains`` picks the law, PD + feedback linearization
     (:class:`~agrosim.control.FlGains`) or backstepping

@@ -281,8 +281,8 @@ class TrajectoryRecord(_ArrayEqMixin):
         steps = np.diff(t)
         if (steps <= 0.0).any():
             raise InvalidParameterError("time grid must be strictly increasing")
-        # each time is rounded to the spacing of the grid's largest value,
-        # so the steps of an exact grid differ by up to two of those
+        # each time is off by up to half the spacing of doubles at the
+        # grid's largest value, so an exact grid's steps differ by up to two
         if not np.allclose(steps, steps[0], rtol=1e-9,
                            atol=1e-15 + 4.0 * np.spacing(np.abs(t).max())):
             raise InvalidParameterError("time grid must have a constant step")
