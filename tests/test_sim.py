@@ -205,6 +205,15 @@ def test_saturate_clamp_property(u, u_max):
     np.testing.assert_array_equal(out[untouched], np.array(u)[untouched])
 
 
+def test_saturate_rejects_bad_limit():
+    # the clamp's limit is the config's u_max, checked when the config is built
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(preset("fl-paper"), u_max=0.0)
+    for bad in (*NOT_REAL, "5"):
+        with pytest.raises(InvalidParameterError, match=r"^u_max "):
+            dataclasses.replace(preset("fl-paper"), u_max=bad)
+
+
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
@@ -212,8 +221,6 @@ def test_saturate_clamp_property(u, u_max):
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         _plain_config(u_max=-1.0)
-    with pytest.raises(InvalidParameterError):
-        _plain_config(u_max=0.0)
     with pytest.raises(InvalidParameterError):
         _plain_config(dt=0.0)
     with pytest.raises(InvalidParameterError):
