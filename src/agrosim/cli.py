@@ -8,19 +8,19 @@
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
-``--no-svg``.  A sweep spreads its values over the usable CPUs, and each
-CSV its rows (as long as every share keeps 1024 of them), through
-:func:`agrosim.workers.run`: the process runs one share itself and a forked
-child each other share, which sends back its sweep results or CSV blocks as
-pickled items, one at a time, so the process never holds a child's whole
-output; a share whose file or child cannot be made runs in the process
-too.  A sweep value computes only its metrics: the rollout and the metrics
-of :func:`agrosim.sim.run_scenario`, on the run's columns, with none of its
-record.  No output depends on how many CPUs there are, and a failing sweep
-reports the error of its first failing value, as a serial loop would.  The
-argument parser is built once per process.  The output directory defaults
-to ``$AGROSIM_OUT``, read as each command is parsed, then (if that is unset
-or empty) the current directory.
+``--no-svg``.  :func:`agrosim.workers.run` cuts a sweep's values, and each
+CSV's rows (as long as every share keeps 1024 of them), into contiguous
+shares, one per usable CPU: the process runs the first share itself and a
+forked child each other share, which sends back its sweep results or CSV
+blocks as pickled items, one at a time, so the process never holds a
+child's whole output; a share whose file or child cannot be made runs in
+the process too.  A sweep value computes only its metrics: the rollout and
+the metrics of :func:`agrosim.sim.run_scenario`, on the run's columns, with
+none of its record.  No output depends on how many CPUs there are, and a
+failing sweep reports the error of its first failing value, as a serial
+loop would.  The argument parser is built once per process.  The output
+directory defaults to ``$AGROSIM_OUT``, read as each command is parsed,
+then (if that is unset or empty) the current directory.
 ``--dt``, ``--horizon`` and ``--seed`` are applied together, by
 :func:`agrosim.presets.override`, to the preset or the ``--config`` file.
 Exit status is 0 exactly when every requested artifact was written; each
@@ -197,33 +197,24 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     """The metrics of each scenario, in order, run on up to one forked
     worker per usable CPU (:func:`agrosim.workers.run`).
 
-    Worker ``j`` of ``W`` runs the scenarios ``j, j + W, j + 2W, ...`` and
-    stops at its first failure, sending back one ``(index, Metrics or
-    failure)`` pair at a time (:func:`_run_share`).  The failure with the
-    lowest index is raised, as a serial loop would raise it, so the result
-    does not depend on ``W``; a child that ended before its share did fails
-    at the first index it sent nothing for.  Every child is reaped before
-    this returns or raises, and killed first if anything is raised.
+    Each worker runs a contiguous share and stops at its first failure
+    (:func:`_run_share`).  The results are read in order and the first
+    failure read is raised, as a serial loop would raise it, so the result
+    does not depend on the number of workers; a child that ended before its
+    share did fails at the first value it sent nothing for.  Every child is
+    reaped before this returns or raises, and killed first if anything is
+    raised.
     """
-    n = workers.count(len(configs))
-    shares = [range(j, len(configs), n) for j in range(n)]
-    results = {}
-    with workers.run(lambda share: _run_share(configs, share), shares) as parts:
-        for share, part in zip(shares, parts):
-            try:
-                results.update(part)
-            except workers.WorkerDied as died:
-                for i in share:
-                    if i not in results:
-                        results[i] = AgroSimError(f"sweep worker {died.pid} {died.how} "
-                                                  "before sending all of its results")
-                        break
     metrics = []
-    for i in range(len(configs)):
-        # a worker that stopped early did so at a failure of a lower index
-        if isinstance(results[i], _FAILURES):
-            raise results[i]
-        metrics.append(results[i])
+    with workers.run(_run_share, configs, 1) as results:
+        try:
+            for result in results:
+                if isinstance(result, _FAILURES):
+                    raise result
+                metrics.append(result)
+        except workers.WorkerDied as died:
+            raise AgroSimError(f"sweep worker {died.pid} {died.how} "
+                               "before sending all of its results") from None
     return metrics
 
 
@@ -232,17 +223,16 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
 _FAILURES = (AgroSimError, MemoryError)
 
 
-def _run_share(configs: list[ScenarioConfig], share: range) -> Iterator[tuple]:
-    """Yield ``(index, Metrics or failure)`` for the scenarios of ``share``,
-    up to and including its first failure (one of ``_FAILURES``)."""
-    for i in share:
+def _run_share(configs: list[ScenarioConfig]) -> Iterator:
+    """Yield the Metrics of each scenario of ``configs``, up to its first
+    failure (one of ``_FAILURES``), which is yielded in its place."""
+    for config in configs:
         try:
-            result = _sweep_value(configs[i])
+            metrics = _sweep_value(config)
         except _FAILURES as exc:
-            result = exc
-        yield i, result
-        if isinstance(result, _FAILURES):
+            yield exc
             return
+        yield metrics
 
 
 def _sweep_value(config: ScenarioConfig) -> Metrics:

@@ -113,7 +113,14 @@ def lyapunov(e1: np.ndarray, e2: np.ndarray, l_err: np.ndarray, gains: BsGains) 
     with the attitude error e1, the velocity error e2 and the estimation
     error Lt = L - L_hat, each an array of shape (3,) or (n, 3); the sums
     run over the last axis, so rows give one value each.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``gains`` is not :class:`BsGains`.
     """
+    if not isinstance(gains, BsGains):
+        raise InvalidParameterError(f"lyapunov needs BsGains, got {type(gains).__name__}")
     return 0.5 * (
         np.sum(e1 * (gains.gamma * e1), axis=-1)
         + np.sum(e2 * (gains.lam * e2), axis=-1)

@@ -349,10 +349,14 @@ def allocate_wheel_torques(tau, steering: SteeringConfig) -> np.ndarray:
     ------
     AllocationSingularityError
         If the steering configuration is singular at :data:`SINGULARITY_TOL`.
+    InvalidParameterError
+        If ``tau`` has any other shape.
     """
     if steering.is_singular():
         raise AllocationSingularityError(steering.delta1, steering.delta2, SINGULARITY_TOL)
     tau = np.asarray(tau, dtype=float)
+    if tau.ndim not in (1, 2) or tau.shape[-1] != 3:
+        raise InvalidParameterError(f"tau must have shape (3,) or (n, 3), got {tau.shape}")
     rows = np.atleast_2d(tau)
     jac = torque_jacobian(steering)
     wheel = np.empty(rows.shape)

@@ -33,13 +33,14 @@ allocation (:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
 (:func:`agrosim.control.lyapunov`) vectorised over all rows, and builds the
 record from them.  The horizon must be a whole number of steps.
 
-:meth:`TrajectoryRecord.to_csv` formats a block of rows with one ``%`` call
-and splits the blocks into contiguous shares, one per usable CPU while each
-share keeps at least 1024 rows (:mod:`agrosim.workers`).  It writes each
-share in order, one block at a time: the process's own as it formats them,
-each forked child's as the child's pickled blocks are read back, so the
-whole text never sits in memory; a file target is written to a temporary
-file that replaces the target only once it is complete.
+:meth:`TrajectoryRecord.to_csv` cuts the rows into contiguous shares, one
+per usable CPU while each share keeps at least 1024 rows
+(:mod:`agrosim.workers`), and formats a block of a share's rows with one
+``%`` call.  It writes each share in order, one block at a time: the
+process's own as it formats them, each forked child's as the child's
+pickled blocks are read back, so the whole text never sits in memory; a
+file target is written to a temporary file that replaces the target only
+once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
@@ -312,19 +313,20 @@ class TrajectoryRecord(_ArrayEqMixin):
         Column units: t [s]; phi..psi [deg]; phi_dot..psi_dot [deg/s];
         torque columns [N m]; L/Lhat [rad/s^2]; V1, V2 dimensionless.
         Every value is written as ``%.17g``, which reads back as the same
-        double.  Rows are formatted in blocks of :data:`_CSV_BLOCK`, one
-        ``%`` call each.  The blocks are cut into contiguous shares, one per
-        usable CPU as long as each share keeps :data:`_CSV_WORKER_ROWS`
-        (1024) rows, below which a fork costs more than it saves
-        (:func:`agrosim.workers.run`).  The process writes the first share's
-        blocks as it makes them, then each forked child's blocks, in order,
-        as it reads them back one pickled block at a time.  A share whose
-        file or fork fails is formatted in the process, and a child that
-        does not finish its share raises
-        :class:`~agrosim.errors.AgroSimError`.  The text does not depend on
-        the number of workers.  ``target`` is a path or a text stream; a
-        path is written through a temporary file beside it, so on failure
-        any previous file there is left intact.
+        double.  The rows are cut into contiguous shares, one per usable
+        CPU as long as each share keeps :data:`_CSV_WORKER_ROWS` (1024)
+        rows, below which a fork costs more than it saves
+        (:func:`agrosim.workers.run`), and each share is formatted in blocks
+        of :data:`_CSV_BLOCK` rows, one ``%`` call each.  The process writes
+        the first share's blocks as it makes them, then each forked child's
+        blocks, in order, as it reads them back one pickled block at a time.
+        A share whose file or fork fails is formatted in the process, and a
+        child that does not finish its share raises
+        :class:`~agrosim.errors.AgroSimError`.  Each row is formatted on its
+        own, so the text does not depend on the number of workers.
+        ``target`` is a path or a text stream; a path is written through a
+        temporary file beside it, so on failure any previous file there is
+        left intact.
         """
         data = np.column_stack([
             self.t,
@@ -338,18 +340,11 @@ class TrajectoryRecord(_ArrayEqMixin):
             self.v1,
             self.v2,
         ])
-        # contiguous shares of whole blocks, one per worker; no share is
-        # empty, since a worker has at least _CSV_WORKER_ROWS >= _CSV_BLOCK rows
-        n_blocks = -(-len(data) // _CSV_BLOCK)
-        n = workers.count(len(data) // _CSV_WORKER_ROWS)
-        cuts = [j * n_blocks // n * _CSV_BLOCK for j in range(n + 1)]
-        shares = [data[a:b] for a, b in zip(cuts, cuts[1:])]
         opened = atomic_write(target) if isinstance(target, str) else nullcontext(target)
-        with workers.run(_csv_blocks, shares) as parts, opened as fh:
+        with workers.run(_csv_blocks, data, _CSV_WORKER_ROWS) as blocks, opened as fh:
             fh.write(_CSV_COLUMNS + "\n")
             try:
-                for part in parts:
-                    fh.writelines(part)
+                fh.writelines(blocks)
             except workers.WorkerDied as died:
                 raise AgroSimError(f"CSV worker {died.pid} {died.how} "
                                    "before writing all of its rows") from None
@@ -434,7 +429,8 @@ def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]
     InvalidParameterError
         If a bound is not a finite real number.
     InvalidWindowError
-        If the window is empty, reversed, or beyond the recorded horizon.
+        If the window is not two bounds, or is empty, reversed, or beyond
+        the recorded horizon.
     """
     return _estimate_error_rms(record.t, record.l_true, record.l_hat, window)
 
@@ -442,7 +438,11 @@ def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]
 def _estimate_error_rms(t: np.ndarray, l_true: np.ndarray, l_hat: np.ndarray,
                         window: tuple[float, float]) -> float:
     """:func:`estimate_error_metrics` on the columns ``t``, ``l_true`` and ``l_hat``."""
-    t0, t1 = _real(window[0], "window[0]"), _real(window[1], "window[1]")
+    try:
+        t0, t1 = window
+    except (TypeError, ValueError):
+        raise InvalidWindowError(f"window must be two bounds (t0, t1), got {window!r}") from None
+    t0, t1 = _real(t0, "window[0]"), _real(t1, "window[1]")
     if not t0 < t1:
         raise InvalidWindowError(f"window must satisfy t0 < t1, got [{t0}, {t1}]")
     if t1 > t[-1] * (1.0 + 1e-12) + 1e-15:

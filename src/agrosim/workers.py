@@ -1,21 +1,23 @@
 """Forked workers, one per usable CPU, for work that splits into shares.
 
-:func:`run` runs a generator function ``task`` on each share.  The process
-runs the first share itself, as the caller consumes its items; a forked
-child runs each other share and pickles each item into its own unlinked
-temporary file, made before the fork.  The caller reads every share's items
-in order, one at a time, so it never holds a child's whole output: a
-child's come once it is reaped, followed by :class:`WorkerDied` if it did
-not finish.  A share whose file or fork fails runs in the process, in its
-place in the order.  No child outlives the ``with`` block, however it is
-left.  ``agrosim sweep`` (striped shares of its values, one result an item)
-and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (contiguous shares of its
-rows, one block of CSV lines an item) run on this module.
+:func:`run` cuts a sequence of items into contiguous shares, one per usable
+CPU while each share keeps a least number of items, and runs a generator
+function ``task`` on each share.  The process runs the first share itself,
+as the caller consumes its items; a forked child runs each other share and
+pickles each item into its own unlinked temporary file, made before the
+fork.  The caller reads every share's items in order, one at a time, as one
+iterator, so it never holds a child's whole output: a child's come once it
+is reaped, followed by :class:`WorkerDied` if it did not finish.  A share
+whose file or fork fails runs in the process, in its place in the order.
+No child outlives the ``with`` block, however it is left.  ``agrosim
+sweep`` (one result a value) and :meth:`agrosim.sim.TrajectoryRecord.to_csv`
+(one block of CSV lines an item) run on this module.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import pickle
 import signal
@@ -25,19 +27,6 @@ import traceback
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 Task = Callable[[Any], Iterable]
-
-
-def count(items: int) -> int:
-    """How many workers to run ``items`` shares of work on: one per usable
-    CPU, at most ``items`` and at least 1.
-
-    It is 1 without ``os.fork`` or ``os.sched_getaffinity``, or while
-    another thread runs, since a forked child would hold only this one.
-    """
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
-        return max(1, min(items, len(os.sched_getaffinity(0))))
-    return 1
 
 
 class WorkerDied(Exception):
@@ -93,15 +82,23 @@ class _Child:
 
 
 @contextlib.contextmanager
-def run(task: Task, shares: Sequence) -> Iterator[Iterator[Iterator]]:
-    """Run the generator function ``task`` on each share, all but the first
-    in a forked :class:`_Child`, forked on entry.
+def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
+    """Run the generator function ``task`` on contiguous shares of ``items``,
+    one per usable CPU while each keeps ``least`` items, all but the first in
+    a forked :class:`_Child`, forked on entry.  There is one share without
+    ``os.fork`` or ``os.sched_getaffinity``, or while another thread runs,
+    since a forked child would hold only this one.
 
-    Yields the items of each share, one iterator per share, in order: the
-    first share, and any whose file or fork failed, runs in the process as
-    its iterator is consumed.  On leaving the block, each child is killed if
-    it has not been reaped, then reaped, and its file closed.
+    Yields one iterator over every share's items, in order.  On leaving the
+    block, each child is killed if it has not been reaped, then reaped, and
+    its file closed.
     """
+    n = 1
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        n = max(1, min(len(items) // least, len(os.sched_getaffinity(0))))
+    cuts = [j * len(items) // n for j in range(n + 1)]
+    shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[Optional[_Child]] = [None]
     try:
         for share in shares[1:]:
@@ -109,8 +106,9 @@ def run(task: Task, shares: Sequence) -> Iterator[Iterator[Iterator]]:
                 children.append(_Child(task, share))
             except OSError:
                 children.append(None)  # no file or process to spare: the share runs here
-        yield (task(share) if child is None else child.items()
-               for share, child in zip(shares, children))
+        yield itertools.chain.from_iterable(
+            task(share) if child is None else child.items()
+            for share, child in zip(shares, children))
     finally:
         for child in children:
             if child is not None:

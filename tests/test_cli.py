@@ -711,29 +711,35 @@ def test_sweep_runs_serially_when_it_cannot_fork(module, name, calls_before_fail
 
 
 def test_sweep_files_a_dead_worker_after_the_values_it_sent(tmp_path, capsys, monkeypatch):
-    # two workers: the child sends k2 = 101 (index 1), then dies at 102
-    # (index 3); the parent diverges at 1e10 (index 2), which a serial loop
-    # reports first
+    # two workers: the parent diverges at k2 = 1e10 (index 1), which a
+    # serial loop reports first; the child sends 101 (index 2), then dies
+    # at 102 (index 3), before the parent runs 1e10
     fds = _open_fds()
     parent, sweep_value = os.getpid(), cli._sweep_value
     killed = tmp_path / "killed-at-102"
+    forked = []
 
     def die_in_child_at_102(cfg):
         if os.getpid() != parent and (cfg.gains.k2 == 102).all():
             killed.touch()
             os.kill(os.getpid(), signal.SIGKILL)
+        if forked and (cfg.gains.k2 == 1e10).all():
+            deadline = time.monotonic() + 30
+            while not killed.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
         return sweep_value(cfg)
 
     monkeypatch.setattr(cli, "_sweep_value", die_in_child_at_102)
     out_dir = tmp_path / "out"
     args = ["sweep", "--config", _diverging_config(tmp_path), "--param", "k2",
-            "--values", "100,101,1e10,102", "--out", str(out_dir)]
+            "--values", "100,1e10,101,102", "--out", str(out_dir)]
     with monkeypatch.context() as m:
         _usable_cpus(m, 1)
         assert main(args) == 1
     serial_err = capsys.readouterr().err
     assert serial_err == "agrosim: error: non-finite state after step 6 (t = 0.006 s)\n"
     _usable_cpus(monkeypatch, 2)
+    forked.append(True)
     assert main(args) == 1
     assert killed.exists()  # the child did die at 102
     assert capsys.readouterr().err == serial_err
@@ -758,7 +764,7 @@ def test_sweep_worker_finishes_while_the_process_runs_its_share(tmp_path, monkey
                 child_done.touch()
         else:
             time.sleep(0.005)
-            if k1 == 2 * n - 1:
+            if k1 == n:
                 seen_by_last_own_value.append(child_done.exists())
         return result
 

@@ -290,6 +290,11 @@ def test_lyapunov_estimation_error_term():
     np.testing.assert_array_equal(rows, [v2, 0.0])
 
 
+def test_lyapunov_rejects_other_gains():
+    with pytest.raises(InvalidParameterError, match="FlGains"):
+        lyapunov(np.zeros(3), np.zeros(3), np.zeros(3), FlGains(1.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # double-integrator LQR
 # ---------------------------------------------------------------------------

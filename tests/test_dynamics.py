@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,14 @@ def test_allocation_singular_raises():
     with pytest.raises(AllocationSingularityError) as err:
         allocate_wheel_torques(np.array([1.0, 0.0, 0.0]), steering)
     assert "delta1" in str(err.value)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 5), (2, 3, 3)])
+def test_allocation_rejects_other_shapes(shape):
+    # once (4,) allocated a torque that was never asked for and (2, 5)
+    # returned uninitialised memory in its last two columns
+    with pytest.raises(InvalidParameterError, match=re.escape(f"got {shape}")):
+        allocate_wheel_torques(np.ones(shape), ISO)
 
 
 def test_allocation_round_trip_seeded():

@@ -550,6 +550,10 @@ def test_estimate_error_metrics_invalid_windows():
                          ((-math.inf, 0.1), "window[0]"), (("x", 0.1), "window[0]")]:
         with pytest.raises(InvalidParameterError, match=re.escape(name)):
             estimate_error_metrics(rec, window)
+    # a window that is not two bounds is named, not cut short or indexed
+    for window in [(0.1,), 0.5, (0.05, 0.1, 0.2), ()]:
+        with pytest.raises(InvalidWindowError, match=re.escape(repr(window))):
+            estimate_error_metrics(rec, window)
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +713,8 @@ def _csv_of(rec, tmp_path):
     return buf.getvalue()
 
 
-# each worker takes at least _W rows, in whole blocks: 1, 2 or 3 shares on
-# either side of 2 * _W and 3 * _W rows, the last share with a partial block
+# each worker takes at least _W rows, cut at any row, not only at a block's
+# end: 1, 2 or 3 shares on either side of 2 * _W and 3 * _W rows
 @pytest.mark.parametrize("n", [2 * _W - 1, 2 * _W, 2 * _W + 1, 3 * _W - 1, 3 * _W,
                                3 * _W + _B + 7])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
