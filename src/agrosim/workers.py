@@ -1,17 +1,17 @@
 """Forked workers, one per usable CPU, for work that splits into shares.
 
 :func:`run` cuts a sequence of items into contiguous shares, one per usable
-CPU while each share keeps a least number of items, and runs a generator
-function ``task`` on each share.  The process runs the first share itself,
-as the caller consumes its items; a forked child runs each other share and
-pickles each item into its own unlinked temporary file, made before the
-fork.  The caller reads every share's items in order, one at a time, as one
-iterator, so it never holds a child's whole output: a child's come once it
-is reaped, followed by :class:`WorkerDied` if it did not finish.  A share
-whose file or fork fails runs in the process, in its place in the order.
-No child outlives the ``with`` block, however it is left.  ``agrosim
-sweep`` (one result a value) and :meth:`agrosim.sim.TrajectoryRecord.to_csv`
-(one block of CSV lines an item) run on this module.
+CPU while each keeps a given least number, and runs a generator function
+``task`` on each share.  The process runs the first share itself, as the
+caller consumes its items; a forked child runs each other share and pickles
+each item into its own unlinked temporary file, made before the fork.  The
+caller reads every share's items in order, one at a time, as one iterator,
+so it never holds a child's whole output: a child's come once it is reaped,
+followed by :class:`WorkerDied` if it did not finish.  A share whose file or
+fork fails runs in the process, in its place in the order.  No child
+outlives the ``with`` block, however it is left.  ``agrosim sweep`` (one
+result a value) and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block
+of CSV lines an item) run on this module.
 """
 
 from __future__ import annotations

@@ -138,17 +138,13 @@ def test_only_workers_splits_work():
     # agrosim.workers alone decides how many workers there are and which
     # items each runs, so no other module counts CPUs or forks
     src = pathlib.Path(agrosim.__file__).parent
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}  # fork, os.fork, import
     named = []
     for path in sorted(src.glob("*.py")):
         if path.name == "workers.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, (ast.Attribute, ast.alias)):  # os.fork, from os import fork
-                name = node.attr if isinstance(node, ast.Attribute) else node.name
-            else:
-                continue
+            name = getattr(node, field.get(type(node), ""), None)
             if name in ("count", "fork", "sched_getaffinity"):
                 named.append(f"{path.name}:{node.lineno} {name}")
     assert named == []
