@@ -239,10 +239,15 @@ _CSV_BLOCK = 256
 #: The fewest rows :meth:`TrajectoryRecord.to_csv` gives each worker.  A fork
 #: costs more than fork + waitpid (2.5-3.7 ms for a 40 MB process): every
 #: page the process writes afterwards, to its exit, takes a fault, about
-#: 4500 more faults for an ``agrosim run``.  Whole ``agrosim run --no-svg``
-#: processes on a 2-CPU x86-64 host, 2 workers against 1 (median of 30
-#: paired differences): 1501 rows +4.3 ms, 2501 rows -8.9 ms, 4001 rows
-#: -29.9 ms, so the break-even is near 900 rows a worker.
+#: 4500 more faults for an ``agrosim run``.  Whole fl-paper ``agrosim run
+#: --no-svg`` processes on a 2-CPU x86-64 host, 2 workers against 1, the
+#: child placed on a CPU of its own (median of paired differences, in runs of
+#: 30 and of 60 pairs): 1501 rows -1.7 and -4.1 ms, 2501 rows -13.6 and
+#: -3.6 ms, 4001 rows -15.7 and -16.2 ms.  Unplaced, in the same stretch, a
+#: child stayed on its parent's CPU and 2 workers lost at every size (+6.7,
+#: +11.6, +14.0 ms).  So placed workers break even near 750 rows a worker:
+#: at 1501 rows the gain is inside the noise (16 of 30 and 32 of 60 pairs
+#: won).  1024 keeps the presets' CSVs serial.
 _CSV_WORKER_ROWS = 1024
 
 _CSV_COLUMNS = (
@@ -315,7 +320,7 @@ class TrajectoryRecord(_ArrayEqMixin):
         Every value is written as ``%.17g``, which reads back as the same
         double.  The rows are cut into contiguous shares, one per usable
         CPU as long as each share keeps :data:`_CSV_WORKER_ROWS` (1024)
-        rows, below which a fork costs more than it saves
+        rows, below which a fork saves little or nothing
         (:func:`agrosim.workers.run`), and each share is formatted in blocks
         of :data:`_CSV_BLOCK` rows, one ``%`` call each.  The process writes
         the first share's blocks as it makes them, then each forked child's

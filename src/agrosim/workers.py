@@ -8,10 +8,17 @@ each item into its own unlinked temporary file, made before the fork.  The
 caller reads every share's items in order, one at a time, as one iterator,
 so it never holds a child's whole output: a child's come once it is reaped,
 followed by :class:`WorkerDied` if it did not finish.  A share whose file or
-fork fails runs in the process, in its place in the order.  No child
-outlives the ``with`` block, however it is left.  ``agrosim sweep`` (one
-result a value) and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block
-of CSV lines an item) run on this module.
+fork fails runs in the process, in its place in the order.  The kernel often
+leaves a forked child on the CPU of the process that forked it, where the two
+shares run one after the other, so each child first moves itself to a usable
+CPU of its own other than the process's (read from ``/proc/self/stat``), then
+lets the kernel move it anywhere in the usable set again; a child that cannot
+move runs where it is, and where the process's CPU cannot be read no child
+moves.  The process's own CPU mask is never changed, and placement decides
+only where a share runs, never what it computes.  No child outlives the
+``with`` block, however it is left.  ``agrosim sweep`` (one result a value)
+and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block of CSV lines an
+item) run on this module.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ class _Child:
     """A forked child that runs ``task(share)``, and the unlinked temporary
     file it pickles the items into."""
 
-    def __init__(self, task: Task, share: Any):
+    def __init__(self, task: Task, share: Any, cpu: Optional[int], usable: set):
         self.file = tempfile.TemporaryFile()
         try:
             self.pid = os.fork()
@@ -53,7 +60,7 @@ class _Child:
             self.file.close()
             raise
         if self.pid == 0:
-            _child_main(task, share, self.file)
+            _child_main(task, share, self.file, cpu, usable)
         self.reaped = False
 
     def items(self) -> Iterator:
@@ -85,7 +92,8 @@ class _Child:
 def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
     """Run the generator function ``task`` on contiguous shares of ``items``,
     one per usable CPU while each keeps ``least`` items, all but the first in
-    a forked :class:`_Child`, forked on entry.  There is one share without
+    a forked :class:`_Child`, forked on entry, the j-th of them moved to the
+    j-th usable CPU other than the process's.  There is one share without
     ``os.fork`` or ``os.sched_getaffinity``, or while another thread runs,
     since a forked child would hold only this one.
 
@@ -93,17 +101,20 @@ def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
     block, each child is killed if it has not been reaped, then reaped, and
     its file closed.
     """
-    n = 1
+    n, usable = 1, set()
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
-        n = max(1, min(len(items) // least, len(os.sched_getaffinity(0))))
+        usable = os.sched_getaffinity(0)
+        n = max(1, min(len(items) // least, len(usable)))
     cuts = [j * len(items) // n for j in range(n + 1)]
     shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    here = _cpu() if n > 1 else None
+    spare = [] if here is None else sorted(usable - {here})  # n - 1 or more CPUs
     children: list[Optional[_Child]] = [None]
     try:
-        for share in shares[1:]:
+        for j, share in enumerate(shares[1:]):
             try:
-                children.append(_Child(task, share))
+                children.append(_Child(task, share, spare[j] if spare else None, usable))
             except OSError:
                 children.append(None)  # no file or process to spare: the share runs here
         yield itertools.chain.from_iterable(
@@ -115,13 +126,32 @@ def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
                 child.stop()
 
 
-def _child_main(task: Task, share: Any, fh: BinaryIO) -> None:
-    """Pickle each item of ``task(share)`` into ``fh`` in a forked child,
-    then exit: status 0 when the task finished, 1 when it raised."""
+def _cpu() -> Optional[int]:
+    """The CPU this process runs on: field 39 (``processor``) of
+    ``/proc/self/stat``, or None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the command name (field 2) may hold spaces and ")"
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _child_main(task: Task, share: Any, fh: BinaryIO, cpu: Optional[int],
+                usable: set) -> None:
+    """Move to ``cpu``, unless it is None, then pickle each item of
+    ``task(share)`` into ``fh`` in a forked child, and exit: status 0 when
+    the task finished, 1 when it raised."""
     # the child leaves only through os._exit: it must not flush the
     # parent's stdio buffers or run its atexit handlers a second time
     status = 1
     try:
+        if cpu is not None:
+            # a forked child often starts on its parent's CPU and stays
+            # there; once moved, the usable set lets the kernel move it on
+            with contextlib.suppress(OSError):  # then it runs where it is
+                os.sched_setaffinity(0, {cpu})
+                os.sched_setaffinity(0, usable)
         for item in task(share):
             pickle.dump(item, fh)
             fh.flush()  # os._exit drops buffers; a child killed later keeps what it sent

@@ -135,8 +135,9 @@ def test_source_modules_use_every_import():
 
 
 def test_only_workers_splits_work():
-    # agrosim.workers alone decides how many workers there are and which
-    # items each runs, so no other module counts CPUs or forks
+    # agrosim.workers alone decides how many workers there are, which
+    # items each runs and where, so no other module counts CPUs, forks or
+    # moves a process to a CPU
     src = pathlib.Path(agrosim.__file__).parent
     field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}  # fork, os.fork, import
     named = []
@@ -145,7 +146,7 @@ def test_only_workers_splits_work():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, field.get(type(node), ""), None)
-            if name in ("count", "fork", "sched_getaffinity"):
+            if name in ("count", "fork", "sched_getaffinity", "sched_setaffinity"):
                 named.append(f"{path.name}:{node.lineno} {name}")
     assert named == []
 

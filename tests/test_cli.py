@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import tempfile
 import threading
@@ -29,7 +30,7 @@ from agrosim import (
     run_scenario,
     serialize_config,
 )
-from agrosim import cli, sim
+from agrosim import cli, sim, workers
 from agrosim.config import GAIN_FIELDS
 from agrosim.cli import cmd_compare, cmd_run, main
 
@@ -775,3 +776,112 @@ def test_sweep_worker_finishes_while_the_process_runs_its_share(tmp_path, monkey
                  "--out", str(tmp_path)]) == 0
     assert seen_by_last_own_value == [True]
     _assert_no_child_left(fds)
+
+
+# ---------------------------------------------------------------------------
+# where the forked workers run
+# ---------------------------------------------------------------------------
+
+def _sweep_and_run(out, capsys):
+    """Every file written, and stdout and stderr, of a 5-value sweep and of
+    a 3.1 s run, whose 3101-row CSV takes three workers on three CPUs."""
+    assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "5,10,20,40,80",
+                 "--horizon", "0.1", "--out", str(out)]) == 0
+    assert main(["run", "--preset", "fl-paper", "--horizon", "3.1", "--no-svg",
+                 "--out", str(out)]) == 0
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    shutil.rmtree(out)
+    return files, capsys.readouterr()
+
+
+def _placed_children(tmp_path, monkeypatch, set_affinity):
+    """Fake three usable CPUs, with the process on CPU 0, and make
+    ``os.sched_setaffinity(pid, mask)`` log ``(caller, pid, sorted mask)``
+    and then call ``set_affinity``.  Returns the pids forked, in order, and
+    a function that reads the log."""
+    log, real_fork, forked = tmp_path / "setaffinity.log", os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def logged(pid, mask):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:  # one write a line: children append at once
+            os.write(fd, f"{os.getpid()} {pid} {sorted(mask)}\n".encode())
+        finally:
+            os.close(fd)
+        set_affinity()
+
+    def calls():
+        by_caller = {}
+        for line in log.read_text().splitlines() if log.exists() else []:
+            caller, pid, mask = line.split(" ", 2)
+            by_caller.setdefault(int(caller), []).append((int(pid), mask))
+        return by_caller
+
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(workers, "_cpu", lambda: 0)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    return forked, calls
+
+
+def test_each_worker_moves_to_a_cpu_of_its_own(tmp_path, capsys, monkeypatch):
+    # the process runs on CPU 0 of {0, 1, 2}: its first child moves to
+    # CPU 1, its second to CPU 2, and each then restores {0, 1, 2}, so the
+    # kernel may move it later; the process's own mask is left alone
+    fds = _open_fds()
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        serial = _sweep_and_run(tmp_path / "out", capsys)
+    forked, calls = _placed_children(tmp_path, monkeypatch, lambda: None)
+    assert _sweep_and_run(tmp_path / "out", capsys) == serial
+    assert len(forked) == 4  # two for the sweep, then two for the CSV
+    first, second = [(0, "[1]"), (0, "[0, 1, 2]")], [(0, "[2]"), (0, "[0, 1, 2]")]
+    assert calls() == dict(zip(forked, [first, second, first, second]))
+    _assert_no_child_left(fds)
+
+
+def test_a_worker_that_cannot_move_runs_where_it_is(tmp_path, capsys, monkeypatch):
+    fds = _open_fds()
+    with monkeypatch.context() as m:
+        _usable_cpus(m, 1)
+        serial = _sweep_and_run(tmp_path / "out", capsys)
+
+    def refuse():
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    forked, calls = _placed_children(tmp_path, monkeypatch, refuse)
+    assert _sweep_and_run(tmp_path / "out", capsys) == serial
+    assert len(forked) == 4
+    assert calls() == dict(zip(forked, [[(0, "[1]")], [(0, "[2]")]] * 2))  # no restore
+    _assert_no_child_left(fds)
+
+
+def test_no_worker_moves_when_the_cpu_is_unknown(tmp_path, capsys, monkeypatch):
+    fds = _open_fds()
+    forked, calls = _placed_children(tmp_path, monkeypatch, lambda: None)
+    monkeypatch.setattr(workers, "_cpu", lambda: None)
+    _sweep_and_run(tmp_path / "out", capsys)
+    assert len(forked) == 4
+    assert calls() == {}
+    _assert_no_child_left(fds)
+
+
+def test_cpu_is_field_39_of_proc_self_stat(monkeypatch):
+    if os.path.exists("/proc/self/stat"):
+        assert workers._cpu() in os.sched_getaffinity(0)
+    # the command name may hold spaces and parentheses
+    fields = ["(x) 1 (y)", "S"] + [str(k) for k in range(4, 53)]
+    stat = f"4242 {' '.join(fields)}\n".encode()
+    monkeypatch.setattr(workers, "open", lambda path, mode: io.BytesIO(stat), raising=False)
+    assert workers._cpu() == 39
+
+    def unreadable(path, mode):
+        raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
+
+    monkeypatch.setattr(workers, "open", unreadable, raising=False)
+    assert workers._cpu() is None
