@@ -10,12 +10,15 @@ so it never holds a child's whole output: a child's come once it is reaped,
 followed by :class:`WorkerDied` if it did not finish.  A share whose file or
 fork fails runs in the process, in its place in the order.  The kernel often
 leaves a forked child on the CPU of the process that forked it, where the two
-shares run one after the other, so each child first moves itself to a usable
-CPU of its own other than the process's (read from ``/proc/self/stat``), then
-lets the kernel move it anywhere in the usable set again; a child that cannot
-move runs where it is, and where the process's CPU cannot be read no child
-moves.  The process's own CPU mask is never changed, and placement decides
-only where a share runs, never what it computes.  No child outlives the
+shares run one after the other, so the process sets each child's CPU mask,
+right after the fork, to a usable CPU of its own other than the process's
+(read from ``/proc/self/stat``), and the child keeps that mask for its life.
+The child is moved before it first runs, so it never waits on the process's
+CPU for a turn, and no later choice of the scheduler puts it back there.  A
+child that cannot be moved runs where the kernel put it, and where the
+process's CPU cannot be read no child is moved.  The process's own CPU mask
+is never changed, and placement decides only where a share runs, never what
+it computes.  No child outlives the
 ``with`` block, however it is left.  ``agrosim sweep`` (one result a value)
 and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block of CSV lines an
 item) run on this module.
@@ -52,7 +55,7 @@ class _Child:
     """A forked child that runs ``task(share)``, and the unlinked temporary
     file it pickles the items into."""
 
-    def __init__(self, task: Task, share: Any, cpu: Optional[int], usable: set):
+    def __init__(self, task: Task, share: Any, cpu: Optional[int]):
         self.file = tempfile.TemporaryFile()
         try:
             self.pid = os.fork()
@@ -60,8 +63,13 @@ class _Child:
             self.file.close()
             raise
         if self.pid == 0:
-            _child_main(task, share, self.file, cpu, usable)
+            _child_main(task, share, self.file)
         self.reaped = False
+        if cpu is not None:
+            # moved by the process, the child need not first wait for a
+            # turn on the process's CPU to move itself
+            with contextlib.suppress(OSError):  # then it runs where it is
+                os.sched_setaffinity(self.pid, {cpu})
 
     def items(self) -> Iterator:
         """Reap the child, then yield the items it wrote, in order; raise
@@ -92,7 +100,7 @@ class _Child:
 def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
     """Run the generator function ``task`` on contiguous shares of ``items``,
     one per usable CPU while each keeps ``least`` items, all but the first in
-    a forked :class:`_Child`, forked on entry, the j-th of them moved to the
+    a forked :class:`_Child`, forked on entry, the j-th of them held on the
     j-th usable CPU other than the process's.  There is one share without
     ``os.fork`` or ``os.sched_getaffinity``, or while another thread runs,
     since a forked child would hold only this one.
@@ -114,7 +122,7 @@ def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
     try:
         for j, share in enumerate(shares[1:]):
             try:
-                children.append(_Child(task, share, spare[j] if spare else None, usable))
+                children.append(_Child(task, share, spare[j] if spare else None))
             except OSError:
                 children.append(None)  # no file or process to spare: the share runs here
         yield itertools.chain.from_iterable(
@@ -137,21 +145,13 @@ def _cpu() -> Optional[int]:
         return None
 
 
-def _child_main(task: Task, share: Any, fh: BinaryIO, cpu: Optional[int],
-                usable: set) -> None:
-    """Move to ``cpu``, unless it is None, then pickle each item of
-    ``task(share)`` into ``fh`` in a forked child, and exit: status 0 when
-    the task finished, 1 when it raised."""
+def _child_main(task: Task, share: Any, fh: BinaryIO) -> None:
+    """Pickle each item of ``task(share)`` into ``fh`` in a forked child,
+    and exit: status 0 when the task finished, 1 when it raised."""
     # the child leaves only through os._exit: it must not flush the
     # parent's stdio buffers or run its atexit handlers a second time
     status = 1
     try:
-        if cpu is not None:
-            # a forked child often starts on its parent's CPU and stays
-            # there; once moved, the usable set lets the kernel move it on
-            with contextlib.suppress(OSError):  # then it runs where it is
-                os.sched_setaffinity(0, {cpu})
-                os.sched_setaffinity(0, usable)
         for item in task(share):
             pickle.dump(item, fh)
             fh.flush()  # os._exit drops buffers; a child killed later keeps what it sent

@@ -830,9 +830,9 @@ def _placed_children(tmp_path, monkeypatch, set_affinity):
 
 
 def test_each_worker_moves_to_a_cpu_of_its_own(tmp_path, capsys, monkeypatch):
-    # the process runs on CPU 0 of {0, 1, 2}: its first child moves to
-    # CPU 1, its second to CPU 2, and each then restores {0, 1, 2}, so the
-    # kernel may move it later; the process's own mask is left alone
+    # the process runs on CPU 0 of {0, 1, 2}: it holds its first child on
+    # CPU 1 and its second on CPU 2, one call each, right after the fork;
+    # no child changes its own mask, and the process's is left alone
     fds = _open_fds()
     with monkeypatch.context() as m:
         _usable_cpus(m, 1)
@@ -840,9 +840,29 @@ def test_each_worker_moves_to_a_cpu_of_its_own(tmp_path, capsys, monkeypatch):
     forked, calls = _placed_children(tmp_path, monkeypatch, lambda: None)
     assert _sweep_and_run(tmp_path / "out", capsys) == serial
     assert len(forked) == 4  # two for the sweep, then two for the CSV
-    first, second = [(0, "[1]"), (0, "[0, 1, 2]")], [(0, "[2]"), (0, "[0, 1, 2]")]
-    assert calls() == dict(zip(forked, [first, second, first, second]))
+    moves = list(zip(forked, ["[1]", "[2]", "[1]", "[2]"]))
+    assert calls() == {os.getpid(): moves}
     _assert_no_child_left(fds)
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_a_worker_is_held_on_its_cpu(monkeypatch):
+    # real masks, no fakes: the child's is the one CPU it was given, from
+    # its first item on, and the process's is what it was
+    usable = os.sched_getaffinity(0)
+    monkeypatch.setattr(workers, "_cpu", lambda: min(usable))
+
+    def masks(share):
+        for _ in share:
+            yield os.getpid(), os.sched_getaffinity(0)
+
+    with workers.run(masks, [0, 1, 2, 3], 2) as items:
+        seen = list(items)
+    assert seen[:2] == [(os.getpid(), usable)] * 2
+    (pid, held), = set((pid, frozenset(mask)) for pid, mask in seen[2:])
+    assert pid != os.getpid() and held == {sorted(usable)[1]}
+    assert os.sched_getaffinity(0) == usable
 
 
 def test_a_worker_that_cannot_move_runs_where_it_is(tmp_path, capsys, monkeypatch):
@@ -857,7 +877,7 @@ def test_a_worker_that_cannot_move_runs_where_it_is(tmp_path, capsys, monkeypatc
     forked, calls = _placed_children(tmp_path, monkeypatch, refuse)
     assert _sweep_and_run(tmp_path / "out", capsys) == serial
     assert len(forked) == 4
-    assert calls() == dict(zip(forked, [[(0, "[1]")], [(0, "[2]")]] * 2))  # no restore
+    assert calls() == {os.getpid(): list(zip(forked, ["[1]", "[2]", "[1]", "[2]"]))}
     _assert_no_child_left(fds)
 
 
