@@ -241,13 +241,13 @@ _CSV_BLOCK = 256
 #: page the process writes afterwards, to its exit, takes a fault, about
 #: 4500 more faults for an ``agrosim run``.  Whole fl-paper ``agrosim run
 #: --no-svg`` processes on a 2-CPU x86-64 host, 2 workers against 1, the
-#: child placed on a CPU of its own (median of paired differences, in runs of
-#: 30 and of 60 pairs): 1501 rows -1.7 and -4.1 ms, 2501 rows -13.6 and
-#: -3.6 ms, 4001 rows -15.7 and -16.2 ms.  Unplaced, in the same stretch, a
-#: child stayed on its parent's CPU and 2 workers lost at every size (+6.7,
-#: +11.6, +14.0 ms).  So placed workers break even near 750 rows a worker:
-#: at 1501 rows the gain is inside the noise (16 of 30 and 32 of 60 pairs
-#: won).  1024 keeps the presets' CSVs serial.
+#: child held on a CPU of its own (median of paired differences, in runs of
+#: 30 and of 60 pairs): 1501 rows +5.9 and -0.5 ms, 2501 rows -7.6 and
+#: +0.8 ms, 4001 rows -12.0 and -9.3 ms.  Unplaced, a child stayed on its
+#: parent's CPU and 2 workers lost at every size (+6.7, +11.6, +14.0 ms).
+#: So placed workers break even between 750 and 1250 rows a worker: at 1501
+#: and 2501 rows the difference is inside the noise (11 of 30 and 35 of 60,
+#: 21 of 30 and 26 of 60 pairs won).  1024 keeps the presets' CSVs serial.
 _CSV_WORKER_ROWS = 1024
 
 _CSV_COLUMNS = (
