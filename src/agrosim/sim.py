@@ -218,8 +218,19 @@ class ScenarioConfig(_ArrayEqMixin):
                 f"horizon {horizon!r} s is not a whole number of dt = {dt!r} s steps "
                 f"(horizon / dt = {steps!r})"
             )
-        if self.disturbance is not None and math.isfinite(self.u_max):
-            check_disturbance_budget(self.disturbance, self.u_max)
+        dist = self.disturbance
+        if dist is not None:
+            # the rollout's sine argument om * t + ph grows with t, so the last
+            # stage's, at n dt + dt, is the first to overflow; math.sin rejects it
+            arg = dist.sine_freq * (self.n_steps * dt + dt)
+            if not all(math.isfinite(arg + ph) for ph in dist.sine_phase.tolist()):
+                raise InvalidParameterError(
+                    f"disturbance sine argument overflows: sine_freq = {dist.sine_freq!r} "
+                    f"rad/s, sine_phase = {dist.sine_phase.tolist()!r} rad, "
+                    f"horizon = {horizon!r} s"
+                )
+            if math.isfinite(self.u_max):
+                check_disturbance_budget(dist, self.u_max)
 
     @property
     def n_steps(self) -> int:

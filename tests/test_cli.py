@@ -266,6 +266,20 @@ def test_compare_chart_escapes_its_text(tmp_path):
     assert "roll (r&d)" in texts
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "k1", "--values", "5,10"]])
+def test_a_sine_argument_that_overflows_is_an_error(command, tmp_path, capsys):
+    # the schema and the budget accept it; math.sin in the rollout did not
+    doc = json.loads(serialize_config(preset("bs-adaptive-paper")))
+    doc["disturbance"]["sine_freq"] = 1.7e308
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(command + ["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("agrosim: error: disturbance sine argument overflows: ")
+    assert err.count("\n") == 1 and "horizon = 1.5 s" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_needs_two_sources(tmp_path, capsys):
     rc = main(["compare", "--preset", "fl-paper", "--out", str(tmp_path)])
     assert rc == 1

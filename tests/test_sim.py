@@ -266,6 +266,28 @@ def test_disturbance_spreads_a_scalar():
         DisturbanceSpec(0.0, 0.0, 0.0, 0.0, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("freq, phase, horizon", [
+    (1.7e308, 0.0, 1.5),
+    (1e308, 1e308, 0.8),
+], ids=["freq", "freq+phase"])
+def test_scenario_rejects_a_disturbance_whose_sine_overflows(freq, phase, horizon):
+    # math.sin raised "math domain error" from inside the rollout
+    ad = preset("bs-adaptive-paper", horizon=horizon)
+    dist = dataclasses.replace(ad.disturbance, sine_freq=freq, sine_phase=phase)
+    with pytest.raises(InvalidParameterError,
+                       match=r"sine argument overflows: sine_freq = .* sine_phase = .* horizon "):
+        dataclasses.replace(ad, disturbance=dist)
+
+
+def test_scenario_accepts_a_sine_argument_finite_at_the_last_stage():
+    # at 0.7 s the last stage's argument is 1e308 * 0.701 + 1e308 < 1.8e308
+    ad = preset("bs-adaptive-paper", horizon=0.7)
+    cfg = dataclasses.replace(ad, disturbance=dataclasses.replace(
+        ad.disturbance, sine_freq=1e308, sine_phase=1e308))
+    record, _ = run_scenario(cfg)
+    assert np.isfinite(record.l_true).all()
+
+
 def test_adaptation_flag_must_be_boolean():
     # a truthy non-boolean would run with adaptation on and save a document
     # that does not load; a numpy boolean is stored as bool, as a numpy
