@@ -214,6 +214,22 @@ def test_type_errors():
     assert cfg.disturbance is None and cfg.inertias.geometry is None and cfg.u_max == math.inf
 
 
+@pytest.mark.parametrize("edit, key, rule", [
+    ({"dt": math.nan}, "dt", "finite, got nan"),
+    ({"disturbance": {**_FULL_DOC["disturbance"], "seed": 1.5}}, "disturbance.seed",
+     "an integer, got 1.5"),
+    ({"preset": 3}, "preset", "a string, got 3"),
+    ({"disturbance": {**_FULL_DOC["disturbance"], "offset": [1, 2]}}, "disturbance.offset",
+     r"a number or a list of 3 numbers, got \[1, 2\]"),
+    ({"controller": "pd"}, "controller", "'fl' or 'backstepping', got 'pd'"),
+    ({"angle_units": "grad"}, "angle_units", "'deg' or 'rad', got 'grad'"),
+], ids=["nan", "seed", "preset", "offset", "controller", "angle_units"])
+def test_schema_rejects_a_bad_value_by_its_dotted_key(edit, key, rule):
+    doc = edit if "preset" in edit else {**_FULL_DOC, **edit}
+    with pytest.raises(ConfigError, match=f"^'{re.escape(key)}' must be {rule}$"):
+        parse_config(json.dumps(doc))
+
+
 def test_invalid_parameter_propagates():
     doc = json.loads(json.dumps(_FULL_DOC))
     doc["u_max"] = -1.0
