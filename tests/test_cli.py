@@ -71,6 +71,16 @@ def test_run_via_main_no_svg(tmp_path):
     assert not (tmp_path / "bs-paper.svg").exists()
 
 
+def test_run_with_a_disturbance_charts_its_estimate(tmp_path):
+    rc = main(["run", "--preset", "bs-adaptive-paper", "--horizon", "0.05",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    ns = "{http://www.w3.org/2000/svg}"
+    groups = ET.parse(tmp_path / "bs-adaptive-paper.svg").getroot().findall(ns + "g")
+    titles = [g.find(ns + "text").text for g in groups]
+    assert titles == ["Attitude", "Applied body torque", "Disturbance estimate"]
+
+
 def test_run_config_file(tmp_path):
     doc = {
         "controller": "fl",
@@ -252,6 +262,19 @@ def test_compare_mismatched_initial_states(tmp_path):
     rc = main(["compare", "--preset", "fl-paper", "--config", str(path),
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_compare_mismatched_references(tmp_path, capsys):
+    doc = json.loads(serialize_config(preset("fl-paper", horizon=0.05)))
+    doc["reference"]["x_d"] = [0.1, 0.0, 0.0]
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["compare", "--preset", "fl-paper", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "agrosim: error: scenarios track different references\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_chart_escapes_its_text(tmp_path):

@@ -594,6 +594,20 @@ def test_record_rejects_irregular_grid():
                              v1=np.zeros(3), v2=np.zeros(3), reference=Reference.zero())
 
 
+def test_record_rejects_a_short_or_falling_grid_and_a_misshapen_column():
+    zeros = np.zeros((3, 3))
+    columns = dict(attitude=zeros, rate=zeros, u_cmd=zeros, u_sat=zeros, wheel=zeros,
+                   l_true=zeros, l_hat=zeros, v1=np.zeros(3), v2=np.zeros(3),
+                   reference=Reference.zero())
+    for t, message in ((np.array([0.0]), "at least two samples"),
+                       (np.array([0.0, 2e-3, 1e-3]), "strictly increasing")):
+        with pytest.raises(InvalidParameterError, match=message):
+            TrajectoryRecord(t=t, **columns)
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("wheel must have shape (3, 3), got (3, 2)")):
+        TrajectoryRecord(t=np.arange(3) * 1e-3, **{**columns, "wheel": np.zeros((3, 2))})
+
+
 def test_record_accepts_the_grid_of_a_long_run():
     # run_scenario's grid, np.arange(n + 1) * dt: from about 10^7 steps its
     # steps differ by more than 1e-9 of dt, by the rounding of each time
