@@ -8,17 +8,13 @@
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
-``--no-svg``.  :func:`agrosim.workers.run` cuts a sweep's values, and each
-CSV's rows (as long as every share keeps 1024 of them), into contiguous
-shares, one per usable CPU: the process runs the first share itself and a
-forked child each other share, which sends back its sweep results or CSV
-blocks as pickled items, one at a time, so the process never holds a
-child's whole output; a share whose file or child cannot be made runs in
-the process too.  A sweep value computes only its metrics: the rollout and
-the metrics of :func:`agrosim.sim.run_scenario`, on the run's columns, with
-none of its record.  No output depends on how many CPUs there are, and a
-failing sweep reports the error of its first failing value, as a serial
-loop would.  The argument parser is built once per process.  The output
+``--no-svg``.  A sweep's values, and each CSV's rows, run on
+:func:`agrosim.workers.run`.  A sweep value computes only its metrics: the
+rollout and the metrics of :func:`agrosim.sim.run_scenario`, on the run's
+columns, with none of its record.  No output depends on how many CPUs
+there are, and a failing sweep reports the error of its first failing
+value, as a serial loop would.  The argument parser is built once per
+process.  The output
 directory defaults to ``$AGROSIM_OUT``, read as each command is parsed,
 then (if that is unset or empty) the current directory.
 ``--dt``, ``--horizon`` and ``--seed`` are applied together, by

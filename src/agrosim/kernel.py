@@ -30,12 +30,7 @@ binds the scenario's constants as the function's globals, and a rollout
 copies them into locals in its first line, once per call.  Nothing is
 compiled at import.  The constants (gains, inertias, reference, disturbance,
 and the ratios ``j2/j1``, ``1/j1``, ``gamma/lam``, ``-lam/sigma``, ``dt/2``,
-``dt/6``) are converted to ``float`` once, when a function is built.  In
-the benchmark's traced runs (``perfbench/run.py --trace 1``,
-``sim.rollout_us_per_step``, 2-core x86-64 host), a run takes about 6.0 µs
-a step in gain-sweep's FL and backstepping sweeps and 7.8 µs in
-long-adaptive's adaptive run with a disturbance (see the README's
-Performance section).
+``dt/6``) are converted to ``float`` once, when a function is built.
 
 Live terms only: a rollout without adaptation never integrates L_hat, whose
 derivative is zero; it keeps the L_hat it starts from, a run's +0.0, which

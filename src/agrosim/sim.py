@@ -33,14 +33,11 @@ allocation (:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
 (:func:`agrosim.control.lyapunov`) vectorised over all rows, and builds the
 record from them.  The horizon must be a whole number of steps.
 
-:meth:`TrajectoryRecord.to_csv` cuts the rows into contiguous shares, one
-per usable CPU while each share keeps at least 1024 rows
-(:mod:`agrosim.workers`), and formats a block of a share's rows with one
-``%`` call.  It writes each share in order, one block at a time: the
-process's own as it formats them, each forked child's as the child's
-pickled blocks are read back, so the whole text never sits in memory; a
-file target is written to a temporary file that replaces the target only
-once it is complete.
+:meth:`TrajectoryRecord.to_csv` formats the rows on
+:func:`agrosim.workers.run`, a block of rows with one ``%`` call, and
+writes the blocks in order as they come, so the whole text never sits in
+memory; a file target is written to a temporary file that replaces the
+target only once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
@@ -329,15 +326,10 @@ class TrajectoryRecord(_ArrayEqMixin):
         Column units: t [s]; phi..psi [deg]; phi_dot..psi_dot [deg/s];
         torque columns [N m]; L/Lhat [rad/s^2]; V1, V2 dimensionless.
         Every value is written as ``%.17g``, which reads back as the same
-        double.  The rows are cut into contiguous shares, one per usable
-        CPU as long as each share keeps :data:`_CSV_WORKER_ROWS` (1024)
-        rows, below which a fork saves little or nothing
-        (:func:`agrosim.workers.run`), and each share is formatted in blocks
-        of :data:`_CSV_BLOCK` rows, one ``%`` call each.  The process writes
-        the first share's blocks as it makes them, then each forked child's
-        blocks, in order, as it reads them back one pickled block at a time.
-        A share whose file or fork fails is formatted in the process, and a
-        child that does not finish its share raises
+        double.  The rows are formatted on :func:`agrosim.workers.run`,
+        with at least :data:`_CSV_WORKER_ROWS` rows a worker, in blocks of
+        :data:`_CSV_BLOCK` rows, one ``%`` call each, and written in order.
+        A child that does not finish its share raises
         :class:`~agrosim.errors.AgroSimError`.  Each row is formatted on its
         own, so the text does not depend on the number of workers.
         ``target`` is a path or a text stream; a path is written through a
