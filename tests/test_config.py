@@ -281,6 +281,13 @@ def test_readme_json_example_runs():
     assert np.isfinite(record.attitude).all()
 
 
+def test_readme_names_only_bench_files_that_exist():
+    # each README figure points at the benchmark record that measured it
+    named = set(re.findall(r"BENCH_\w+\.json", README.read_text(encoding="utf-8")))
+    assert named
+    assert sorted(name for name in named if not (README.parent / name).is_file()) == []
+
+
 def test_round_trip_presets():
     for build in (fl_paper, bs_paper, bs_adaptive_paper):
         cfg = build()
