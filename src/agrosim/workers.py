@@ -7,19 +7,20 @@ caller consumes its items; a forked child runs each other share and pickles
 each item into its own unlinked temporary file, made before the fork.  The
 caller reads every share's items in order, one at a time, as one iterator,
 so it never holds a child's whole output: a child's come once it is reaped,
-followed by :class:`WorkerDied` if it did not finish.  A share whose file or
-fork fails runs in the process, in its place in the order.  The kernel often
-leaves a forked child on the CPU of the process that forked it, where the two
-shares run one after the other, so the process sets each child's CPU mask,
-right after the fork, to a usable CPU of its own other than the process's
-(read from ``/proc/self/stat``), and the child keeps that mask for its life.
-The child is moved before it first runs, so it never waits on the process's
-CPU for a turn, and no later choice of the scheduler puts it back there.  A
-child that cannot be moved runs where the kernel put it, and where the
-process's CPU cannot be read no child is moved.  The process's own CPU mask
-is never changed, and placement decides only where a share runs, never what
-it computes.  No child outlives the
-``with`` block, however it is left.  ``agrosim sweep`` (one result a value)
+followed by :class:`WorkerDied` if it did not finish.  A share whose file,
+pipe or fork fails runs in the process, in its place in the order.  The
+kernel often leaves a forked child on the CPU of the process that forked it,
+where the two shares run one after the other, so the process sets each
+child's CPU mask, right after the fork, to a usable CPU of its own other than
+the process's (read from ``/proc/self/stat``), and the child keeps that mask
+for its life.  The child is moved by the process, so it never waits on the
+process's CPU for a turn to move itself, and it starts its share only once
+the process has moved it: it waits for the process to close a pipe.  No
+later choice of the scheduler puts it back.  A child that cannot be moved
+runs where the kernel put it, and where the process's CPU cannot be read no
+child is moved.  The process's own CPU mask is never changed, and placement
+decides only where a share runs, never what it computes.  No child outlives
+the ``with`` block, however it is left.  ``agrosim sweep`` (one result a value)
 and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block of CSV lines an
 item) run on this module.
 """
@@ -57,19 +58,28 @@ class _Child:
 
     def __init__(self, task: Task, share: Any, cpu: Optional[int]):
         self.file = tempfile.TemporaryFile()
+        gate: tuple[int, ...] = ()
         try:
+            if cpu is not None:
+                gate = os.pipe()
             self.pid = os.fork()
         except OSError:
             self.file.close()
+            for fd in gate:
+                os.close(fd)
             raise
         if self.pid == 0:
-            _child_main(task, share, self.file)
+            _child_main(task, share, self.file, gate)
         self.reaped = False
-        if cpu is not None:
-            # moved by the process, the child need not first wait for a
-            # turn on the process's CPU to move itself
-            with contextlib.suppress(OSError):  # then it runs where it is
-                os.sched_setaffinity(self.pid, {cpu})
+        try:
+            if cpu is not None:
+                # moved by the process, the child need not first wait for a
+                # turn on the process's CPU to move itself
+                with contextlib.suppress(OSError):  # then it runs where it is
+                    os.sched_setaffinity(self.pid, {cpu})
+        finally:
+            for fd in gate:  # the child sees the end of the pipe: it may start
+                os.close(fd)
 
     def items(self) -> Iterator:
         """Reap the child, then yield the items it wrote, in order; raise
@@ -145,13 +155,18 @@ def _cpu() -> Optional[int]:
         return None
 
 
-def _child_main(task: Task, share: Any, fh: BinaryIO) -> None:
+def _child_main(task: Task, share: Any, fh: BinaryIO, gate: tuple[int, ...]) -> None:
     """Pickle each item of ``task(share)`` into ``fh`` in a forked child,
-    and exit: status 0 when the task finished, 1 when it raised."""
+    and exit: status 0 when the task finished, 1 when it raised.  With a
+    ``gate`` pipe, start the task only at its end, once the process has
+    closed it after moving the child: the kernel may run the child first."""
     # the child leaves only through os._exit: it must not flush the
     # parent's stdio buffers or run its atexit handlers a second time
     status = 1
     try:
+        if gate:
+            os.close(gate[1])
+            os.read(gate[0], 1)
         for item in task(share):
             pickle.dump(item, fh)
             fh.flush()  # os._exit drops buffers; a child killed later keeps what it sent

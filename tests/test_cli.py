@@ -902,6 +902,28 @@ def test_a_worker_is_held_on_its_cpu(monkeypatch):
     assert os.sched_getaffinity(0) == usable
 
 
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_a_worker_starts_its_share_only_once_moved(monkeypatch):
+    # the kernel may run a child before the process moves it; here the move
+    # comes 50 ms after the fork, and the child's first item still sees it
+    usable, move = os.sched_getaffinity(0), os.sched_setaffinity
+    monkeypatch.setattr(workers, "_cpu", lambda: min(usable))
+
+    def late(pid, mask):
+        time.sleep(0.05)
+        move(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", late)
+
+    def masks(share):
+        for _ in share:
+            yield os.sched_getaffinity(0)
+
+    with workers.run(masks, [0, 1], 1) as items:
+        assert list(items) == [usable, {sorted(usable)[1]}]
+
+
 def test_a_worker_that_cannot_move_runs_where_it_is(tmp_path, capsys, monkeypatch):
     fds = _open_fds()
     with monkeypatch.context() as m:
