@@ -14,9 +14,8 @@ rollout and the metrics of :func:`agrosim.sim.run_scenario`, on the run's
 columns, with none of its record.  No output depends on how many CPUs
 there are, and a failing sweep reports the error of its first failing
 value, as a serial loop would.  The argument parser is built once per
-process.  The output
-directory defaults to ``$AGROSIM_OUT``, read as each command is parsed,
-then (if that is unset or empty) the current directory.
+process.  The output directory defaults to ``$AGROSIM_OUT``, read as each
+command is parsed, then (if that is unset or empty) the current directory.
 ``--dt``, ``--horizon`` and ``--seed`` are applied together, by
 :func:`agrosim.presets.override`, to the preset or the ``--config`` file.
 Exit status is 0 exactly when every requested artifact was written; each

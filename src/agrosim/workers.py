@@ -20,9 +20,9 @@ later choice of the scheduler puts it back.  A child that cannot be moved
 runs where the kernel put it, and where the process's CPU cannot be read no
 child is moved.  The process's own CPU mask is never changed, and placement
 decides only where a share runs, never what it computes.  No child outlives
-the ``with`` block, however it is left.  ``agrosim sweep`` (one result a value)
-and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block of CSV lines an
-item) run on this module.
+the ``with`` block, however it is left.  ``agrosim sweep`` (one result a
+value) and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block of CSV
+lines an item) run on this module.
 """
 
 from __future__ import annotations
