@@ -16,7 +16,10 @@ The package splits along the problem structure:
   torque saturation and disturbance injection, trajectory recording,
   CSV output and metrics.
 - :mod:`agrosim.presets` / :mod:`agrosim.config` -- named reference
-  scenarios and the JSON configuration schema.
+  scenarios and the JSON configuration schema.  The schema's
+  :func:`load_config`, :func:`parse_config` and :func:`serialize_config`
+  are served from here, and :mod:`agrosim.config` is imported on first use
+  of one of them.
 - :mod:`agrosim.cli` -- the ``agrosim`` command (run / compare / sweep).
 """
 
@@ -51,7 +54,6 @@ from .errors import (
     InvalidParameterError,
     InvalidWindowError,
 )
-from .config import load_config, parse_config, serialize_config
 from .presets import preset, preset_names
 from .sim import (
     DEFAULT_SETTLE_BAND,
@@ -68,3 +70,18 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
+
+#: The names served from :mod:`agrosim.config`, which loads on first use.
+_CONFIG_NAMES = ("load_config", "parse_config", "serialize_config")
+
+
+def __getattr__(name: str):
+    if name in _CONFIG_NAMES:
+        from . import config
+
+        return getattr(config, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CONFIG_NAMES})

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import sim, workers
 from .atomic import atomic_write
-from .config import GAIN_FIELDS, load_config
+from .control import GAIN_FIELDS
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
 from .presets import override, preset, preset_names
 from .sim import Metrics, ScenarioConfig, TrajectoryRecord, run_scenario
@@ -49,29 +49,30 @@ from .svgchart import LineChart, save_svg
 def attitude_chart(records: dict[str, TrajectoryRecord]) -> LineChart:
     chart = LineChart("Attitude", xlabel="time [s]", ylabel="angle [deg]")
     for label, rec in records.items():
-        deg = np.rad2deg(rec.attitude)
+        t, deg = rec.t.tolist(), np.rad2deg(rec.attitude).T.tolist()
         suffix = f" ({label})" if label else ""
-        chart.add_series("roll" + suffix, rec.t, deg[:, 0])
-        chart.add_series("pitch" + suffix, rec.t, deg[:, 1])
-        chart.add_series("yaw" + suffix, rec.t, deg[:, 2])
+        chart.add_series("roll" + suffix, t, deg[0])
+        chart.add_series("pitch" + suffix, t, deg[1])
+        chart.add_series("yaw" + suffix, t, deg[2])
     return chart
 
 
 def torque_chart(records: dict[str, TrajectoryRecord]) -> LineChart:
     chart = LineChart("Applied body torque", xlabel="time [s]", ylabel="torque [N m]")
     for label, rec in records.items():
+        t, u_sat = rec.t.tolist(), rec.u_sat.T.tolist()
         suffix = f" ({label})" if label else ""
-        for i, axis in enumerate(("x", "y", "z")):
-            chart.add_series(f"tau_{axis}" + suffix, rec.t, rec.u_sat[:, i])
+        for axis, column in zip(("x", "y", "z"), u_sat):
+            chart.add_series(f"tau_{axis}" + suffix, t, column)
     return chart
 
 
 def estimate_chart(rec: TrajectoryRecord) -> LineChart:
     chart = LineChart("Disturbance estimate", xlabel="time [s]", ylabel="[rad/s^2]")
-    err = np.linalg.norm(rec.l_true - rec.l_hat, axis=1)
-    chart.add_series("|L|", rec.t, np.linalg.norm(rec.l_true, axis=1))
-    chart.add_series("|L_hat|", rec.t, np.linalg.norm(rec.l_hat, axis=1))
-    chart.add_series("|L - L_hat|", rec.t, err)
+    t = rec.t.tolist()
+    for name, column in (("|L|", rec.l_true), ("|L_hat|", rec.l_hat),
+                         ("|L - L_hat|", rec.l_true - rec.l_hat)):
+        chart.add_series(name, t, np.linalg.norm(column, axis=1).tolist())
     return chart
 
 
@@ -256,6 +257,8 @@ def _scenario(args, preset_name: Optional[str],
     with the ``--dt``, ``--horizon`` and ``--seed`` overrides applied."""
     if preset_name is not None:
         return preset_name, preset(preset_name, dt=args.dt, horizon=args.horizon, seed=args.seed)
+    from .config import load_config  # the schema, loaded only where a file is read
+
     name = os.path.splitext(os.path.basename(config_path))[0]
     return name, override(load_config(config_path), dt=args.dt, horizon=args.horizon,
                           seed=args.seed)

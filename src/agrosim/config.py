@@ -15,8 +15,8 @@ Hand-written documents use degrees for every angular quantity (steering
 angles, attitudes, rates, reference signals, sine phases); torques are N m
 and times seconds.  ``"controller"`` (:data:`CONTROLLER_FL` or
 :data:`CONTROLLER_BS`) selects the gains type, which is the scenario's
-controller; ``"gains"`` takes the keys of :data:`GAIN_FIELDS` whose fields
-that type has.
+controller; ``"gains"`` takes the keys of
+:data:`agrosim.control.GAIN_FIELDS` whose fields that type has.
 
 :func:`serialize_config` emits ``"angle_units": "rad"`` and raw internal
 values, because degree/radian conversion is not bit-exact in floating point;
@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import presets
-from .control import BsGains, FlGains, Reference
+from .control import GAIN_FIELDS, BsGains, FlGains, Reference
 from .dynamics import BodyState, InertiaSet, SteeringConfig, WheelGeometry
 from .errors import ConfigError
 from .sim import DisturbanceSpec, ScenarioConfig
@@ -42,10 +42,6 @@ from .sim import DisturbanceSpec, ScenarioConfig
 CONTROLLER_FL = "fl"
 CONTROLLER_BS = "backstepping"
 _GAINS_TYPES = {CONTROLLER_FL: FlGains, CONTROLLER_BS: BsGains}
-
-#: The schema's ``gains`` keys, in document order, and the gains field each
-#: one sets.
-GAIN_FIELDS = {"k1": "k1", "k2": "k2", "gamma": "gamma", "lambda": "lam", "sigma": "sigma"}
 
 _REQUIRED = object()  # an omitted key is an error
 _TYPE = object()  # an omitted key is not passed on: the type's default applies

@@ -40,6 +40,10 @@ from .errors import InvalidParameterError
 #: Default bound on ||x_d||^2 + ||xd_d||^2 + ||xd_dd||^2 for references.
 DEFAULT_REFERENCE_BOUND = 100.0
 
+#: The gain keys of the scenario schema and of ``agrosim sweep --param``, in
+#: document order, and the gains field each one sets.
+GAIN_FIELDS = {"k1": "k1", "k2": "k2", "gamma": "gamma", "lambda": "lam", "sigma": "sigma"}
+
 
 @dataclass(frozen=True, eq=False)
 class FlGains(_ArrayEqMixin):

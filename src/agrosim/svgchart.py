@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 from .atomic import atomic_write
@@ -70,6 +71,23 @@ def _axis(lo: float, hi: float, start: float, end: float) -> Callable[[float], f
     return lambda v: start + (v - lo) / (hi - lo) * (end - start)
 
 
+def _pixels(values: list[float], lo: float, hi: float, start: float, end: float) -> list[float]:
+    """The pixel of each value on the axis of :func:`_axis`, by its formula
+    in its order of operations."""
+    span, size = hi - lo, end - start
+    if math.isinf(span):
+        return list(map(_axis(lo, hi, start, end), values))
+    return [start + (v - lo) / span * size for v in values]
+
+
+def _finite_pairs(x: list[float], y: list[float]) -> tuple[list[float], list[float]]:
+    """``x`` and ``y`` without the pairs in which either value is not finite."""
+    if all(map(math.isfinite, x)) and all(map(math.isfinite, y)):
+        return x, y
+    kept = [(a, b) for a, b in zip(x, y) if math.isfinite(a) and math.isfinite(b)]
+    return [a for a, _ in kept], [b for _, b in kept]
+
+
 def _fmt(v: float) -> str:
     if v == int(v) and abs(v) < 1e7:
         return str(int(v))
@@ -101,8 +119,8 @@ class LineChart:
         self.series.append(Series(name, list(map(float, x)), list(map(float, y)), color))
 
     def _bounds(self) -> tuple[float, float, float, float]:
-        xs = [v for s in self.series for v in s.x if math.isfinite(v)]
-        ys = [v for s in self.series for v in s.y if math.isfinite(v)]
+        xs = list(filter(math.isfinite, chain.from_iterable(s.x for s in self.series)))
+        ys = list(filter(math.isfinite, chain.from_iterable(s.y for s in self.series)))
         if not xs or not ys:
             return 0.0, 1.0, 0.0, 1.0
         x_lo, x_hi = min(xs), max(xs)
@@ -155,11 +173,11 @@ class LineChart:
                 f'{ylabel}</text>'
             )
         for s in self.series:
-            pts = " ".join(
-                f"{sx(x):.2f},{sy(y):.2f}"
-                for x, y in zip(s.x, s.y)
-                if math.isfinite(x) and math.isfinite(y)
-            )
+            x, y = _finite_pairs(s.x, s.y)
+            flat = [0.0] * (2 * len(x))
+            flat[0::2] = _pixels(x, x_lo, x_hi, px_l, px_r)
+            flat[1::2] = _pixels(y, y_lo, y_hi, px_b, px_t)
+            pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(flat)
             out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                        'stroke-width="1.5"/>')
         lx, ly = px_l + 10.0, px_t + 14.0

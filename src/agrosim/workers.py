@@ -34,7 +34,6 @@ import pickle
 import signal
 import tempfile
 import threading
-import traceback
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 Task = Callable[[Any], Iterable]
@@ -172,6 +171,8 @@ def _child_main(task: Task, share: Any, fh: BinaryIO, gate: tuple[int, ...]) -> 
             fh.flush()  # os._exit drops buffers; a child killed later keeps what it sent
         status = 0
     except Exception:
+        import traceback
+
         os.write(2, traceback.format_exc().encode())
     finally:  # also on KeyboardInterrupt, which the parent reports
         os._exit(status)

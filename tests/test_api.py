@@ -10,6 +10,8 @@ import inspect
 import pathlib
 import types
 
+import pytest
+
 import agrosim
 
 PUBLIC_NAMES = [
@@ -78,6 +80,20 @@ KERNEL_FUNCTIONS = [
     "drift",
     "floats",
 ]
+
+
+def test_config_names_resolve_from_the_package():
+    # served by the package's __getattr__, so agrosim.config loads on first use
+    from agrosim import config, control, parse_config
+    from agrosim.config import GAIN_FIELDS
+
+    assert agrosim.load_config is config.load_config
+    assert parse_config is config.parse_config
+    assert agrosim.serialize_config is config.serialize_config
+    assert GAIN_FIELDS is control.GAIN_FIELDS
+    assert {"load_config", "parse_config", "serialize_config"} <= set(dir(agrosim))
+    with pytest.raises(AttributeError, match="module 'agrosim' has no attribute 'not_a_name'"):
+        agrosim.not_a_name
 
 
 def test_kernel_surface_is_pinned():

@@ -9,6 +9,8 @@ import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -153,6 +155,37 @@ def test_preset_outputs_match_pinned_digests(tmp_path):
         got = {ext: hashlib.sha256((tmp_path / (name + ext)).read_bytes()).hexdigest()
                for ext in want}
         assert got == want, name
+
+
+#: SHA-256 of each preset's SVG.  perfbench/pinned.json pins only the CSV
+#: and the metrics JSON, so these hold the charts' bytes.
+PINNED_SVG = {
+    "fl-paper": "44ae7c341764e1b0834ee59e784a83f0687650ab4d189fab269d7dc1e3eb9510",
+    "bs-paper": "58acc31b8f4a32897de7082f3a3809813a3ffa444acbe7a59113f02d4dd564e8",
+    "bs-adaptive-paper": "03c00d8c07fe8b166987440a9a5804a5614145573d87b5c74af7472d061217c3",
+}
+
+
+def test_preset_svgs_match_pinned_digests(tmp_path):
+    for name, want in PINNED_SVG.items():
+        assert main(["run", "--preset", name, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / (name + ".svg")).read_bytes()).hexdigest() == want, name
+
+
+def test_a_preset_run_does_not_load_the_schema(tmp_path):
+    # a fresh interpreter: this one has imported agrosim.config already
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from agrosim import cli\n"
+            f"status = cli.main(['run', '--preset', 'fl-paper', '--no-svg', '--out', {str(tmp_path)!r}])\n"
+            "print(status, 'agrosim.config' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "fl-paper.csv").is_file()
 
 
 def test_run_bad_preset_exits_nonzero(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import math
 import os
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agrosim import svgchart
 from agrosim.svgchart import LineChart, render_svg, save_svg
@@ -71,6 +74,41 @@ def test_flat_series_far_from_zero_renders():
     assert x_lo < x_hi and y_lo < 5.7e17 < y_hi
     svg = render_svg([chart])
     assert "nan" not in svg and "inf" not in svg
+
+
+def _reference_points(chart: LineChart) -> list[str]:
+    """Each series' ``points``, written one point at a time: two ``_axis``
+    calls and an f-string per finite pair, as the renderer once did."""
+    x_lo, x_hi, y_lo, y_hi = chart._bounds()
+    sx = svgchart._axis(x_lo, x_hi, svgchart._MARGIN_L, svgchart._WIDTH - svgchart._MARGIN_R)
+    sy = svgchart._axis(y_lo, y_hi, svgchart._HEIGHT - svgchart._MARGIN_B, svgchart._MARGIN_T)
+    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y)
+                     if math.isfinite(x) and math.isfinite(y))
+            for s in chart.series]
+
+
+_INF, _NAN = math.inf, math.nan
+#: Any double, NaN and the infinities included, with the ends of the range
+#: drawn often enough that ``hi - lo`` overflows.
+_VALUES = st.one_of(st.floats(), st.sampled_from([-1e308, 1e308, -_INF, _INF, _NAN]))
+
+
+@given(st.lists(st.lists(st.tuples(_VALUES, _VALUES), max_size=12), min_size=1, max_size=3))
+@example([[(0.0, _NAN), (1.0, 2.0), (_INF, 3.0), (2.0, -_INF), (3.0, 1.0)]])
+@example([[(_NAN, 1.0), (0.0, _INF)], [(-_INF, _NAN)]])  # no finite pair at all
+@example([[(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]])  # constant
+@example([[(-1e308, -1e308), (0.0, 0.0), (1e308, 1e308)]])  # both spans overflow
+@example([[(0.0, -1.7e308), (1.0, 1.7e308)], [(-1e308, 1.0), (1e308, 2.0)]])
+# x pixel 76.375, written 76.38; (v - lo) * ((end - start) / (hi - lo)) gives
+# 76.37499999999999, written 76.37
+@example([[(0.0, 0.0), (0.06629464285714282, 0.5), (3.0, 1.0)]])
+@settings(max_examples=300, deadline=None)
+def test_polyline_points_match_the_per_point_reference(series):
+    chart = LineChart("points")
+    for i, pairs in enumerate(series):
+        chart.add_series(str(i), [x for x, _ in pairs], [y for _, y in pairs])
+    got = re.findall(r'<polyline points="([^"]*)"', chart.render_group())
+    assert got == _reference_points(chart)
 
 
 def test_mismatched_series_lengths_rejected():
