@@ -34,10 +34,11 @@ allocation (:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
 record from them.  The horizon must be a whole number of steps.
 
 :meth:`TrajectoryRecord.to_csv` formats the rows on
-:func:`agrosim.workers.run`, a block of rows with one ``%`` call, and
-writes the blocks in order as they come, so the whole text never sits in
-memory; a file target is written to a temporary file that replaces the
-target only once it is complete.
+:func:`agrosim.workers.run`, a block of rows at a time in numpy
+(:func:`agrosim.csvtext.rows`, the exact bytes of ``%.17g``), and writes
+the blocks in order as they come, so the whole text never sits in memory;
+a file target is written to a temporary file that replaces the target only
+once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional, Union
@@ -241,21 +243,25 @@ def _loop(config: ScenarioConfig):
                               config.dt, config.disturbance, config.adaptation_enabled)
 
 
-#: Rows formatted by one ``%`` call, and written at once, by :meth:`TrajectoryRecord.to_csv`.
+#: Rows formatted together, and written at once, by :meth:`TrajectoryRecord.to_csv`.
 _CSV_BLOCK = 256
 
 #: The fewest rows :meth:`TrajectoryRecord.to_csv` gives each worker.  A fork
 #: costs more than fork + waitpid (2.5-3.7 ms for a 40 MB process): every
 #: page the process writes afterwards, to its exit, takes a fault, about
-#: 4500 more faults for an ``agrosim run``.  Whole fl-paper ``agrosim run
-#: --no-svg`` processes on a 2-CPU x86-64 host, 2 workers against 1, the
-#: child held on a CPU of its own (median of paired differences, in runs of
-#: 30 and of 60 pairs): 1501 rows +5.9 and -0.5 ms, 2501 rows -7.6 and
-#: +0.8 ms, 4001 rows -12.0 and -9.3 ms.  Unplaced, a child stayed on its
-#: parent's CPU and 2 workers lost at every size (+6.7, +11.6, +14.0 ms).
-#: So placed workers break even between 750 and 1250 rows a worker: at 1501
-#: and 2501 rows the difference is inside the noise (11 of 30 and 35 of 60,
-#: 21 of 30 and 26 of 60 pairs won).  1024 keeps the presets' CSVs serial.
+#: 4500 more faults for an ``agrosim run``.  A row's cost depends on how
+#: many of its values :mod:`agrosim.csvtext` formats one by one (below 1e-6,
+#: NaN).  Whole ``agrosim run --no-svg`` processes on a 2-CPU x86-64 host,
+#: 2 workers against 1, the child held on a CPU of its own (median of
+#: paired differences, two runs of 30 pairs, pairs won by 2 workers):
+#: fl-paper, 22-49 % of values one by one, 1501 rows +2.5 and +2.6 ms (9
+#: and 9), 2501 rows -0.8 and -4.1 ms (16 and 20), 4001 rows -27.5 and
+#: -11.8 ms (29 and 24); bs-adaptive-paper, 3-4 % one by one, 2501 rows
+#: +0.4 ms (14) and 4001 rows +2.7 ms (6), so there a whole process no
+#: longer gains from a fork at 4001 rows.  In a long-lived process, the
+#: 4001-row bs-adaptive-paper CSV took 2.5 ms less with 2 workers (36 of 40
+#: alternations).  The break-even stays near 1250 rows a worker, and 1024
+#: keeps the presets' CSVs serial.
 _CSV_WORKER_ROWS = 1024
 
 _CSV_COLUMNS = (
@@ -320,7 +326,7 @@ class TrajectoryRecord(_ArrayEqMixin):
         """Per-sample attitude error x_d - x, radians."""
         return self.reference.x_d[None, :] - self.attitude
 
-    def to_csv(self, target: Union[str, IO[str]]) -> None:
+    def to_csv(self, target: Union[str, os.PathLike, IO[str]]) -> None:
         """Write the record as CSV (angles in degrees, full precision).
 
         Column units: t [s]; phi..psi [deg]; phi_dot..psi_dot [deg/s];
@@ -328,13 +334,14 @@ class TrajectoryRecord(_ArrayEqMixin):
         Every value is written as ``%.17g``, which reads back as the same
         double.  The rows are formatted on :func:`agrosim.workers.run`,
         with at least :data:`_CSV_WORKER_ROWS` rows a worker, in blocks of
-        :data:`_CSV_BLOCK` rows, one ``%`` call each, and written in order.
+        :data:`_CSV_BLOCK` rows (:func:`agrosim.csvtext.rows`), and written
+        in order.
         A child that does not finish its share raises
         :class:`~agrosim.errors.AgroSimError`.  Each row is formatted on its
         own, so the text does not depend on the number of workers.
-        ``target`` is a path or a text stream; a path is written through a
-        temporary file beside it, so on failure any previous file there is
-        left intact.
+        ``target`` is a path (a ``str`` or any :class:`os.PathLike`) or a
+        text stream; a path is written through a temporary file beside it,
+        so on failure any previous file there is left intact.
         """
         data = np.column_stack([
             self.t,
@@ -348,7 +355,8 @@ class TrajectoryRecord(_ArrayEqMixin):
             self.v1,
             self.v2,
         ])
-        opened = atomic_write(target) if isinstance(target, str) else nullcontext(target)
+        opened = (atomic_write(os.fspath(target)) if isinstance(target, (str, os.PathLike))
+                  else nullcontext(target))
         with workers.run(_csv_blocks, data, _CSV_WORKER_ROWS) as blocks, opened as fh:
             fh.write(_CSV_COLUMNS + "\n")
             try:
@@ -361,18 +369,15 @@ class TrajectoryRecord(_ArrayEqMixin):
 def _csv_blocks(data: np.ndarray) -> Iterator[str]:
     """CSV lines of the rows of ``data``, :data:`_CSV_BLOCK` rows per string.
 
-    Each block is one ``%`` call on a ``"%.17g,...,%.17g\\n"`` template;
-    ``"%.17g" % x`` gives the bytes of ``f"{x:.17g}"`` (nan, inf and -0
-    included): 17 significant digits, which always read back as the same
-    double, though not always the shortest such text (``0.1`` is written
-    ``0.10000000000000001``).
+    Each value is written as the bytes of ``"%.17g" % x`` (nan, inf and -0
+    included), by :func:`agrosim.csvtext.rows`: 17 significant digits,
+    which always read back as the same double, though not always the
+    shortest such text (``0.1`` is written ``0.10000000000000001``).
     """
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    full = row * _CSV_BLOCK
+    from . import csvtext  # its tables are built with the first CSV, not at import
+
     for start in range(0, len(data), _CSV_BLOCK):
-        block = data[start:start + _CSV_BLOCK]
-        template = full if len(block) == _CSV_BLOCK else row * len(block)
-        yield template % tuple(block.ravel().tolist())
+        yield csvtext.rows(data[start:start + _CSV_BLOCK])
 
 
 @dataclass(frozen=True, eq=False)

@@ -717,6 +717,57 @@ def test_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["run.csv"]
 
 
+def test_csv_to_a_path_like_target(tmp_path, monkeypatch):
+    rec, _ = run_scenario(preset("bs-adaptive-paper", horizon=0.6))
+    path = tmp_path / "run.csv"
+    rec.to_csv(str(path))
+    want = path.read_bytes()
+    path.unlink()
+    rec.to_csv(path)
+    assert path.read_bytes() == want
+
+    def fail(data):
+        raise RuntimeError("formatter failed")
+        yield
+
+    path.write_text("previous\n", encoding="utf-8")
+    monkeypatch.setattr(sim, "_csv_blocks", fail)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        rec.to_csv(path)
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["run.csv"]
+
+
+def _g17_lines(values: np.ndarray) -> str:
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in values.tolist())
+
+
+def test_csv_text_at_the_formatter_boundaries():
+    # csvtext formats 1e-6 <= |v| < 1e17 in numpy and the rest one by one;
+    # every value must read as f"{v:.17g}", whichever path it takes
+    tens = np.array([float(f"1e{e}") for e in range(-30, 21)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    ends = np.array([1e-6, 9.9999999999999995e-07, 1e17, 1e16, 2.0 ** 53])
+    ends = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf)])
+    special = np.array([0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 1000000000000000.25, 0.5])
+    halves = np.arange(-2000, 2000) + 0.5
+    t = np.arange(10_001) * 0.001
+    bits = np.random.default_rng(28).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    values = np.concatenate([tens, ends, special, -tens, -ends, -special, halves, t,
+                             bits.view(np.float64)])
+    values = np.concatenate([values, np.zeros(-len(values) % 24)]).reshape(-1, 24)
+    assert "9.9999999999999995e-07" in _g17_lines(ends[None, :])
+    assert "".join(sim._csv_blocks(values)) == _g17_lines(values)
+
+
+def test_long_adaptive_csv_matches_per_value_formatting():
+    rec, _ = run_scenario(preset("bs-adaptive-paper", horizon=4.0))
+    buf = io.StringIO()
+    rec.to_csv(buf)
+    assert buf.getvalue() == _csv_reference(rec)
+
+
 # ---------------------------------------------------------------------------
 # a CSV's rows spread over forked workers (agrosim.workers)
 # ---------------------------------------------------------------------------
