@@ -106,7 +106,7 @@ def rows(block: np.ndarray) -> str:
     """The CSV lines of the rows of the 2-D float64 array ``block``: each
     value as ``"%.17g" % v``, separated by commas, each row ending in a
     newline."""
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    x = block.ravel()
     a = np.abs(x)
     zero = a == 0.0
     ok = (a >= 1e-6) & (a < 1e17)
