@@ -8,12 +8,13 @@
 Each run writes ``<name>.csv`` (full trajectory), ``<name>.metrics.json``
 (settle times, peak torques, estimate-error RMS), and ``<name>.svg`` unless
 ``--no-svg`` is given; a sweep writes only its metrics JSON and takes no
-``--no-svg``.  A sweep's values, and each CSV's rows, run on
-:func:`agrosim.workers.run`.  A sweep value computes only its metrics: the
-rollout and the metrics of :func:`agrosim.sim.run_scenario`, on the run's
-columns, with none of its record.  No output depends on how many CPUs
-there are, and a failing sweep reports the error of its first failing
-value, as a serial loop would.  The argument parser is built once per
+``--no-svg``.  A sweep's values run on :func:`agrosim.workers.run`; a CSV
+is written by the process that runs the command.  A sweep value computes
+only its metrics: the rollout and the metrics of
+:func:`agrosim.sim.run_scenario`, on the run's columns, with none of its
+record.  No output depends on how many CPUs there are, and a failing
+sweep reports the error of its first failing value, as a serial loop
+would.  The argument parser is built once per
 process.  The output directory defaults to ``$AGROSIM_OUT``, read as each
 command is parsed, then (if that is unset or empty) the current directory.
 ``--dt``, ``--horizon`` and ``--seed`` are applied together, by
@@ -202,7 +203,7 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     raised.
     """
     metrics = []
-    with workers.run(_run_share, configs, 1) as results:
+    with workers.run(_run_share, configs) as results:
         try:
             for result in results:
                 if isinstance(result, _FAILURES):

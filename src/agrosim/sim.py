@@ -33,12 +33,11 @@ allocation (:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
 (:func:`agrosim.control.lyapunov`) vectorised over all rows, and builds the
 record from them.  The horizon must be a whole number of steps.
 
-:meth:`TrajectoryRecord.to_csv` formats the rows on
-:func:`agrosim.workers.run`, a block of rows at a time in numpy
-(:func:`agrosim.csvtext.rows`, the exact bytes of ``%.17g``), and writes
-the blocks in order as they come, so the whole text never sits in memory;
-a file target is written to a temporary file that replaces the target only
-once it is complete.
+:meth:`TrajectoryRecord.to_csv` formats the rows in the calling process,
+a block of rows at a time in numpy (:func:`agrosim.csvtext.rows`, the exact
+bytes of ``%.17g``), and writes each block as it is made, so the whole text
+never sits in memory; a file target is written to a temporary file that
+replaces the target only once it is complete.
 
 Runs are deterministic: identical configuration (including the disturbance
 seed) produces bit-identical trajectories and CSV output.  All state is
@@ -51,13 +50,14 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
-from . import kernel, workers
+from . import kernel
 from .atomic import atomic_write
 from .control import BsGains, FlGains, Reference, lyapunov
 from .dynamics import (
@@ -72,7 +72,6 @@ from .dynamics import (
     effective_inertias,
 )
 from .errors import (
-    AgroSimError,
     DisturbanceBudgetError,
     DivergenceError,
     InvalidParameterError,
@@ -181,7 +180,8 @@ class ScenarioConfig(_ArrayEqMixin):
     ``adaptation_enabled`` requires BsGains.  ``u_max = math.inf`` disables
     saturation.  ``horizon`` must be a whole number of ``dt`` steps (to a
     relative tolerance of :data:`_HORIZON_RTOL`), so a run ends exactly at
-    the horizon it was given.
+    the horizon it was given, and ``horizon / dt`` finite and small enough
+    that the run's table of rows can be sized.
     """
 
     inertias: InertiaSet
@@ -212,6 +212,14 @@ class ScenarioConfig(_ArrayEqMixin):
         if horizon < dt:
             raise InvalidParameterError(f"horizon must be >= dt, got {horizon}")
         steps = horizon / dt
+        # a table of n + 1 rows of 21 doubles (a backstepping row, the
+        # widest) past sys.maxsize bytes cannot even be sized; below that,
+        # a run too long for memory raises MemoryError at its allocation
+        if not math.isfinite(steps) or (round(steps) + 1) * 21 * 8 > sys.maxsize:
+            raise InvalidParameterError(
+                f"run too long to size: horizon = {horizon!r} s, dt = {dt!r} s, "
+                f"horizon / dt = {steps!r} steps"
+            )
         if abs(steps - round(steps)) > _HORIZON_RTOL * steps:
             raise InvalidParameterError(
                 f"horizon {horizon!r} s is not a whole number of dt = {dt!r} s steps "
@@ -245,24 +253,6 @@ def _loop(config: ScenarioConfig):
 
 #: Rows formatted together, and written at once, by :meth:`TrajectoryRecord.to_csv`.
 _CSV_BLOCK = 256
-
-#: The fewest rows :meth:`TrajectoryRecord.to_csv` gives each worker.  A fork
-#: costs more than fork + waitpid (2.5-3.7 ms for a 40 MB process): every
-#: page the process writes afterwards, to its exit, takes a fault, about
-#: 4500 more faults for an ``agrosim run``.  A row's cost depends on how
-#: many of its values :mod:`agrosim.csvtext` formats one by one (below 1e-6,
-#: NaN).  Whole ``agrosim run --no-svg`` processes on a 2-CPU x86-64 host,
-#: 2 workers against 1, the child held on a CPU of its own (median of
-#: paired differences, two runs of 30 pairs, pairs won by 2 workers):
-#: fl-paper, 22-49 % of values one by one, 1501 rows +2.5 and +2.6 ms (9
-#: and 9), 2501 rows -0.8 and -4.1 ms (16 and 20), 4001 rows -27.5 and
-#: -11.8 ms (29 and 24); bs-adaptive-paper, 3-4 % one by one, 2501 rows
-#: +0.4 ms (14) and 4001 rows +2.7 ms (6), so there a whole process no
-#: longer gains from a fork at 4001 rows.  In a long-lived process, the
-#: 4001-row bs-adaptive-paper CSV took 2.5 ms less with 2 workers (36 of 40
-#: alternations).  The break-even stays near 1250 rows a worker, and 1024
-#: keeps the presets' CSVs serial.
-_CSV_WORKER_ROWS = 1024
 
 _CSV_COLUMNS = (
     "t,phi,theta,psi,phi_dot,theta_dot,psi_dot,"
@@ -332,13 +322,9 @@ class TrajectoryRecord(_ArrayEqMixin):
         Column units: t [s]; phi..psi [deg]; phi_dot..psi_dot [deg/s];
         torque columns [N m]; L/Lhat [rad/s^2]; V1, V2 dimensionless.
         Every value is written as ``%.17g``, which reads back as the same
-        double.  The rows are formatted on :func:`agrosim.workers.run`,
-        with at least :data:`_CSV_WORKER_ROWS` rows a worker, in blocks of
-        :data:`_CSV_BLOCK` rows (:func:`agrosim.csvtext.rows`), and written
-        in order.
-        A child that does not finish its share raises
-        :class:`~agrosim.errors.AgroSimError`.  Each row is formatted on its
-        own, so the text does not depend on the number of workers.
+        double.  The rows are formatted in this process, in blocks of
+        :data:`_CSV_BLOCK` rows (:func:`agrosim.csvtext.rows`), and each
+        block is written as it is made.
         ``target`` is a path (a ``str`` or any :class:`os.PathLike`) or a
         text stream; a path is written through a temporary file beside it,
         so on failure any previous file there is left intact.
@@ -357,13 +343,9 @@ class TrajectoryRecord(_ArrayEqMixin):
         ])
         opened = (atomic_write(os.fspath(target)) if isinstance(target, (str, os.PathLike))
                   else nullcontext(target))
-        with workers.run(_csv_blocks, data, _CSV_WORKER_ROWS) as blocks, opened as fh:
+        with opened as fh:
             fh.write(_CSV_COLUMNS + "\n")
-            try:
-                fh.writelines(blocks)
-            except workers.WorkerDied as died:
-                raise AgroSimError(f"CSV worker {died.pid} {died.how} "
-                                   "before writing all of its rows") from None
+            fh.writelines(_csv_blocks(data))
 
 
 def _csv_blocks(data: np.ndarray) -> Iterator[str]:

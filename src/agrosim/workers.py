@@ -1,28 +1,27 @@
 """Forked workers, one per usable CPU, for work that splits into shares.
 
 :func:`run` cuts a sequence of items into contiguous shares, one per usable
-CPU while each keeps a given least number, and runs a generator function
-``task`` on each share.  The process runs the first share itself, as the
-caller consumes its items; a forked child runs each other share and pickles
-each item into its own unlinked temporary file, made before the fork.  The
-caller reads every share's items in order, one at a time, as one iterator,
-so it never holds a child's whole output: a child's come once it is reaped,
-followed by :class:`WorkerDied` if it did not finish.  A share whose file,
-pipe or fork fails runs in the process, in its place in the order.  The
-kernel often leaves a forked child on the CPU of the process that forked it,
-where the two shares run one after the other, so the process sets each
-child's CPU mask, right after the fork, to a usable CPU of its own other than
-the process's (read from ``/proc/self/stat``), and the child keeps that mask
-for its life.  The child is moved by the process, so it never waits on the
-process's CPU for a turn to move itself, and it starts its share only once
-the process has moved it: it waits for the process to close a pipe.  No
-later choice of the scheduler puts it back.  A child that cannot be moved
-runs where the kernel put it, and where the process's CPU cannot be read no
-child is moved.  The process's own CPU mask is never changed, and placement
-decides only where a share runs, never what it computes.  No child outlives
-the ``with`` block, however it is left.  ``agrosim sweep`` (one result a
-value) and :meth:`agrosim.sim.TrajectoryRecord.to_csv` (one block of CSV
-lines an item) run on this module.
+CPU while each keeps an item, and runs a generator function ``task`` on each
+share.  The process runs the first share itself, as the caller consumes its
+items; a forked child runs each other share and pickles each item into its
+own unlinked temporary file, made before the fork.  The caller reads every
+share's items in order, one at a time, as one iterator, so it never holds a
+child's whole output: a child's come once it is reaped, followed by
+:class:`WorkerDied` if it did not finish.  A share whose file, pipe or fork
+fails runs in the process, in its place in the order.  The kernel often
+leaves a forked child on the CPU of the process that forked it, where the two
+shares run one after the other, so the process sets each child's CPU mask,
+right after the fork, to a usable CPU of its own other than the process's
+(read from ``/proc/self/stat``), and the child keeps that mask for its life.
+The child is moved by the process, so it never waits on the process's CPU for
+a turn to move itself, and it starts its share only once the process has
+moved it: it waits for the process to close a pipe.  No later choice of the
+scheduler puts it back.  A child that cannot be moved runs where the kernel
+put it, and where the process's CPU cannot be read no child is moved.  The
+process's own CPU mask is never changed, and placement decides only where a
+share runs, never what it computes.  No child outlives the ``with`` block,
+however it is left.  ``agrosim sweep`` (one result a value) runs on this
+module.
 """
 
 from __future__ import annotations
@@ -106,9 +105,9 @@ class _Child:
 
 
 @contextlib.contextmanager
-def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
+def run(task: Task, items: Sequence) -> Iterator[Iterator]:
     """Run the generator function ``task`` on contiguous shares of ``items``,
-    one per usable CPU while each keeps ``least`` items, all but the first in
+    one per usable CPU while each keeps an item, all but the first in
     a forked :class:`_Child`, forked on entry, the j-th of them held on the
     j-th usable CPU other than the process's.  There is one share without
     ``os.fork`` or ``os.sched_getaffinity``, or while another thread runs,
@@ -122,7 +121,7 @@ def run(task: Task, items: Sequence, least: int) -> Iterator[Iterator]:
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
         usable = os.sched_getaffinity(0)
-        n = max(1, min(len(items) // least, len(usable)))
+        n = max(1, min(len(items), len(usable)))
     cuts = [j * len(items) // n for j in range(n + 1)]
     shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     here = _cpu() if n > 1 else None

@@ -37,7 +37,7 @@ def rollout_rows(rows, n: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# forked workers (agrosim.workers): a sweep's values and a CSV's rows
+# forked workers (agrosim.workers): a sweep's values
 # ---------------------------------------------------------------------------
 
 def _usable_cpus(monkeypatch, n):

@@ -219,6 +219,26 @@ def test_run_out_of_memory_is_an_error(error, message, tmp_path, capfd, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+# horizon / dt past the steps whose table of rows can be sized, or not finite:
+# rejected with the config, before the output directory is made
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "k1", "--values", "10,20"]], ids=["run", "sweep"])
+@pytest.mark.parametrize("name, args, horizon, dt, steps", [
+    ("fl-paper", ["--dt", "1e-300"], "1.5", "1e-300", "1.5e+300"),
+    ("fl-paper", ["--horizon", "1e17"], "1e+17", "0.001", "1e+20"),
+    ("bs-adaptive-paper", ["--dt", "1e-300"], "1.5", "1e-300", "1.5e+300"),
+    ("fl-paper", ["--horizon", "1e308", "--dt", "1e-10"], "1e+308", "1e-10", "inf"),
+], ids=["fl-dt", "fl-horizon", "bs-adaptive-dt", "inf"])
+def test_a_run_too_long_to_size_is_an_error(command, name, args, horizon, dt, steps,
+                                            tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(command + ["--preset", name, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"agrosim: error: run too long to size: horizon = {horizon} s, dt = {dt} s, "
+        f"horizon / dt = {steps} steps\n")
+    assert not out.exists()
+
+
 def test_sweep_out_of_memory_in_a_worker_is_an_error(tmp_path, capfd, monkeypatch):
     # the child reports it as the serial loop would, without its traceback
     fds = _open_fds()
@@ -668,9 +688,6 @@ def test_sweep_names_a_worker_that_died(tmp_path, capsys, monkeypatch):
                  ["sweep", "--param", "k1", "--values", "10,20,40", "--horizon", "0.05"],
                  "sweep worker \\d+ exited with status 1 before sending all of its results",
                  id="sweep"),
-    pytest.param(sim, "_csv_blocks", ["run", "--horizon", "4", "--no-svg"],
-                 "CSV worker \\d+ exited with status 1 before writing all of its rows",
-                 id="csv"),
 ])
 def test_worker_that_raises_is_named(owner, name, args, message, tmp_path, capsys,
                                      monkeypatch):
@@ -853,8 +870,9 @@ def test_sweep_worker_finishes_while_the_process_runs_its_share(tmp_path, monkey
 # ---------------------------------------------------------------------------
 
 def _sweep_and_run(out, capsys):
-    """Every file written, and stdout and stderr, of a 5-value sweep and of
-    a 3.1 s run, whose 3101-row CSV takes three workers on three CPUs."""
+    """Every file written, and stdout and stderr, of a 5-value sweep, whose
+    values take three workers on three CPUs, and of a 3.1 s run, whose
+    3101-row CSV the process writes itself."""
     assert main(["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "5,10,20,40,80",
                  "--horizon", "0.1", "--out", str(out)]) == 0
     assert main(["run", "--preset", "fl-paper", "--horizon", "3.1", "--no-svg",
@@ -909,8 +927,8 @@ def test_each_worker_moves_to_a_cpu_of_its_own(tmp_path, capsys, monkeypatch):
         serial = _sweep_and_run(tmp_path / "out", capsys)
     forked, calls = _placed_children(tmp_path, monkeypatch, lambda: None)
     assert _sweep_and_run(tmp_path / "out", capsys) == serial
-    assert len(forked) == 4  # two for the sweep, then two for the CSV
-    moves = list(zip(forked, ["[1]", "[2]", "[1]", "[2]"]))
+    assert len(forked) == 2  # for the sweep; the CSV forks nothing
+    moves = list(zip(forked, ["[1]", "[2]"]))
     assert calls() == {os.getpid(): moves}
     _assert_no_child_left(fds)
 
@@ -927,10 +945,10 @@ def test_a_worker_is_held_on_its_cpu(monkeypatch):
         for _ in share:
             yield os.getpid(), os.sched_getaffinity(0)
 
-    with workers.run(masks, [0, 1, 2, 3], 2) as items:
+    with workers.run(masks, [0, 1]) as items:
         seen = list(items)
-    assert seen[:2] == [(os.getpid(), usable)] * 2
-    (pid, held), = set((pid, frozenset(mask)) for pid, mask in seen[2:])
+    assert seen[0] == (os.getpid(), usable)
+    (pid, held), = set((pid, frozenset(mask)) for pid, mask in seen[1:])
     assert pid != os.getpid() and held == {sorted(usable)[1]}
     assert os.sched_getaffinity(0) == usable
 
@@ -953,7 +971,7 @@ def test_a_worker_starts_its_share_only_once_moved(monkeypatch):
         for _ in share:
             yield os.sched_getaffinity(0)
 
-    with workers.run(masks, [0, 1], 1) as items:
+    with workers.run(masks, [0, 1]) as items:
         assert list(items) == [usable, {sorted(usable)[1]}]
 
 
@@ -968,8 +986,8 @@ def test_a_worker_that_cannot_move_runs_where_it_is(tmp_path, capsys, monkeypatc
 
     forked, calls = _placed_children(tmp_path, monkeypatch, refuse)
     assert _sweep_and_run(tmp_path / "out", capsys) == serial
-    assert len(forked) == 4
-    assert calls() == {os.getpid(): list(zip(forked, ["[1]", "[2]", "[1]", "[2]"]))}
+    assert len(forked) == 2
+    assert calls() == {os.getpid(): list(zip(forked, ["[1]", "[2]"]))}
     _assert_no_child_left(fds)
 
 
@@ -978,7 +996,7 @@ def test_no_worker_moves_when_the_cpu_is_unknown(tmp_path, capsys, monkeypatch):
     forked, calls = _placed_children(tmp_path, monkeypatch, lambda: None)
     monkeypatch.setattr(workers, "_cpu", lambda: None)
     _sweep_and_run(tmp_path / "out", capsys)
-    assert len(forked) == 4
+    assert len(forked) == 2
     assert calls() == {}
     _assert_no_child_left(fds)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agrosim
 from agrosim import (
     BodyState,
     BsGains,
@@ -286,6 +288,36 @@ def test_readme_names_only_bench_files_that_exist():
     named = set(re.findall(r"BENCH_\w+\.json", README.read_text(encoding="utf-8")))
     assert named
     assert sorted(name for name in named if not (README.parent / name).is_file()) == []
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module of the package, or a name in one,
+    importing each module on the way as Python would."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            return False
+    return True
+
+
+def test_readme_code_references_resolve():
+    # each backticked agrosim.<module>[.<name>...] (a call's arguments
+    # aside) and <module>._<name> names code that exists
+    text = README.read_text(encoding="utf-8")
+    modules = {path.stem for path in Path(agrosim.__file__).parent.glob("*.py")}
+    named = set(re.findall(r"`(agrosim(?:\.\w+)+)(?:\([^`]*\))?`", text))
+    named |= {f"agrosim.{module}.{name}"
+              for module, name in re.findall(r"`(\w+)\.(_\w+)`", text) if module in modules}
+    assert "agrosim.workers.run" in named
+    assert sorted(name for name in named if not _resolves(name)) == []
 
 
 def test_round_trip_presets():

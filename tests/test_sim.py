@@ -4,9 +4,8 @@ import io
 import math
 import os
 import re
-import signal
+import sys
 import tempfile
-import threading
 import warnings
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrosim import (
-    AgroSimError,
     AllocationSingularityError,
     BodyState,
     DisturbanceBudgetError,
@@ -244,6 +242,22 @@ def test_config_validation():
                 dataclasses.replace(preset("fl-paper"), **{name: bad})
         with pytest.raises(InvalidParameterError, match=r"^dt "):
             dataclasses.replace(preset("fl-paper"), dt=bad, horizon=1.0)
+
+
+def test_scenario_rejects_a_run_too_long_to_size():
+    # n + 1 rows of 21 doubles up to sys.maxsize bytes are sized (and may
+    # then run out of memory); one step more, or a non-finite n, is rejected
+    rows = sys.maxsize // (21 * 8)
+    longest = float(rows - 1)
+    while int(longest) + 1 > rows:
+        longest = math.nextafter(longest, 0.0)
+    assert _plain_config(horizon=longest, dt=1.0).n_steps + 1 <= rows
+    too_long = math.nextafter(longest, math.inf)
+    for horizon, dt, steps in [(too_long, 1.0, repr(too_long)), (1e308, 1e-10, "inf")]:
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"run too long to size: horizon = {horizon!r} s, dt = {dt!r} s, "
+                f"horizon / dt = {steps} steps")):
+            _plain_config(horizon=horizon, dt=dt)
 
 
 @pytest.mark.parametrize("field", ["offset", "sine_amp", "sine_freq", "sine_phase",
@@ -769,11 +783,8 @@ def test_long_adaptive_csv_matches_per_value_formatting():
 
 
 # ---------------------------------------------------------------------------
-# a CSV's rows spread over forked workers (agrosim.workers)
+# a CSV is written by the process that asks for it, whatever the CPUs
 # ---------------------------------------------------------------------------
-
-_W = sim._CSV_WORKER_ROWS
-
 
 def _random_record(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -800,18 +811,24 @@ def _csv_of(rec, tmp_path):
     return buf.getvalue()
 
 
-# each worker takes at least _W rows, cut at any row, not only at a block's
-# end: 1, 2 or 3 shares on either side of 2 * _W and 3 * _W rows
-@pytest.mark.parametrize("n", [2 * _W - 1, 2 * _W, 2 * _W + 1, 3 * _W - 1, 3 * _W,
-                               3 * _W + _B + 7])
+def test_csv_is_written_by_the_calling_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("to_csv forked")
+
+    rec = _random_record(4001)
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    buf = io.StringIO()
+    rec.to_csv(buf)
+    assert buf.getvalue() == _csv_reference(rec)
+
+
+# rows on either side of 8 and 12 blocks, and a part block past 13, on 1-3 CPUs
+@pytest.mark.parametrize("n", [8 * _B - 1, 8 * _B, 8 * _B + 1, 12 * _B - 1, 12 * _B,
+                               13 * _B + 7])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_csv_output_does_not_depend_on_cpus(n, cpus, tmp_path, monkeypatch):
-    fds = _open_fds()
     rec = _random_record(n)
-    want = _csv_reference(rec)
-    with monkeypatch.context() as m:
-        _usable_cpus(m, 1)
-        assert _csv_of(rec, tmp_path) == want
     real, forks = os.fork, []
 
     def counted_fork():
@@ -820,35 +837,12 @@ def test_csv_output_does_not_depend_on_cpus(n, cpus, tmp_path, monkeypatch):
 
     _usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
-    assert _csv_of(rec, tmp_path) == want
-    assert len(forks) == 2 * (min(cpus, n // _W) - 1)  # one set per target
-    _assert_no_child_left(fds)
+    assert _csv_of(rec, tmp_path) == _csv_reference(rec)
+    assert forks == []
 
 
-def test_csv_worker_killed_keeps_previous_file(tmp_path, monkeypatch):
-    fds = _open_fds()
-    rec = _random_record(3 * _W)
-    path = tmp_path / "run.csv"
-    path.write_text("previous\n", encoding="utf-8")
-    parent, blocks = os.getpid(), sim._csv_blocks
-
-    def die_in_child(data):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return blocks(data)
-
-    _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(sim, "_csv_blocks", die_in_child)
-    with pytest.raises(AgroSimError, match=r"^CSV worker \d+ was killed by signal "
-                                           f"{int(signal.SIGKILL)} before writing all"):
-        rec.to_csv(str(path))
-    assert path.read_text(encoding="utf-8") == "previous\n"
-    assert os.listdir(tmp_path) == ["run.csv"]
-    _assert_no_child_left(fds)
-
-
-# 0: no fork succeeds; 1: the first child forks, the second does not;
-# tempfile: the first child gets its file, the second does not
+# to_csv needs neither a fork nor an unlinked temporary file: where they
+# fail from the first call (0) or the second (1, tempfile), the CSV is the same
 @pytest.mark.parametrize("module, name, calls_before_failing, error", [
     pytest.param(os, "fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
                  id="0"),
@@ -860,43 +854,22 @@ def test_csv_worker_killed_keeps_previous_file(tmp_path, monkeypatch):
 def test_csv_written_in_process_when_it_cannot_fork(module, name, calls_before_failing, error,
                                                     tmp_path, monkeypatch):
     fds = _open_fds()
-    rec = _random_record(3 * _W + 1)
-    want = _csv_reference(rec)
+    rec = _random_record(12 * _B + 1)
     real, calls = getattr(module, name), []
 
     def fail_when_out_of_resources(*args, **kwargs):
-        if len(calls) == calls_before_failing:
-            raise error
         calls.append(name)
+        if len(calls) > calls_before_failing:
+            raise error
         return real(*args, **kwargs)
 
     _usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(module, name, fail_when_out_of_resources)
     path = tmp_path / "rec.csv"
     rec.to_csv(str(path))
-    assert len(calls) == calls_before_failing  # the failing call was made
-    assert path.read_text(encoding="utf-8") == want
+    assert calls == []
+    assert path.read_text(encoding="utf-8") == _csv_reference(rec)
     _assert_no_child_left(fds)
-
-
-def test_csv_forks_nothing_while_another_thread_runs(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("to_csv forked while another thread was running")
-
-    rec = _random_record(3 * _W)
-    _usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", no_fork)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        buf = io.StringIO()
-        rec.to_csv(buf)
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert buf.getvalue() == _csv_reference(rec)
 
 
 def test_metrics_to_dict_converts_nan():
