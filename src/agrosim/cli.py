@@ -92,28 +92,28 @@ def _metrics_table(rows: Iterable[tuple[str, Metrics]]) -> str:
     return "\n".join(lines)
 
 
-def _write_outputs(out_dir: str, name: str, records: dict[str, TrajectoryRecord],
-                   metrics: dict[str, Metrics], charts: list[LineChart]) -> None:
-    """Write the CSVs, the metrics JSON and, if there are charts, the SVG of
-    one command, then print the metrics table and the paths written."""
+def _write_outputs(out_dir: str, base: str, records: dict[str, TrajectoryRecord], doc: dict,
+                   table: Iterable[tuple[str, Metrics]], charts: list[LineChart]) -> None:
+    """Write the CSVs, ``doc`` as ``<base>.metrics.json`` and, if there are
+    charts, the SVG of one command, then print the metrics table of the
+    ``(label, metrics)`` rows ``table`` and the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    base = os.path.join(out_dir, name)
+    base = os.path.join(out_dir, base)
     for label, rec in records.items():
         path = base + (f".{label}.csv" if len(records) > 1 else ".csv")
         rec.to_csv(path)
         written.append(path)
     path = base + ".metrics.json"
-    doc = {label: m.to_dict() for label, m in metrics.items()}
     with atomic_write(path) as fh:
-        json.dump(doc if len(metrics) > 1 else next(iter(doc.values())), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
     written.append(path)
     if charts:
         path = base + ".svg"
         save_svg(charts, path)
         written.append(path)
-    print(_metrics_table(metrics.items()))
+    print(_metrics_table(table))
     for path in written:
         print(f"wrote {path}")
 
@@ -126,7 +126,7 @@ def cmd_run(name: str, cfg: ScenarioConfig, out_dir: str, svg: bool = True) -> i
         charts = [attitude_chart({"": record}), torque_chart({"": record})]
         if cfg.disturbance is not None:
             charts.append(estimate_chart(record))
-    _write_outputs(out_dir, name, {name: record}, {name: metrics}, charts)
+    _write_outputs(out_dir, name, {name: record}, metrics.to_dict(), [(name, metrics)], charts)
     return 0
 
 
@@ -155,7 +155,8 @@ def cmd_compare(a: tuple[str, ScenarioConfig], b: tuple[str, ScenarioConfig],
     records = {name_a: rec_a, name_b: rec_b}
     charts = [attitude_chart(records), torque_chart(records)] if svg else []
     _write_outputs(out_dir, f"{name_a}_vs_{name_b}", records,
-                   {name_a: met_a, name_b: met_b}, charts)
+                   {name_a: met_a.to_dict(), name_b: met_b.to_dict()},
+                   [(name_a, met_a), (name_b, met_b)], charts)
     return 0
 
 
@@ -180,13 +181,8 @@ def cmd_sweep(name: str, base_cfg: ScenarioConfig, out_dir: str, param: str,
     # repr tells any two values apart; %g does not (1e-07 and 1.00000001e-07)
     table = [(f"{param}={value!r}", m) for value, m in zip(values, metrics)]
     rows = [{"value": value, **m.to_dict()} for value, m in zip(values, metrics)]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.sweep.{param}.metrics.json")
-    with atomic_write(path) as fh:
-        json.dump({"parameter": param, "runs": rows}, fh, indent=2)
-        fh.write("\n")
-    print(_metrics_table(table))
-    print(f"wrote {path}")
+    _write_outputs(out_dir, f"{name}.sweep.{param}", {}, {"parameter": param, "runs": rows},
+                   table, [])
     return 0
 
 
@@ -239,12 +235,13 @@ def _sweep_value(config: ScenarioConfig) -> Metrics:
     return sim._metrics(t, error, u_sat, l_true, l_hat)
 
 
-def _add_scenario_args(p: argparse.ArgumentParser, repeatable: bool = False) -> None:
-    action = "append" if repeatable else "store"
-    p.add_argument("--preset", action=action,
-                   help=f"named scenario: {', '.join(preset_names())}")
-    p.add_argument("--config", action=action, metavar="PATH",
-                   help="JSON scenario file (see README for the schema)")
+def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+    # every --preset and --config goes to one list, in command-line order,
+    # as the (preset_name, config_path) pair that _scenario takes
+    p.add_argument("--preset", action="append", dest="sources", type=lambda v: (v, None),
+                   metavar="PRESET", help=f"named scenario: {', '.join(preset_names())}")
+    p.add_argument("--config", action="append", dest="sources", type=lambda v: (None, v),
+                   metavar="PATH", help="JSON scenario file (see README for the schema)")
     p.add_argument("--out", metavar="DIR",
                    help="output directory (default: $AGROSIM_OUT or '.')")
     p.add_argument("--seed", type=int, default=None, help="override the disturbance seed")
@@ -278,7 +275,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_run)
 
     p_cmp = sub.add_parser("compare", help="run two scenarios and overlay them")
-    _add_scenario_args(p_cmp, repeatable=True)
+    _add_scenario_args(p_cmp)
 
     # a sweep writes no SVG, so only run and compare take --no-svg
     for p in (p_run, p_cmp):
@@ -297,19 +294,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.out is None:  # read per command, not when the parser is built; empty is unset
         args.out = os.environ.get("AGROSIM_OUT") or "."
+    sources = args.sources or []
     try:
         if args.command == "compare":
-            sources = [(v, None) for v in (args.preset or [])]
-            sources += [(None, v) for v in (args.config or [])]
             if len(sources) != 2:
                 raise ConfigError("compare needs exactly two of --preset/--config")
             a, b = (_scenario(args, *source) for source in sources)
             return cmd_compare(a, b, args.out, not args.no_svg)
-        if (args.preset is None) == (args.config is None):
+        if len(sources) != 1:
             raise ConfigError("exactly one of --preset or --config must be given")
         if args.command == "run":
-            return cmd_run(*_scenario(args, args.preset, args.config), args.out,
-                           not args.no_svg)
+            return cmd_run(*_scenario(args, *sources[0]), args.out, not args.no_svg)
         values = []
         for position, entry in enumerate(args.values.split(","), 1):
             if not entry.strip():
@@ -318,8 +313,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 values.append(float(entry))
             except ValueError:
                 raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}")
-        return cmd_sweep(*_scenario(args, args.preset, args.config), args.out,
-                         args.param, values)
+        return cmd_sweep(*_scenario(args, *sources[0]), args.out, args.param, values)
     except (AgroSimError, OSError) as exc:
         print(f"agrosim: error: {exc}", file=sys.stderr)
         return 1

@@ -100,12 +100,11 @@ _AXES = ({"i": 0, "j": 1, "k": 2}, {"i": 1, "j": 0, "k": 2}, {"i": 2, "j": 0, "k
 _CODE: dict[str, CodeType] = {}
 
 
-def _function(name: str, source: Callable[[], list[str]], consts=(), **vectors) -> FunctionType:
+def _function(name: str, source: Callable[[], list[str]], env: dict) -> FunctionType:
     """The function whose source lines ``source()`` returns (a line with
-    ``{i}`` stands for one per axis), with ``consts`` and the floats of each
-    3-vector in ``vectors`` (``p=k1`` binds ``p0``, ``p1``, ``p2``) as its
-    globals.  Only the first call for ``name`` in a process calls ``source``
-    and compiles its text; later calls share that code object."""
+    ``{i}`` stands for one per axis), with ``env`` as its globals.  Only the
+    first call for ``name`` in a process calls ``source`` and compiles its
+    text; later calls share that code object."""
     code = _CODE.get(name)
     if code is None:
         text = "".join(line.format_map(axis) + "\n" for line in source()
@@ -113,9 +112,6 @@ def _function(name: str, source: Callable[[], list[str]], consts=(), **vectors) 
         filename = f"<agrosim.kernel {name}>"
         linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
         code = _CODE[name] = compile(text, filename, "exec").co_consts[0]
-    env = dict(consts)
-    for k, vec in vectors.items():
-        env[k + "0"], env[k + "1"], env[k + "2"] = floats(vec)
     return FunctionType(code, env)
 
 
@@ -130,7 +126,7 @@ def drift(j1, j2) -> Callable[[float, float, float], Vec]:
     ``f_i = j2_i / j1_i * (product of the other two rates)``."""
     return _function("drift", lambda: ["def f(r0, r1, r2):", "    f{i} = " + _DRIFT,
                                        "    return f0, f1, f2"],
-                     fc=[float(b) / float(a) for a, b in zip(j1, j2)])
+                     {f"fc{i}": float(b) / float(a) for i, (a, b) in enumerate(zip(j1, j2))})
 
 
 def closed_loop(

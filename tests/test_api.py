@@ -107,6 +107,37 @@ def test_kernel_surface_is_pinned():
     assert [name for name, v in defined.items() if inspect.isclass(v)] == []
 
 
+#: The option strings of each ``agrosim`` command.  A flag that nothing
+#: sets, or a second way to name a scenario, is a change to this list.
+CLI_OPTIONS = {
+    "run": ["--config", "--dt", "--help", "--horizon", "--no-svg", "--out", "--preset",
+            "--seed", "-h"],
+    "compare": ["--config", "--dt", "--help", "--horizon", "--no-svg", "--out", "--preset",
+                "--seed", "-h"],
+    "sweep": ["--config", "--dt", "--help", "--horizon", "--out", "--param", "--preset",
+              "--seed", "--values", "-h"],
+}
+
+
+def test_cli_manifest_is_pinned():
+    import argparse
+
+    from agrosim import cli
+
+    (commands,) = [a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert {name: sorted(o for a in p._actions for o in a.option_strings)
+            for name, p in commands.choices.items()} == CLI_OPTIONS
+    # --preset and --config append to one list of sources, in command-line
+    # order, so no source is dropped or reordered
+    for name, p in commands.choices.items():
+        (dest,) = {a.dest for a in p._actions if {"--preset", "--config"} & set(a.option_strings)}
+        extra = ["--param", "k1", "--values", "1"] if name == "sweep" else []
+        args = p.parse_args(["--config", "a.json", "--preset", "fl-paper", "--config", "b.json"]
+                            + extra)
+        assert getattr(args, dest) == [(None, "a.json"), ("fl-paper", None), (None, "b.json")]
+
+
 #: The fields of a scenario.  The type of ``gains`` is the controller, so a
 #: second statement of it (a name, a flag) is a change to this list.
 SCENARIO_FIELDS = [

@@ -38,14 +38,21 @@ from agrosim.cli import cmd_compare, cmd_run, main
 
 
 def test_manifest_requires_exactly_one_source(tmp_path, capsys):
-    # a run or a sweep names exactly one of --preset and --config
+    # a run or a sweep names exactly one of --preset and --config; a second
+    # source of either kind is an error, not a replacement of the first
+    configs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_config(preset("fl-paper", horizon=0.05)))
+        configs += ["--config", str(path)]
+    out = tmp_path / "out"
     for command in (["run"], ["sweep", "--param", "k1", "--values", "1"]):
-        assert main(command + ["--out", str(tmp_path)]) == 1
-        assert "exactly one of --preset or --config" in capsys.readouterr().err
-        assert main(command + ["--preset", "fl-paper", "--config", "a.json",
-                               "--out", str(tmp_path)]) == 1
-        assert "exactly one of --preset or --config" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
+        for sources in ([], ["--preset", "fl-paper", "--config", "a.json"],
+                        ["--preset", "fl-paper", "--preset", "bs-paper"], configs):
+            assert main(command + sources + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "agrosim: error: exactly one of --preset or --config must be given\n")
+    assert not out.exists()
 
 
 def test_run_preset_writes_artifacts(tmp_path, capsys):
@@ -338,6 +345,7 @@ def test_compare_chart_escapes_its_text(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     (svg,) = tmp_path.glob("*.svg")
+    assert svg.name == "r&d_vs_fl-paper.svg"  # the operands in the order given
     texts = [el.text for el in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert "roll (r&d)" in texts
 
