@@ -19,6 +19,8 @@ process.  The output directory defaults to ``$AGROSIM_OUT``, read as each
 command is parsed, then (if that is unset or empty) the current directory.
 ``--dt``, ``--horizon`` and ``--seed`` are applied together, by
 :func:`agrosim.presets.override`, to the preset or the ``--config`` file.
+Every flag but ``--preset``, ``--config`` and ``--no-svg`` is taken at
+most once: a repeat is an error, not a replacement of the value before it.
 Exit status is 0 exactly when every requested artifact was written; each
 artifact replaces its target only once it is complete
 (:func:`agrosim.atomic.atomic_write`).  A failure, running out of memory
@@ -242,11 +244,12 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
                    metavar="PRESET", help=f"named scenario: {', '.join(preset_names())}")
     p.add_argument("--config", action="append", dest="sources", type=lambda v: (None, v),
                    metavar="PATH", help="JSON scenario file (see README for the schema)")
-    p.add_argument("--out", metavar="DIR",
+    # each single-valued flag is a list too, so that main rejects a repeat (_SINGLE)
+    p.add_argument("--out", action="append", metavar="DIR",
                    help="output directory (default: $AGROSIM_OUT or '.')")
-    p.add_argument("--seed", type=int, default=None, help="override the disturbance seed")
-    p.add_argument("--dt", type=float, default=None, help="override the integration step [s]")
-    p.add_argument("--horizon", type=float, default=None, help="override the horizon [s]")
+    p.add_argument("--seed", action="append", type=int, help="override the disturbance seed")
+    p.add_argument("--dt", action="append", type=float, help="override the integration step [s]")
+    p.add_argument("--horizon", action="append", type=float, help="override the horizon [s]")
 
 
 def _scenario(args, preset_name: Optional[str],
@@ -277,25 +280,37 @@ def _parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run two scenarios and overlay them")
     _add_scenario_args(p_cmp)
 
-    # a sweep writes no SVG, so only run and compare take --no-svg
+    # a sweep writes no SVG, so only run and compare take --no-svg; a repeat
+    # of it asks for the same thing again, so it is not rejected
     for p in (p_run, p_cmp):
         p.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
 
     p_sweep = sub.add_parser("sweep", help="grid over one gain")
     _add_scenario_args(p_sweep)
-    p_sweep.add_argument("--param", required=True,
+    p_sweep.add_argument("--param", action="append", required=True,
                          help=f"gain to sweep: {', '.join(sorted(GAIN_FIELDS))}")
-    p_sweep.add_argument("--values", required=True,
+    p_sweep.add_argument("--values", action="append", required=True,
                          help="comma-separated gain values, e.g. 5,10,20")
     return parser
 
 
+#: The flags a command takes at most once.  Each is parsed into a list, so
+#: that a second one is rejected by name rather than replacing the first.
+_SINGLE = ("out", "seed", "dt", "horizon", "param", "values")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.out is None:  # read per command, not when the parser is built; empty is unset
-        args.out = os.environ.get("AGROSIM_OUT") or "."
     sources = args.sources or []
     try:
+        for name in _SINGLE:
+            given = getattr(args, name, None)
+            if given is not None:
+                if len(given) > 1:
+                    raise ConfigError(f"--{name} given more than once")
+                setattr(args, name, given[0])
+        if args.out is None:  # read per command, not when the parser is built; empty is unset
+            args.out = os.environ.get("AGROSIM_OUT") or "."
         if args.command == "compare":
             if len(sources) != 2:
                 raise ConfigError("compare needs exactly two of --preset/--config")

@@ -113,10 +113,13 @@ class LineChart:
     series: list[Series] = field(default_factory=list)
 
     def add_series(self, name: str, x: Sequence[float], y: Sequence[float]) -> None:
+        """Add the series ``name`` of the points ``(x[i], y[i])``.  The
+        sequences are kept as given, not copied: pass floats (for example
+        from ``ndarray.tolist``), and do not change them afterwards."""
         if len(x) != len(y):
             raise ValueError(f"series {name!r}: x and y lengths differ ({len(x)} vs {len(y)})")
         color = _PALETTE[len(self.series) % len(_PALETTE)]
-        self.series.append(Series(name, list(map(float, x)), list(map(float, y)), color))
+        self.series.append(Series(name, x, y, color))
 
     def _bounds(self) -> tuple[float, float, float, float]:
         xs = list(filter(math.isfinite, chain.from_iterable(s.x for s in self.series)))

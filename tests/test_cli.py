@@ -55,6 +55,33 @@ def test_manifest_requires_exactly_one_source(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--out", "b"), ("--seed", "2"), ("--dt", "0.002"),
+                                         ("--horizon", "0.1"), ("--param", "k2"),
+                                         ("--values", "2")])
+def test_a_repeated_flag_is_an_error(flag, value, tmp_path, capsys):
+    # a single-valued flag given twice is rejected by name, not replaced by
+    # the second value; --no-svg may repeat
+    out = tmp_path / "out"
+    first = {"--out": str(out), "--seed": "1", "--dt": "0.001", "--horizon": "0.05",
+             "--param": "k1", "--values": "1"}
+    commands = [["sweep", "--preset", "bs-paper"]]
+    if flag not in ("--param", "--values"):
+        commands += [["run", "--preset", "fl-paper", "--no-svg", "--no-svg"],
+                     ["compare", "--preset", "fl-paper", "--preset", "bs-paper"]]
+    for command in commands:
+        argv = list(command)
+        for name, given in first.items():
+            if command[0] == "sweep" or name not in ("--param", "--values"):
+                argv += [name, given] + ([name, value] if name == flag else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"agrosim: error: {flag} given more than once\n"
+    assert not out.exists()
+    # a run with each flag once, and --no-svg twice, writes its artifacts
+    assert main(["run", "--preset", "bs-adaptive-paper", "--no-svg", "--no-svg", "--out",
+                 str(out), "--seed", "1", "--dt", "0.001", "--horizon", "0.05"]) == 0
+    assert sorted(os.listdir(out)) == ["bs-adaptive-paper.csv", "bs-adaptive-paper.metrics.json"]
+
+
 def test_run_preset_writes_artifacts(tmp_path, capsys):
     assert cmd_run("fl-paper", preset("fl-paper", horizon=0.2), str(tmp_path)) == 0
     csv_path = tmp_path / "fl-paper.csv"

@@ -756,23 +756,74 @@ def _g17_lines(values: np.ndarray) -> str:
     return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in values.tolist())
 
 
+def _near_ties(q: int) -> list[float]:
+    """Doubles ``v`` with ``v * 10**q`` in [1e16, 1e17), whose fractions lie
+    from about 1e-10 to 1e-8 either side of one half.
+
+    ``v = m * 2**-(s + q)`` for ``m`` in [2**52, 2**53), so ``v * 10**q`` is
+    ``m * 5**q / 2**s``.  Two best rational approximations of ``5**q /
+    2**s`` give steps ``k`` of ``m`` that move the fraction by little; ``m``
+    is stepped to the nearest half, and the points 40 steps either side
+    are kept."""
+    from fractions import Fraction
+
+    s = (2 ** 52 * 5 ** q // 10 ** 16).bit_length() - 1
+    beta, half = Fraction(5 ** q, 2 ** s), Fraction(1, 2)
+    m = 3 * 2 ** 51
+    for bound in (2 ** 20, 2 ** 30):
+        k = beta.limit_denominator(bound).denominator
+        eta = k * beta % 1 - (k * beta % 1 > half)  # the fraction's move per step
+        m += k * round((half - m * beta % 1) / eta)
+    return [math.ldexp(m + i * k, -(s + q)) for i in range(-40, 41)]
+
+
 def test_csv_text_at_the_formatter_boundaries():
-    # csvtext formats 1e-6 <= |v| < 1e17 in numpy and the rest one by one;
+    # csvtext formats zero, NaN, inf and 1e-99 <= |v| < 1e17 in numpy, with
+    # 10**q split into exact factors below 1e-6, and the rest one by one;
     # every value must read as f"{v:.17g}", whichever path it takes
-    tens = np.array([float(f"1e{e}") for e in range(-30, 21)])
+    tens = np.array([float(f"1e{e}") for e in range(-105, 21)])
     tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
-    ends = np.array([1e-6, 9.9999999999999995e-07, 1e17, 1e16, 2.0 ** 53])
+    ends = np.array([1e-6, 9.9999999999999995e-07, 1e17, 1e16, 2.0 ** 53, 1e-99, 1e-28])
     ends = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf)])
     special = np.array([0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308,
                         1.7976931348623157e308, 1000000000000000.25, 0.5])
+    # NaN and inf of either sign among values formatted in numpy: "%.17g"
+    # writes no sign for a NaN whose sign bit is set
+    mixed = np.array([0.25, -math.nan, 1e-20, math.inf, -math.inf, math.nan, -3.5e-9, 7.0])
+    assert np.signbit(mixed[1]) and "-nan" not in _g17_lines(mixed[None, :])
     halves = np.arange(-2000, 2000) + 0.5
     t = np.arange(10_001) * 0.001
-    bits = np.random.default_rng(28).integers(0, 2**64, size=10**5, dtype=np.uint64)
-    values = np.concatenate([tens, ends, special, -tens, -ends, -special, halves, t,
-                             bits.view(np.float64)])
+    # a whole rounding remainder of 1/2, within the margin of csvtext, and
+    # near it on either side, at every q that takes more than one factor
+    ties = np.array([v for q in range(23, 117) for v in _near_ties(q)])
+    assert f"{3 * 2.0 ** -24:.17g}" == "1.7881393432617188e-07" and 3 * 2.0 ** -24 in ties
+    rng = np.random.default_rng(28)
+    bits = rng.integers(0, 2**64, size=10**5, dtype=np.uint64)
+    # and random bit patterns with decimal exponents from -101 to -6
+    low = rng.integers(0, 2**64, size=10**5, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    low |= rng.integers(1023 - 336, 1023 - 19, size=low.size, dtype=np.uint64) << np.uint64(52)
+    values = np.concatenate([tens, ends, special, mixed, -tens, -ends, -special, halves, t,
+                             ties, -ties, bits.view(np.float64), low.view(np.float64)])
     values = np.concatenate([values, np.zeros(-len(values) % 24)]).reshape(-1, 24)
     assert "9.9999999999999995e-07" in _g17_lines(ends[None, :])
     assert "".join(sim._csv_blocks(values)) == _g17_lines(values)
+
+
+def test_preset_csv_values_lie_in_the_numpy_range(monkeypatch):
+    # every finite value of the presets' CSVs, at 1.5 s and 4 s, is zero or in
+    # the range csvtext formats in numpy, so none is formatted one by one
+    from agrosim import csvtext
+
+    lo, hi = 10.0 ** csvtext._P_MIN, 10.0 ** (csvtext._P_MAX + 1)
+    tables = []
+    monkeypatch.setattr(sim, "_csv_blocks", lambda data: tables.append(data) or iter(()))
+    for name in ("fl-paper", "bs-paper", "bs-adaptive-paper"):
+        for horizon in (None, 4.0):
+            run_scenario(preset(name, horizon=horizon))[0].to_csv(io.StringIO())
+    for data in tables:
+        a = np.abs(data[np.isfinite(data)])
+        assert np.all((a == 0.0) | ((a >= lo) & (a < hi)))
+    assert len(tables) == 6 and max(len(data) for data in tables) == 4001
 
 
 def test_long_adaptive_csv_matches_per_value_formatting():
