@@ -233,8 +233,7 @@ def _run_share(configs: list[ScenarioConfig]) -> Iterator:
 def _sweep_value(config: ScenarioConfig) -> Metrics:
     """A sweep value's metrics: those of :func:`run_scenario`, failures
     included, from the run's columns, with no record built."""
-    t, _, _, _, u_sat, l_true, l_hat, error, _ = sim._rows(config)
-    return sim._metrics(t, error, u_sat, l_true, l_hat)
+    return sim.compute_metrics(sim._rows(config))
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:

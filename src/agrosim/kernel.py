@@ -9,14 +9,14 @@ per-axis expression over named floats (``_DRIFT``, ``_FL``, ...).
 numbers and assembles the expressions into one function that runs a whole
 rollout: a loop over the steps whose body is one straight-line RK4 step
 with all four stages inlined.  The state stays in local floats from one
-step to the next, and each sample's row (state, unclamped command, clamped
-command, L_true and, for backstepping, the velocity error e2: 18 or 21
-doubles) is written in place by one ``struct.pack_into`` into an
-``array('d')`` sized for the whole run before the first step: one call per
-step, none per stage, law or axis.  So the record's applied torque and the
-e2 of its V2 column are the rollout's own numbers, not a second clamp or
-e2.  Outside a run only :func:`drift` is compiled, one expression, for
-demo 01.
+step to the next, and each sample's row, the 3-vectors of :data:`ROW`
+(attitude, rate, l_hat, the unclamped and clamped command u_cmd and u_sat,
+l_true and, for backstepping only, the velocity error e2), is written in
+place by one ``struct.pack_into`` into an ``array('d')`` sized for the
+whole run before the first step: one call per step, none per stage, law or
+axis.  So the record's applied torque and the e2 of its V2 column are the
+rollout's own numbers, not a second clamp or e2.  Outside a run only
+:func:`drift` is compiled, one expression, for demo 01.
 
 Compiling: the source of a function depends only on its structure, never
 on a scenario's numbers.  A rollout has one of six structures (FL or
@@ -73,6 +73,10 @@ Vec = tuple[float, float, float]
 State = tuple[float, ...]
 
 ZERO: Vec = (0.0, 0.0, 0.0)
+
+#: The 3-vectors of a rollout row, in the order the rollout writes them; an
+#: FL row ends before ``e2``, which backstepping alone computes.
+ROW = ("attitude", "rate", "l_hat", "u_cmd", "u_sat", "l_true", "e2")
 
 # Every formula of the closed loop, per axis {i} ({j}, {k}: the other two, in
 # order).  The operands: the state a (attitude), r (rate), l (L_hat), the
@@ -147,18 +151,18 @@ def closed_loop(
     once before the first step (a run too long for memory raises
     ``MemoryError`` there), with one row of ``w`` floats per sample, written
     in place by one ``pack_into`` that copies each double bit for bit.  A
-    row is six 3-vectors, seven for backstepping (``w`` = 18 or 21): the
-    state (attitude, rate, L_hat); ``u``, the unclamped command at that
-    state, and ``c``, the clamped one (the first stage of the step from it
-    evaluates both); ``l = g * (d(t) + noise)``, L_true at ``t``: the
-    acceleration-domain image of the injected torque, which the adaptive
-    law's L_hat estimates; and, for backstepping only, the velocity error
-    ``z`` (e2) at that state.  A run's applied torque and the e2 of its V2
-    column are read from these rows; apart from the rollout, only
+    row is the 3-vectors of :data:`ROW`, ``w = 3 * len(ROW)`` floats, less
+    ``e2`` for FL: the state (attitude, rate, L_hat); ``u_cmd``, the
+    unclamped command at that state, and ``u_sat``, the clamped one (the
+    first stage of the step from it evaluates both); ``l_true = g * (d(t)
+    + noise)`` at ``t``: the acceleration-domain image of the injected
+    torque, which the adaptive law's L_hat estimates; and ``e2``, the
+    velocity error at that state.  A run's applied torque and the e2 of its
+    V2 column are read from these rows; apart from the rollout, only
     :func:`drift` is compiled.  The last row comes from one more step, whose
     next state is discarded.  ``noise`` holds the held noise of every
     sample, ``n + 1`` 3-vectors; without ``disturbance`` it is not read
-    (pass None), the noise is 0.0 and ``l`` is 0.0 in every row.
+    (pass None), the noise is 0.0 and ``l_true`` is 0.0 in every row.
 
     The type of ``gains`` picks the law, PD + feedback linearization
     (:class:`~agrosim.control.FlGains`) or backstepping
@@ -193,10 +197,10 @@ def closed_loop(
     for k, vec in vectors.items():
         consts[k + "0"], consts[k + "1"], consts[k + "2"] = floats(vec)
     names = sorted(consts)
-    # one recorded row: state, u, c, L_true and, for backstepping, z
-    row = [f"{p}{i}" for p in "arluc" for i in range(3)]
-    row += [f"g{i} * (da{i} + n{i})" if dist else "0.0" for i in range(3)]
-    row += [f"z{i}" for i in range(3)] * bs
+    # one recorded row: each vector of ROW per axis, e2 for backstepping only
+    cell = {"attitude": "a{i}", "rate": "r{i}", "l_hat": "l{i}", "u_cmd": "u{i}",
+            "u_sat": "c{i}", "l_true": "g{i} * (da{i} + n{i})" if dist else "0.0", "e2": "z{i}"}
+    row = [cell[name].format(i=i) for name in ROW if bs or name != "e2" for i in range(3)]
     fmt = struct.Struct(f"{len(row)}d")
 
     def source() -> list[str]:

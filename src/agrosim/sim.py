@@ -18,18 +18,20 @@ the one recorded.  The deterministic disturbance is evaluated at ``t``,
 ``t + dt/2`` and ``t + dt`` (the middle stages share one value).  The noise
 of a run is drawn before the rollout, one ``standard_normal`` call per axis
 stream (the same numbers as one draw per step); a run without a disturbance
-draws none.  Every sample's row (state, unclamped and clamped command,
-L_true and, for backstepping, the velocity error e2) is recorded at the
-sample's time, the last row included: it comes from one more step from the
-final state, whose next state is discarded.  The rows are written in place
-into one flat ``array('d')`` sized for the whole run before the first step,
-so a horizon too long for memory fails at once.  After the rollout, one
-vectorised check finds the first non-finite state (the step that
-diverged), and the attitude error is computed over the rows' columns; the
-applied torque and e2 are the rollout's own, with no second clamp or e2.
-The metrics are computed on those columns, so a sweep value stops there,
-with no record built.  :func:`run_scenario` goes on to compute the wheel
-allocation (:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
+draws none.  Every sample's row is recorded at the sample's time, the last
+row included: it comes from one more step from the final state, whose next
+state is discarded.  The rows are written in place into one flat
+``array('d')`` sized for the whole run before the first step, so a horizon
+too long for memory fails at once, and one vectorised check then finds the
+first non-finite state (the step that diverged).  :func:`_rows` returns
+the run's columns by the names of :data:`agrosim.kernel.ROW` (``attitude``,
+``rate``, ``l_hat``, ``u_cmd``, ``u_sat``, ``l_true`` and, for backstepping
+only, ``e2``), beside ``t`` and the ``reference``; the applied torque
+``u_sat`` and e2 are the rollout's own, with no second clamp or e2.  A
+record's fields bear the same names, so every metric function reads
+either, and a sweep value stops at the columns, with no record built.
+:func:`run_scenario` goes on to compute the wheel allocation
+(:func:`agrosim.dynamics.allocate_wheel_torques`), V1 and V2
 (:func:`agrosim.control.lyapunov`) vectorised over all rows, and builds the
 record from them.  The horizon must be a whole number of steps.
 
@@ -51,6 +53,7 @@ import math
 import numbers
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional, Union
@@ -212,10 +215,10 @@ class ScenarioConfig(_ArrayEqMixin):
         if horizon < dt:
             raise InvalidParameterError(f"horizon must be >= dt, got {horizon}")
         steps = horizon / dt
-        # a table of n + 1 rows of 21 doubles (a backstepping row, the
-        # widest) past sys.maxsize bytes cannot even be sized; below that,
-        # a run too long for memory raises MemoryError at its allocation
-        if not math.isfinite(steps) or (round(steps) + 1) * 21 * 8 > sys.maxsize:
+        # a table of n + 1 rows of 3 * len(ROW) doubles (a backstepping row,
+        # the widest) past sys.maxsize bytes cannot even be sized; below
+        # that, a run too long for memory raises MemoryError at its allocation
+        if not math.isfinite(steps) or (round(steps) + 1) * 3 * len(kernel.ROW) * 8 > sys.maxsize:
             raise InvalidParameterError(
                 f"run too long to size: horizon = {horizon!r} s, dt = {dt!r} s, "
                 f"horizon / dt = {steps!r} steps"
@@ -254,10 +257,19 @@ def _loop(config: ScenarioConfig):
 #: Rows formatted together, and written at once, by :meth:`TrajectoryRecord.to_csv`.
 _CSV_BLOCK = 256
 
-_CSV_COLUMNS = (
-    "t,phi,theta,psi,phi_dot,theta_dot,psi_dot,"
-    "u1_cmd,u2_cmd,u3_cmd,u1_sat,u2_sat,u3_sat,"
-    "tau1,tau2,tau_delta,L1,L2,L3,Lhat1,Lhat2,Lhat3,V1,V2"
+#: The record's columns after ``t``, in CSV order: the field, its CSV
+#: column names (one per axis, or one for a scalar series), and whether the
+#: CSV writes it in degrees.
+_COLUMNS = (
+    ("attitude", ("phi", "theta", "psi"), True),
+    ("rate", ("phi_dot", "theta_dot", "psi_dot"), True),
+    ("u_cmd", ("u1_cmd", "u2_cmd", "u3_cmd"), False),
+    ("u_sat", ("u1_sat", "u2_sat", "u3_sat"), False),
+    ("wheel", ("tau1", "tau2", "tau_delta"), False),
+    ("l_true", ("L1", "L2", "L3"), False),
+    ("l_hat", ("Lhat1", "Lhat2", "Lhat3"), False),
+    ("v1", ("V1",), False),
+    ("v2", ("V2",), False),
 )
 
 
@@ -297,12 +309,9 @@ class TrajectoryRecord(_ArrayEqMixin):
                            atol=1e-15 + 4.0 * np.spacing(np.abs(t).max())):
             raise InvalidParameterError("time grid must have a constant step")
         object.__setattr__(self, "t", t)
-        for name, width in (
-            ("attitude", 3), ("rate", 3), ("u_cmd", 3), ("u_sat", 3),
-            ("wheel", 3), ("l_true", 3), ("l_hat", 3), ("v1", 1), ("v2", 1),
-        ):
+        for name, csv, _ in _COLUMNS:
             arr = np.array(getattr(self, name), dtype=float)
-            want = (n,) if width == 1 else (n, width)
+            want = (n,) if len(csv) == 1 else (n, len(csv))
             if arr.shape != want:
                 raise InvalidParameterError(f"{name} must have shape {want}, got {arr.shape}")
             arr.flags.writeable = False
@@ -329,22 +338,13 @@ class TrajectoryRecord(_ArrayEqMixin):
         text stream; a path is written through a temporary file beside it,
         so on failure any previous file there is left intact.
         """
-        data = np.column_stack([
-            self.t,
-            np.rad2deg(self.attitude),
-            np.rad2deg(self.rate),
-            self.u_cmd,
-            self.u_sat,
-            self.wheel,
-            self.l_true,
-            self.l_hat,
-            self.v1,
-            self.v2,
-        ])
+        data = np.column_stack([self.t] + [np.rad2deg(getattr(self, name)) if degrees
+                                           else getattr(self, name)
+                                           for name, _, degrees in _COLUMNS])
         opened = (atomic_write(os.fspath(target)) if isinstance(target, (str, os.PathLike))
                   else nullcontext(target))
         with opened as fh:
-            fh.write(_CSV_COLUMNS + "\n")
+            fh.write(",".join(["t", *(c for _, csv, _ in _COLUMNS for c in csv)]) + "\n")
             fh.writelines(_csv_blocks(data))
 
 
@@ -396,29 +396,27 @@ class Metrics(_ArrayEqMixin):
 
 
 def settle_time(record: TrajectoryRecord, band: float = DEFAULT_SETTLE_BAND) -> np.ndarray:
-    """Earliest time per axis after which |error| stays within ``band``.
+    """Earliest time per axis after which |error| stays within ``band``, of
+    a record or a run's columns (:func:`_rows`), read by attribute.
 
     Returns NaN for an axis that has not settled by the end of the record
     ("enter and stay" semantics: one late excursion resets the clock).  A
     NaN error counts as outside the band.
     """
-    return _settle_time(record.t, record.error(), _real(band, "band", "positive or inf"))
-
-
-def _settle_time(t: np.ndarray, error: np.ndarray, band: float) -> np.ndarray:
-    """:func:`settle_time` on the columns ``t`` and ``error``."""
-    err = np.abs(error)
+    band = _real(band, "band", "positive or inf")
+    err = np.abs(record.error())
     out = np.full(3, np.nan)
     for axis in range(3):
         outside = np.nonzero(~(err[:, axis] <= band))[0]
         idx = 0 if outside.size == 0 else outside[-1] + 1
-        if idx < len(t):
-            out[axis] = t[idx]
+        if idx < len(record.t):
+            out[axis] = record.t[idx]
     return out
 
 
 def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]) -> float:
-    """RMS of ||L_true - L_hat|| over samples with t in ``window``.
+    """RMS of ||L_true - L_hat|| over samples with t in ``window``, of a
+    record or a run's columns.
 
     ``L_true`` is the acceleration-domain image of the injected torque
     disturbance, so the number compares like with like against the estimate.
@@ -431,12 +429,6 @@ def estimate_error_metrics(record: TrajectoryRecord, window: tuple[float, float]
         If the window is not two bounds, or is empty, reversed, or beyond
         the recorded horizon.
     """
-    return _estimate_error_rms(record.t, record.l_true, record.l_hat, window)
-
-
-def _estimate_error_rms(t: np.ndarray, l_true: np.ndarray, l_hat: np.ndarray,
-                        window: tuple[float, float]) -> float:
-    """:func:`estimate_error_metrics` on the columns ``t``, ``l_true`` and ``l_hat``."""
     try:
         t0, t1 = window
     except (TypeError, ValueError):
@@ -444,44 +436,45 @@ def _estimate_error_rms(t: np.ndarray, l_true: np.ndarray, l_hat: np.ndarray,
     t0, t1 = _real(t0, "window[0]"), _real(t1, "window[1]")
     if not t0 < t1:
         raise InvalidWindowError(f"window must satisfy t0 < t1, got [{t0}, {t1}]")
+    t = record.t
     if t1 > t[-1] * (1.0 + 1e-12) + 1e-15:
-        raise InvalidWindowError(
-            f"window end {t1} exceeds recorded horizon {t[-1]}"
-        )
+        raise InvalidWindowError(f"window end {t1} exceeds recorded horizon {t[-1]}")
     mask = (t >= t0) & (t <= t1)
     if not mask.any():
         raise InvalidWindowError(f"window [{t0}, {t1}] contains no samples")
-    err = l_true[mask] - l_hat[mask]
+    err = record.l_true[mask] - record.l_hat[mask]
     return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
 
 
 def compute_metrics(record: TrajectoryRecord) -> Metrics:
-    """Standard metrics bundle: settle times at :data:`DEFAULT_SETTLE_BAND`
-    and the estimate-error RMS over the last third of the horizon."""
-    return _metrics(record.t, record.error(), record.u_sat, record.l_true, record.l_hat)
-
-
-def _metrics(t: np.ndarray, error: np.ndarray, u_sat: np.ndarray, l_true: np.ndarray,
-             l_hat: np.ndarray) -> Metrics:
-    """:func:`compute_metrics` on a run's columns: the time grid, the
-    attitude error, the applied torque, L_true and L_hat, as :func:`_rows`
-    returns them; a sweep value stops here, with no record built."""
-    t_end = float(t[-1])
+    """Standard metrics bundle of a record or a run's columns: settle times
+    at :data:`DEFAULT_SETTLE_BAND` and the estimate-error RMS over the last
+    third of the horizon.  A sweep value calls it on the columns, with no
+    record built."""
+    t_end = float(record.t[-1])
     return Metrics(
-        settle_time=_settle_time(t, error, DEFAULT_SETTLE_BAND),
-        peak_torque=np.abs(u_sat).max(axis=0),
-        est_error_rms=_estimate_error_rms(t, l_true, l_hat, (t_end * 2.0 / 3.0, t_end)),
-        final_error=error[-1],
+        settle_time=settle_time(record),
+        peak_torque=np.abs(record.u_sat).max(axis=0),
+        est_error_rms=estimate_error_metrics(record, (t_end * 2.0 / 3.0, t_end)),
+        final_error=record.error()[-1],
     )
 
 
-def _rows(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
-    """Roll out a scenario: the columns ``(t, attitude, rate, u_cmd, u_sat,
-    l_true, l_hat, error, e2)`` of its rows, with ``error = x_d - attitude``
-    and ``e2`` the backstepping velocity error (None for FL).
+class _Run(namedtuple("_Run", ("t", "reference", *kernel.ROW), defaults=(None,))):
+    """A run's columns (:func:`_rows`), named as a record's fields are; ``e2``
+    is None for FL."""
+
+    __slots__ = ()
+    error = TrajectoryRecord.error
+
+
+def _rows(config: ScenarioConfig) -> _Run:
+    """Roll out a scenario: the columns of its rows, ``t``, ``reference``,
+    ``attitude``, ``rate``, ``l_hat``, ``u_cmd``, ``u_sat``, ``l_true`` and
+    ``e2`` (the backstepping velocity error, None for FL), read by name.
 
     This is :func:`run_scenario` up to its metrics, with each of its
-    failures; every column but ``t`` and ``error`` is a view of the
+    failures; every column but ``t`` and ``reference`` is a view of the
     rollout's table.
     """
     rollout = _loop(config)
@@ -495,16 +488,14 @@ def _rows(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
     noise = None if dist is None else (
         dist.noise_sigma * NoiseStreams(dist.seed).draw(n + 1)).tolist()
     y = kernel.floats(config.initial.attitude) + kernel.floats(config.initial.rate) + kernel.ZERO
-    # one row of 3-vectors per sample, in the rollout's order
+    # one row of 3-vectors per sample, in ROW's order
     table = np.frombuffer(rollout(0.0, n, y, noise)).reshape(n + 1, -1, 3)
     # row i's state is step i's result; the first non-finite one names the step
     diverged = ~np.isfinite(table[1:, :3]).all(axis=(1, 2))
     if diverged.any():
         i = int(diverged.argmax()) + 1
         raise DivergenceError(step=i, t=(i - 1) * dt + dt)
-    att, rate, l_hat, u_cmd, u_sat, l_true, *e2 = table.transpose(1, 0, 2)
-    return (np.arange(n + 1) * dt, att, rate, u_cmd, u_sat, l_true, l_hat,
-            config.reference.x_d[None, :] - att, e2[0] if e2 else None)
+    return _Run(np.arange(n + 1) * dt, config.reference, *table.transpose(1, 0, 2))
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
@@ -532,18 +523,16 @@ def run_scenario(config: ScenarioConfig) -> tuple[TrajectoryRecord, Metrics]:
         allocated before the first step, so a horizon far too long for
         memory fails at once.
     """
-    t_grid, att, rate, u_cmd, u_sat, l_true, l_hat, e1, e2 = _rows(config)
-
-    wheel = allocate_wheel_torques(u_sat, config.steering)
-
-    v1 = 0.5 * np.sum(e1 * e1, axis=1)
-    if e2 is not None:
-        v2 = lyapunov(e1, e2, l_true - l_hat, config.gains)
+    run = _rows(config)
+    e1 = run.error()
+    if run.e2 is not None:
+        v2 = lyapunov(e1, run.e2, run.l_true - run.l_hat, config.gains)
     else:
-        v2 = np.full(len(t_grid), np.nan)
+        v2 = np.full(len(run.t), np.nan)
 
     record = TrajectoryRecord(
-        t=t_grid, attitude=att, rate=rate, u_cmd=u_cmd, u_sat=u_sat, wheel=wheel,
-        l_true=l_true, l_hat=l_hat, v1=v1, v2=v2, reference=config.reference,
+        t=run.t, attitude=run.attitude, rate=run.rate, u_cmd=run.u_cmd, u_sat=run.u_sat,
+        wheel=allocate_wheel_torques(run.u_sat, config.steering), l_true=run.l_true,
+        l_hat=run.l_hat, v1=0.5 * np.sum(e1 * e1, axis=1), v2=v2, reference=run.reference,
     )
     return record, compute_metrics(record)

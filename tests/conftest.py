@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from agrosim import kernel
+
 
 def underdamped_error(t, k1: float, k2: float, e0: float, v0: float) -> np.ndarray:
     """Analytic solution of e_dd + k1 e_d + k2 e = 0 with e(0)=e0, e_d(0)=v0
@@ -21,19 +23,14 @@ def underdamped_error(t, k1: float, k2: float, e0: float, v0: float) -> np.ndarr
 # rollout rows (agrosim.kernel.closed_loop)
 # ---------------------------------------------------------------------------
 
-#: The 3-vectors of a rollout row, in the order the rollout writes them; a
-#: row of an FL rollout has no z.
-_ROW_VECTORS = ("attitude", "rate", "l_hat", "u", "c", "l_true", "z")
-
-
 def rollout_rows(rows, n: int) -> list[dict]:
     """The ``n + 1`` rows of an ``n``-step rollout, reshaped to
     ``(n + 1, -1, 3)`` as ``sim._rows`` reads them: per row, its 3-vectors
-    by name (attitude, rate, L_hat, the unclamped command u, the clamped
-    command c, L_true and, for backstepping, the velocity error z) and
-    ``y``, the nine floats of its state."""
+    by the names of ``kernel.ROW`` (attitude, rate, l_hat, the unclamped
+    command u_cmd, the clamped command u_sat, l_true and, for backstepping
+    only, the velocity error e2) and ``y``, the nine floats of its state."""
     table = np.frombuffer(rows).reshape(n + 1, -1, 3)
-    return [dict(zip(_ROW_VECTORS, row), y=row[:3].ravel()) for row in table]
+    return [dict(zip(kernel.ROW, row), y=row[:3].ravel()) for row in table]
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,16 @@ def test_config_names_resolve_from_the_package():
         agrosim.not_a_name
 
 
+#: The 3-vectors of a rollout row, in the order the rollout writes them:
+#: the one statement of a run's columns, which ``sim._rows`` names and the
+#: tests' ``rollout_rows`` reads.
+KERNEL_ROW = ("attitude", "rate", "l_hat", "u_cmd", "u_sat", "l_true", "e2")
+
+
 def test_kernel_surface_is_pinned():
     from agrosim import kernel
+
+    assert kernel.ROW == KERNEL_ROW
 
     defined = {
         name: value for name, value in vars(kernel).items()

@@ -40,14 +40,14 @@ def _u(state, ref, gains, l_hat=kernel.ZERO):
     """The law's unclamped command at one state: the first row's command of
     a zero-step rollout without a torque limit."""
     rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, math.inf, 1e-3)
-    return rollout_rows(rollout(0.0, 0, _y(state, l_hat), None), 0)[0]["u"]
+    return rollout_rows(rollout(0.0, 0, _y(state, l_hat), None), 0)[0]["u_cmd"]
 
 
 def _e2(state, ref, gains):
     """The backstepping velocity error at one state: the first row's z of a
     zero-step rollout."""
     rollout = kernel.closed_loop(gains, ref, EFF.j1, EFF.j2, math.inf, 1e-3)
-    return rollout_rows(rollout(0.0, 0, _y(state), None), 0)[0]["z"]
+    return rollout_rows(rollout(0.0, 0, _y(state), None), 0)[0]["e2"]
 
 
 def _adapted(ref, gains, l_hat):

@@ -290,7 +290,7 @@ def test_run_scenario_matches_numpy_reference_exactly(cfg):
 def _one_step(cfg, t, y, noise):
     """The two rows of a one-step rollout of ``cfg`` from ``y`` at ``t``
     under the held ``noise``: the first row holds the commands, L_true and
-    (backstepping) z at ``y``, the second row's state is the next state."""
+    (backstepping) e2 at ``y``, the second row's state is the next state."""
     held = None if cfg.disturbance is None else [kernel.floats(noise)] * 2
     return rollout_rows(sim._loop(cfg)(t, 1, y, held), 1)
 
@@ -319,7 +319,7 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
                           _coriolis_acceleration(rate, eff))
     rollout = kernel.closed_loop(gains, ref, eff.j1, eff.j2, math.inf, cfg.dt)
     first = rollout_rows(rollout(t, 0, y, None), 0)[0]
-    u = first["u"]
+    u = first["u_cmd"]
     if isinstance(cfg.gains, FlGains):
         assert np.array_equal(u, _fl_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot,
                                              gains.k1, gains.k2, eff.j1, eff.j2))
@@ -327,12 +327,12 @@ def test_step_and_laws_match_numpy_reference_exactly(cfg, y, t, noise):
         assert np.array_equal(u, _bs_torque(att, rate, ref.x_d, ref.xd_dot, ref.xd_ddot, l_hat,
                                             gains.k1, gains.k2, gains.gamma, gains.lam,
                                             eff.j1, eff.j2))
-        e = first["z"]
+        e = first["e2"]
         assert np.array_equal(e, _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, gains.k1))
         rest = y[0:3] + kernel.ZERO + y[6:9]
         adaptive = kernel.closed_loop(gains, ref, eff.j1, eff.j2, 0.0, cfg.dt, None, True)
         at_rest, stepped = rollout_rows(adaptive(t, 1, rest, None), 1)
-        l_rate = _adaptation_rate(at_rest["z"], gains.lam, gains.sigma)
+        l_rate = _adaptation_rate(at_rest["e2"], gains.lam, gains.sigma)
         assert np.array_equal(stepped["l_hat"],
                               l_hat + cfg.dt / 6.0 * (l_rate + 2.0 * l_rate + 2.0 * l_rate
                                                       + l_rate))
@@ -356,7 +356,7 @@ def test_step_matches_numpy_reference_at_edge_values(cfg, y, t, noise):
         noise = np.zeros(3)  # a rollout without a disturbance has no noise
     loop = _ReferenceLoop(cfg)
     first, second = _one_step(cfg, t, y, noise)
-    y_next, u, l = second["y"], first["u"], first["l_true"]
+    y_next, u, l = second["y"], first["u_cmd"], first["l_true"]
     with np.errstate(all="ignore"):
         want = loop.rk4_step(t, np.array(y), noise)
         want_u = loop.command(np.array(y))
@@ -367,14 +367,14 @@ def test_step_matches_numpy_reference_at_edge_values(cfg, y, t, noise):
     assert np.array_equal(u, want_u, equal_nan=True)
     assert np.array_equal(l, want_l, equal_nan=True)
     # the row's applied command is the clamp of its command, NaN and +/-inf
-    # included, and a backstepping row's z is e2 at y
-    assert np.array_equal(first["c"], want_c, equal_nan=True)
+    # included, and a backstepping row's e2 is the velocity error at y
+    assert np.array_equal(first["u_sat"], want_c, equal_nan=True)
     if isinstance(cfg.gains, BsGains):
         att, rate = np.array(y[0:3]), np.array(y[3:6])
         ref = cfg.reference
         with np.errstate(all="ignore"):
             want_z = _bs_velocity_error(att, rate, ref.x_d, ref.xd_dot, cfg.gains.k1)
-        assert np.array_equal(first["z"], want_z, equal_nan=True)
+        assert np.array_equal(first["e2"], want_z, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def test_rows_are_copied_bit_for_bit(name):
     y = (0.1, -0.0, negative_nan, 0.2, 0.0, -0.3, -0.0, nan, 1.5)
     rows = rollout_rows(sim._loop(preset(name))(0.0, 2, y, None), 2)
     assert len(rows) == 3
-    assert ("z" in rows[0]) == (name == "bs-paper")  # only a backstepping row has e2
+    assert ("e2" in rows[0]) == (name == "bs-paper")  # only a backstepping row has e2
     assert rows[0]["y"].tobytes() == struct.pack("9d", *y)
     for row in rows:
         assert row["l_hat"].tobytes() == struct.pack("3d", *y[6:9])

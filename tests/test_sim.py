@@ -175,7 +175,7 @@ def saturate(u, u_max):
         ref = Reference(np.zeros(3), np.zeros(3), np.array(row, dtype=float), rho=1e13)
         rollout = kernel.closed_loop(FlGains(1.0, 1.0), ref, (1.0, 1.0, 1.0), kernel.ZERO,
                                      u_max, 1e-3)
-        return rollout_rows(rollout(0.0, 0, (0.0,) * 9, None), 0)[0]["c"]
+        return rollout_rows(rollout(0.0, 0, (0.0,) * 9, None), 0)[0]["u_sat"]
 
     u = np.asarray(u, dtype=float)
     return clamp(u) if u.ndim == 1 else np.array([clamp(row) for row in u])
@@ -245,9 +245,11 @@ def test_config_validation():
 
 
 def test_scenario_rejects_a_run_too_long_to_size():
-    # n + 1 rows of 21 doubles up to sys.maxsize bytes are sized (and may
-    # then run out of memory); one step more, or a non-finite n, is rejected
-    rows = sys.maxsize // (21 * 8)
+    # n + 1 rows as wide as a backstepping row (the widest: a 0-step
+    # rollout's one row) up to sys.maxsize bytes are sized (and may then run
+    # out of memory); one step more, or a non-finite n, is rejected
+    width = len(sim._loop(preset("bs-paper"))(0.0, 0, (0.0,) * 9, [kernel.ZERO]))
+    rows = sys.maxsize // (width * 8)
     longest = float(rows - 1)
     while int(longest) + 1 > rows:
         longest = math.nextafter(longest, 0.0)
@@ -590,6 +592,26 @@ def test_estimate_error_metrics_invalid_windows():
     for window in [(0.1,), 0.5, (0.05, 0.1, 0.2), ()]:
         with pytest.raises(InvalidWindowError, match=re.escape(repr(window))):
             estimate_error_metrics(rec, window)
+
+
+@pytest.mark.parametrize("name", ["fl-paper", "bs-paper", "bs-adaptive-paper"])
+def test_run_columns_agree_with_the_record(name):
+    # a run's columns and its record name the same series alike, so every
+    # metric function reads either and gives the same bits
+    config = preset(name, horizon=0.3)
+    run = sim._rows(config)
+    record, metrics = run_scenario(config)
+    fields = {f.name for f in dataclasses.fields(TrajectoryRecord)}
+    assert set(run._fields) - fields == {"e2"}
+    assert run.reference == record.reference
+    for column in set(run._fields) & fields - {"reference"}:
+        assert getattr(run, column).tobytes() == getattr(record, column).tobytes(), column
+    assert run.error().tobytes() == record.error().tobytes()
+    assert (run.e2 is None) == (name == "fl-paper")
+    assert settle_time(run).tobytes() == settle_time(record).tobytes()
+    assert estimate_error_metrics(run, (0.1, 0.3)) == estimate_error_metrics(record, (0.1, 0.3))
+    assert (sim.compute_metrics(run).to_dict() == sim.compute_metrics(record).to_dict()
+            == metrics.to_dict())
 
 
 # ---------------------------------------------------------------------------
