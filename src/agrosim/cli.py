@@ -25,13 +25,23 @@ Exit status is 0 exactly when every requested artifact was written; each
 artifact replaces its target only once it is complete
 (:func:`agrosim.atomic.atomic_write`).  A failure, running out of memory
 included, is reported as one ``agrosim: error:`` line with exit status 1.
+
+Run as the process's command (``main()``, which reads ``sys.argv``), it
+registers :func:`gc.freeze` with :mod:`atexit`, so that the collections
+CPython runs while it finalizes skip the objects still alive, numpy's and
+agrosim's modules among them; reference counting still frees them.  That
+is safe because no output waits for a finalizer: every artifact is closed
+by its ``with`` block, and every sweep worker reaped, before ``main``
+returns.  A call with an argument list leaves the collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -40,7 +50,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import sim, workers
+from . import sim
 from .atomic import atomic_write
 from .control import GAIN_FIELDS
 from .errors import AgroSimError, ComparisonInvalidError, ConfigError
@@ -200,6 +210,8 @@ def _sweep_metrics(configs: list[ScenarioConfig]) -> list[Metrics]:
     reaped before this returns or raises, and killed first if anything is
     raised.
     """
+    from . import workers  # loaded by a sweep alone, so run and compare skip it
+
     metrics = []
     with workers.run(_run_share, configs) as results:
         try:
@@ -299,6 +311,9 @@ _SINGLE = ("out", "seed", "dt", "horizon", "param", "values")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if argv is None:  # the process's own command: see the module docstring
+        atexit.unregister(gc.freeze)  # so that it is registered once per process
+        atexit.register(gc.freeze)
     args = _parser().parse_args(argv)
     sources = args.sources or []
     try:

@@ -39,6 +39,8 @@ its tables are built then, not when agrosim is imported.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 #: Decimal exponents formatted in numpy; the lowest is the last whose
@@ -98,12 +100,23 @@ _ZEROS4 = (_ON == 0) * (1 + (_TE == 0) * (1 + (_HU == 0) * (1 + (_TH == 0)))).as
 _FIRST = np.zeros((10, 4), np.uint8)
 _FIRST[:, 3] = np.arange(10) + ord("0")
 _FIRST = _FIRST.view(np.uint32).ravel()
+
+
+def _slots(patterns: Iterable[str]) -> np.ndarray:
+    """The slots of ``patterns`` as rows of bytes."""
+    return np.frombuffer("".join(patterns).encode("ascii"), np.uint8).reshape(-1, _WIDTH)
+
+
 # one slot per class (P - _P_MIN) * 17 + nd - 1, then NaN's, inf's and an
-# empty one for the values formatted apart; as four 64-bit words each
-_SLOTS = np.frombuffer("".join(
-    [_pattern(p, nd) for p in range(_P_MIN, _P_MAX + 1) for nd in range(1, 18)]
-    + [_constant("\0" * 7 + "nan"), _constant("\0" * 7 + "inf"), _constant("")]
-).encode("ascii"), np.uint8).reshape(-1, _WIDTH)
+# empty one for the values formatted apart; as four 64-bit words each.  The
+# exponents below -4 share the 17 bodies of _P_MIN's slots and differ only
+# in the two digits of "e-XX", the columns before the separator
+_SLOTS = np.tile(_slots(_pattern(_P_MIN, nd) for nd in range(1, 18)), (-4 - _P_MIN, 1))
+_E = np.repeat(np.arange(-_P_MIN, 4, -1, dtype=np.uint8), 17)
+_SLOTS[:, _SEP - 2], _SLOTS[:, _SEP - 1] = _E // 10 + ord("0"), _E % 10 + ord("0")
+_SLOTS = np.concatenate([_SLOTS, _slots(
+    [_pattern(p, nd) for p in range(-4, _P_MAX + 1) for nd in range(1, 18)]
+    + [_constant("\0" * 7 + "nan"), _constant("\0" * 7 + "inf"), _constant("")])])
 _NAN, _INF, _APART = range(len(_SLOTS) - 3, len(_SLOTS))
 _MASK_A, _MASK_B = (np.where(_SLOTS == ord(c), 0xFF, 0).astype(np.uint8).view(np.uint64)
                     for c in "AB")

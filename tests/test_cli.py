@@ -1,7 +1,9 @@
 import argparse
+import atexit
 import contextlib
 import dataclasses
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -206,20 +208,64 @@ def test_preset_svgs_match_pinned_digests(tmp_path):
         assert hashlib.sha256((tmp_path / (name + ".svg")).read_bytes()).hexdigest() == want, name
 
 
-def test_a_preset_run_does_not_load_the_schema(tmp_path):
-    # a fresh interpreter: this one has imported agrosim.config already
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    checkout's agrosim; this one has imported agrosim.config already."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_a_preset_run_does_not_load_the_schema(tmp_path):
+    # nor the workers, which a sweep loads
+    out = str(tmp_path)
     code = ("import sys\n"
             "from agrosim import cli\n"
-            f"status = cli.main(['run', '--preset', 'fl-paper', '--no-svg', '--out', {str(tmp_path)!r}])\n"
-            "print(status, 'agrosim.config' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+            f"status = cli.main(['run', '--preset', 'fl-paper', '--no-svg', '--out', {out!r}])\n"
+            "print('loaded', status, 'agrosim.config' in sys.modules,"
+            " 'agrosim.workers' in sys.modules)\n"
+            "status = cli.main(['sweep', '--preset', 'bs-paper', '--param', 'k1',"
+            f" '--values', '10,20', '--horizon', '0.2', '--out', {out!r}])\n"
+            "print('loaded', status, 'agrosim.workers' in sys.modules)\n")
+    proc = _fresh_interpreter(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
+        "loaded 0 False False", "loaded 0 True"]
     assert (tmp_path / "fl-paper.csv").is_file()
+
+
+def test_the_process_command_freezes_the_heap_at_exit(tmp_path, capsys):
+    # main() as the process's command, as the console script and the
+    # benchmark's cli-run start it, registers gc.freeze with atexit; a hook
+    # registered before main runs after it, so it sees the heap frozen
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "import sys; from agrosim.cli import main; sys.exit(main())\n")
+    argv = ["run", "--preset", "fl-paper", "--out", str(tmp_path / "process")]
+    proc = _fresh_interpreter(code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    want = json.loads(PINNED.read_text(encoding="utf-8"))["fl-paper"]
+    got = {ext: hashlib.sha256((tmp_path / "process" / ("fl-paper" + ext)).read_bytes())
+           .hexdigest() for ext in want}
+    assert got == want
+    # the table and the wrote lines, as the same command prints them in process
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out + "frozen True\n"
+
+
+def test_a_call_with_arguments_leaves_the_collector_as_it_was(tmp_path, monkeypatch):
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: registered.append(args))
+    frozen = gc.get_freeze_count()
+    for argv in (["run", "--preset", "fl-paper"],
+                 ["compare", "--preset", "fl-paper", "--preset", "bs-paper"],
+                 ["sweep", "--preset", "bs-paper", "--param", "k1", "--values", "10,20"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--horizon", "0.2", "--out", str(tmp_path)]) == 0
+    assert registered == []
+    assert gc.get_freeze_count() == frozen
 
 
 def test_run_bad_preset_exits_nonzero(tmp_path, capsys):

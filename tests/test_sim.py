@@ -403,6 +403,26 @@ def test_wheel_allocation_consistency():
     np.testing.assert_allclose(recovered, rec.u_sat, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["fl-paper", "bs-paper", "bs-adaptive-paper"])
+def test_the_torque_box_asks_u_max_over_root_two_of_a_wheel_pair(name):
+    # the clamp is a box on the body axes.  At the isotropic steering
+    # tau_x = sqrt(2) (tau1 + tau2) and tau_y = sqrt(2) (tau2 - tau1), so roll
+    # and pitch saturated together ask u_max / sqrt(2) of one wheel pair,
+    # twice what one saturated axis asks.  Every preset reaches it on tau1,
+    # the backstepping ones on tau2 too (exact to 2.2e-16 relative here);
+    # fl-paper's |tau2| peaks at about 0.22 u_max / sqrt(2)
+    cfg = preset(name)
+    assert cfg.steering == ISO
+    rec, _ = run_scenario(cfg)
+    peak = np.abs(rec.wheel[:, :2]).max(axis=0)
+    pair = cfg.u_max / math.sqrt(2)
+    assert peak[0] == pytest.approx(pair, rel=1e-12)
+    if name == "fl-paper":
+        assert peak[1] < 0.5 * pair
+    else:
+        assert peak[1] == pytest.approx(pair, rel=1e-12)
+
+
 def test_recorded_disturbance_respects_budget():
     cfg = bs_adaptive_paper()
     rec, _ = run_scenario(cfg)
@@ -829,6 +849,17 @@ def test_csv_text_at_the_formatter_boundaries():
     values = np.concatenate([values, np.zeros(-len(values) % 24)]).reshape(-1, 24)
     assert "9.9999999999999995e-07" in _g17_lines(ends[None, :])
     assert "".join(sim._csv_blocks(values)) == _g17_lines(values)
+
+
+def test_csv_slots_equal_one_pattern_per_class():
+    # the slots of the exponents below -4 are copies of _P_MIN's with the
+    # "e-XX" digits written in numpy; each must equal its own _pattern
+    from agrosim import csvtext
+
+    want = csvtext._slots(csvtext._pattern(p, nd) for p in range(csvtext._P_MIN, csvtext._P_MAX + 1)
+                          for nd in range(1, 18))
+    assert csvtext._SLOTS[:len(want)].tobytes() == want.tobytes()
+    assert len(csvtext._SLOTS) == len(want) + 3
 
 
 def test_preset_csv_values_lie_in_the_numpy_range(monkeypatch):
