@@ -254,7 +254,8 @@ def _loop(config: ScenarioConfig):
                               config.dt, config.disturbance, config.adaptation_enabled)
 
 
-#: Rows formatted together, and written at once, by :meth:`TrajectoryRecord.to_csv`.
+#: Rows formatted together, and written at once, by :meth:`TrajectoryRecord.to_csv`;
+#: each block is assembled from the record's columns in one buffer of this many rows.
 _CSV_BLOCK = 256
 
 #: The record's columns after ``t``, in CSV order: the field, its CSV
@@ -332,25 +333,31 @@ class TrajectoryRecord(_ArrayEqMixin):
         torque columns [N m]; L/Lhat [rad/s^2]; V1, V2 dimensionless.
         Every value is written as ``%.17g``, which reads back as the same
         double.  The rows are formatted in this process, in blocks of
-        :data:`_CSV_BLOCK` rows (:func:`agrosim.csvtext.rows`), and each
-        block is written as it is made.
+        :data:`_CSV_BLOCK` rows (:func:`_csv_blocks`), each assembled from
+        the record's columns and written as it is made, so the record is
+        never copied whole.
         ``target`` is a path (a ``str`` or any :class:`os.PathLike`) or a
         text stream; a path is written through a temporary file beside it,
         so on failure any previous file there is left intact.
         """
-        data = np.column_stack([self.t] + [np.rad2deg(getattr(self, name)) if degrees
-                                           else getattr(self, name)
-                                           for name, _, degrees in _COLUMNS])
         opened = (atomic_write(os.fspath(target)) if isinstance(target, (str, os.PathLike))
                   else nullcontext(target))
         with opened as fh:
             fh.write(",".join(["t", *(c for _, csv, _ in _COLUMNS for c in csv)]) + "\n")
-            fh.writelines(_csv_blocks(data))
+            fh.writelines(_csv_blocks([(self.t, False)] + [(getattr(self, name), degrees)
+                                                           for name, _, degrees in _COLUMNS]))
 
 
-def _csv_blocks(data: np.ndarray) -> Iterator[str]:
-    """CSV lines of the rows of ``data``, :data:`_CSV_BLOCK` rows per string.
+def _csv_blocks(columns: list[tuple[np.ndarray, bool]]) -> Iterator[str]:
+    """CSV lines of the rows of ``columns`` side by side, :data:`_CSV_BLOCK`
+    rows per string.
 
+    ``columns`` holds ``(values, degrees)`` pairs of the same length: a
+    series of shape (n,) or a group of shape (n, k), and whether it is
+    written in degrees (``values`` in radians).  Each block is assembled in
+    one reused buffer of :data:`_CSV_BLOCK` rows: a plain series is copied
+    in, a degree series is converted into it by :func:`numpy.rad2deg`, the
+    same ufunc, and so the same bits, as on the whole series.
     Each value is written as the bytes of ``"%.17g" % x`` (nan, inf and -0
     included), by :func:`agrosim.csvtext.rows`: 17 significant digits,
     which always read back as the same double, though not always the
@@ -362,8 +369,19 @@ def _csv_blocks(data: np.ndarray) -> Iterator[str]:
     """
     from . import csvtext  # its tables are built with the first CSV, not at import
 
-    for start in range(0, len(data), _CSV_BLOCK):
-        yield csvtext.rows(data[start:start + _CSV_BLOCK])
+    n = len(columns[0][0])
+    groups = [(values.reshape(n, -1), degrees) for values, degrees in columns]  # a series: 1 wide
+    edges = np.cumsum([0] + [values.shape[1] for values, _ in groups]).tolist()
+    buf = np.empty((min(n, _CSV_BLOCK), edges[-1]))
+    for start in range(0, n, _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        block = buf[:min(n - start, _CSV_BLOCK)]
+        for (values, degrees), lo, hi in zip(groups, edges, edges[1:]):
+            if degrees:
+                np.rad2deg(values[rows], out=block[:, lo:hi])
+            else:
+                block[:, lo:hi] = values[rows]
+        yield csvtext.rows(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +474,7 @@ def compute_metrics(record: TrajectoryRecord) -> Metrics:
         settle_time=settle_time(record),
         peak_torque=np.abs(record.u_sat).max(axis=0),
         est_error_rms=estimate_error_metrics(record, (t_end * 2.0 / 3.0, t_end)),
-        final_error=record.error()[-1],
+        final_error=record.reference.x_d - record.attitude[-1],
     )
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -634,6 +635,19 @@ def test_run_columns_agree_with_the_record(name):
             == metrics.to_dict())
 
 
+@pytest.mark.parametrize("name", ["fl-paper", "bs-paper", "bs-adaptive-paper"])
+def test_final_error_is_the_last_row_of_the_error(name):
+    # compute_metrics subtracts the last attitude alone: the same IEEE
+    # subtraction as the last row of error(), so the same bits
+    config = preset(name)
+    run = sim._rows(config)
+    record, _ = run_scenario(config)
+    for source in (record, run):
+        final = sim.compute_metrics(source).final_error
+        assert final.shape == (3,)
+        assert final.tobytes() == source.error()[-1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # trajectory record and CSV
 # ---------------------------------------------------------------------------
@@ -754,8 +768,8 @@ def test_csv_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     path.write_text("previous\n", encoding="utf-8")
     blocks = sim._csv_blocks
 
-    def first_block_then_fail(data):
-        gen = blocks(data)
+    def first_block_then_fail(columns):
+        gen = blocks(columns)
         yield next(gen)
         raise RuntimeError("formatter failed")
 
@@ -782,7 +796,7 @@ def test_csv_to_a_path_like_target(tmp_path, monkeypatch):
     rec.to_csv(path)
     assert path.read_bytes() == want
 
-    def fail(data):
+    def fail(columns):
         raise RuntimeError("formatter failed")
         yield
 
@@ -848,7 +862,10 @@ def test_csv_text_at_the_formatter_boundaries():
                              ties, -ties, bits.view(np.float64), low.view(np.float64)])
     values = np.concatenate([values, np.zeros(-len(values) % 24)]).reshape(-1, 24)
     assert "9.9999999999999995e-07" in _g17_lines(ends[None, :])
-    assert "".join(sim._csv_blocks(values)) == _g17_lines(values)
+    # passed as the record's layout of series and groups, none in degrees
+    columns = np.split(values, np.cumsum([1, 3, 3, 3, 3, 3, 3, 3, 1]), axis=1)
+    columns = [(c[:, 0] if c.shape[1] == 1 else c, False) for c in columns]
+    assert "".join(sim._csv_blocks(columns)) == _g17_lines(values)
 
 
 def test_csv_slots_equal_one_pattern_per_class():
@@ -868,15 +885,21 @@ def test_preset_csv_values_lie_in_the_numpy_range(monkeypatch):
     from agrosim import csvtext
 
     lo, hi = 10.0 ** csvtext._P_MIN, 10.0 ** (csvtext._P_MAX + 1)
-    tables = []
-    monkeypatch.setattr(sim, "_csv_blocks", lambda data: tables.append(data) or iter(()))
+    blocks = []  # to_csv reuses its block buffer: keep a copy of each
+    monkeypatch.setattr(csvtext, "rows", lambda block: blocks.append(block.copy()) or "")
+    totals = []
     for name in ("fl-paper", "bs-paper", "bs-adaptive-paper"):
         for horizon in (None, 4.0):
-            run_scenario(preset(name, horizon=horizon))[0].to_csv(io.StringIO())
-    for data in tables:
-        a = np.abs(data[np.isfinite(data)])
+            rec = run_scenario(preset(name, horizon=horizon))[0]
+            before = len(blocks)
+            rec.to_csv(io.StringIO())
+            totals.append(sum(len(block) for block in blocks[before:]))
+            assert totals[-1] == len(rec)
+    for block in blocks:
+        assert block.shape[1] == 24 and len(block) <= sim._CSV_BLOCK
+        a = np.abs(block[np.isfinite(block)])
         assert np.all((a == 0.0) | ((a >= lo) & (a < hi)))
-    assert len(tables) == 6 and max(len(data) for data in tables) == 4001
+    assert len(totals) == 6 and max(totals) == 4001
 
 
 def test_long_adaptive_csv_matches_per_value_formatting():
@@ -884,6 +907,28 @@ def test_long_adaptive_csv_matches_per_value_formatting():
     buf = io.StringIO()
     rec.to_csv(buf)
     assert buf.getvalue() == _csv_reference(rec)
+
+
+def test_csv_memory_does_not_grow_with_the_run(tmp_path):
+    # to_csv assembles each block from the record's columns, so what it
+    # allocates is its block buffer and one block's text, whatever the
+    # length; a whole-table copy would add 24 doubles a row, about 0.58 MB
+    # between these runs.  The path target keeps no text in memory
+    path = tmp_path / "run.csv"
+    records = [run_scenario(preset("bs-adaptive-paper", horizon=h))[0] for h in (1.0, 4.0)]
+    records[0].to_csv(path)  # csvtext builds its tables with the first CSV
+    peaks = []
+    tracemalloc.start()
+    try:
+        for rec in records:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            rec.to_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert [len(rec) for rec in records] == [1001, 4001]
+    assert abs(peaks[1] - peaks[0]) < 0.1e6, peaks
 
 
 # ---------------------------------------------------------------------------
